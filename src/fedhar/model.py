@@ -222,7 +222,7 @@ def forward(
         x = Tensor(np.ascontiguousarray(xd, dtype=np.float32))
 
     drop = cfg.dropout if train_mode else 0.0
-    h = T.add(T.matmul(x, w["input_proj.w"]), w["input_proj.b"])
+    h = T.linear(x, w["input_proj.w"], w["input_proj.b"])
     h = T.add(h, T.narrow0(w["pos_emb"], seq))
     if drop > 0.0:
         h = T.dropout(h, drop, rng)
@@ -238,15 +238,15 @@ def forward(
         )
         h = T.add(h, att)
         pre = T.layer_norm(h, w[f"block{i}.ln2.w"], w[f"block{i}.ln2.b"], LN_EPS)
-        mid = T.gelu(T.add(T.matmul(pre, w[f"block{i}.mlp.fc.w"]), w[f"block{i}.mlp.fc.b"]))
-        mid = T.add(T.matmul(mid, w[f"block{i}.mlp.proj.w"]), w[f"block{i}.mlp.proj.b"])
+        mid = T.gelu(T.linear(pre, w[f"block{i}.mlp.fc.w"], w[f"block{i}.mlp.fc.b"]))
+        mid = T.linear(mid, w[f"block{i}.mlp.proj.w"], w[f"block{i}.mlp.proj.b"])
         if drop > 0.0:
             mid = T.dropout(mid, drop, rng)
         h = T.add(h, mid)
 
     h = T.layer_norm(h, w["ln_f.gain"], w["ln_f.bias"], LN_EPS)
-    h = T.add(T.matmul(h, w["head.w"]), w["head.b"])
-    y = T.add(T.matmul(h, w["out.w"]), w["out.b"])
+    h = T.linear(h, w["head.w"], w["head.b"])
+    y = T.linear(h, w["out.w"], w["out.b"])
     return T.tanh(y)
 
 

@@ -5,6 +5,11 @@ op is dtype-generic: feeding float64 leaves runs the identical graph in
 64-bit, which is the evaluation path the finite-difference checks use.
 Loss-level reductions (``sum64``) accumulate in float64 regardless of the
 graph dtype so repeated runs compare stably.
+
+``linear`` is the op for weight projections (``x @ w + b`` with a 2-D
+weight): it runs each of the forward product and both gradients as one 2-D
+GEMM over the flattened rows of ``x``. ``matmul`` is for batched products
+of activations, such as the attention scores and context.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "mul_scalar",
     "mul_const",
     "matmul",
+    "linear",
     "reshape",
     "transpose",
     "narrow_last",
@@ -242,6 +248,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(data, _parents=(a, b), _vjp=vjp)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for ``x`` of shape [..., in], ``w`` [in, out], ``b`` [out].
+
+    The leading axes of ``x`` are flattened into rows, so the forward product,
+    dx and dW are each one 2-D GEMM; dW reduces over all rows at once instead
+    of summing one product per batch entry.
+    """
+    if w.data.ndim != 2:
+        raise ShapeError(f"linear: weight must be 2-D [in, out], got {w.shape}")
+    n_in, n_out = w.data.shape
+    if x.data.ndim < 1 or x.data.shape[-1] != n_in:
+        raise ShapeError(f"linear: inner dimensions disagree: {x.shape} @ {w.shape}")
+    if b.data.shape != (n_out,):
+        raise ShapeError(f"linear: bias {b.shape} does not match weight {w.shape}")
+    x2 = x.data.reshape(-1, n_in)
+    out = x2 @ w.data
+    out += b.data
+    data = out.reshape(x.data.shape[:-1] + (n_out,))
+
+    def vjp(g):
+        g2 = g.reshape(-1, n_out)
+        gx = (g2 @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
+        return gx, x2.T @ g2, _unbroadcast(g, b.data.shape)
+
+    return Tensor(data, _parents=(x, w, b), _vjp=vjp)
+
+
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     data = x.data.reshape(shape)
     return Tensor(data, _parents=(x,), _vjp=lambda g: (g.reshape(x.data.shape),))
@@ -307,15 +340,37 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GPT-2 style tanh-approximated GELU."""
+    """GPT-2 style tanh-approximated GELU.
+
+    0.5 * x * (1 + tanh(c * (x + 0.044715 * x**3))), evaluated in place in
+    the same operation order as that expression, so the bits match it.
+    """
     xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * xd * xd * xd)
-    t = np.tanh(inner)
-    data = 0.5 * xd * (1.0 + t)
+    t = np.multiply(xd, 0.044715)
+    t *= xd
+    t *= xd
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = np.multiply(xd, 0.5)
+    data *= np.add(t, 1.0)
 
     def vjp(g):
-        dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * xd * xd)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner),)
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t*t) * c * (1 + 3 * 0.044715 * x*x))
+        dinner = np.multiply(xd, 3.0 * 0.044715)
+        dinner *= xd
+        dinner += 1.0
+        dinner *= _GELU_C
+        tmp = np.multiply(t, t)
+        np.subtract(1.0, tmp, out=tmp)
+        dx = np.multiply(xd, 0.5)
+        dx *= tmp
+        dx *= dinner
+        np.add(t, 1.0, out=tmp)
+        tmp *= 0.5
+        dx += tmp
+        dx *= g
+        return (dx,)
 
     return Tensor(data, _parents=(x,), _vjp=vjp)
 
@@ -328,16 +383,24 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row softmax along the last axis, stable under large magnitudes."""
+    """Row softmax along the last axis, stable under large magnitudes.
+
+    The denominator and the quotient are float64; numpy casts the quotient
+    back into the exp buffer chunk by chunk, so no float64 copy of the whole
+    tensor exists.
+    """
     xd = x.data
-    shifted = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
-    y = (e / denom).astype(xd.dtype, copy=False)
+    y = np.subtract(xd, xd.max(axis=-1, keepdims=True))
+    np.exp(y, out=y)
+    denom = y.sum(axis=-1, keepdims=True, dtype=np.float64)
+    np.divide(y, denom, out=y, dtype=np.float64)
 
     def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        gx = np.multiply(g, y)
+        dot = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= y
+        return (gx,)
 
     return Tensor(y, _parents=(x,), _vjp=vjp)
 
@@ -410,7 +473,7 @@ def causal_self_attention(
         raise ShapeError(f"sequence length {seq} exceeds n_positions {n_positions}")
     head_dim = width // n_heads
 
-    qkv = add(matmul(x, qkv_w), qkv_b)  # [B, T, 3H]
+    qkv = linear(x, qkv_w, qkv_b)  # [B, T, 3H]
     parts = []
     for i in range(3):
         piece = narrow_last(qkv, i * width, width)
@@ -433,7 +496,7 @@ def causal_self_attention(
 
     ctx = matmul(att, v)  # [B, nh, T, hd]
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, seq, width))
-    return add(matmul(ctx, out_w), out_b)
+    return linear(ctx, out_w, out_b)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Autodiff core: hand oracles, finite differences, and op edge cases."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,14 @@ def test_grad_batched_matmul():
     check_grad(lambda a, b: T.sum64(T.matmul(a, b)), [(2, 3, 4), (4, 5)], seed=1)
 
 
+@pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4), (2, 2, 3, 4)])
+def test_grad_linear(x_shape):
+    def build(x, w, b):
+        y = T.linear(x, w, b)
+        return T.sum64(T.mul(y, y))
+    check_grad(build, [x_shape, (4, 5), (5,)], seed=len(x_shape))
+
+
 def test_grad_mul_add_neg():
     check_grad(lambda a, b: T.sum64(T.mul(T.add(a, T.neg(b)), a)),
                [(5,), (5,)], seed=2)
@@ -231,6 +241,92 @@ def test_grad_attention_full_stack():
         return T.sum64(T.mul(y, y))
     check_grad(build, [(2, 3, H), (H, 3 * H), (3 * H,), (H, H), (H,)],
                seed=9, tol=1e-5)
+
+
+# ------------------------------------------------------------- linear
+
+def test_linear_matches_matmul_plus_add():
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.standard_normal((3, 5, 16)).astype(np.float32))
+    w = Tensor(rng.standard_normal((16, 8)).astype(np.float32))
+    b = Tensor(rng.standard_normal(8).astype(np.float32))
+    got = T.linear(x, w, b).data
+    want = T.add(T.matmul(x, w), b).data
+    assert got.shape == want.shape == (3, 5, 8)
+    assert got.dtype == np.float32
+    assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
+
+
+def test_linear_input_without_requires_grad_gets_no_gradient():
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.standard_normal((2, 3, 4)))
+    w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
+    backward(T.sum64(T.linear(x, w, b)))
+    assert x.grad is None
+    assert np.allclose(w.grad, x.data.reshape(-1, 4).sum(axis=0)[:, None] * np.ones(2))
+    assert np.array_equal(b.grad, [6.0, 6.0])
+
+
+def test_linear_rejects_bad_shapes():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError, match="2-D"):
+        T.linear(x, Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(5, 2\)"):
+        T.linear(x, Tensor(np.zeros((5, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError, match="bias"):
+        T.linear(x, Tensor(np.zeros((4, 2))), Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError, match="bias"):
+        T.linear(x, Tensor(np.zeros((4, 2))), Tensor(np.zeros((1, 2))))
+
+
+# ----------------------------------- in-place ops vs their expressions
+
+def _probe_inputs(dtype, shape):
+    rng = np.random.default_rng(16)
+    x = (rng.standard_normal(shape) * 4).astype(dtype)
+    x.reshape(-1)[:6] = [0.0, -0.0, 1e-20, -1e-20, 30.0, -30.0]
+    g = rng.standard_normal(shape).astype(dtype)
+    return x, g
+
+
+def _grad_of(op, x, g):
+    """d/dx sum(g * op(x)), which is op's VJP applied to g."""
+    leaf = Tensor(x.copy(), requires_grad=True)
+    y = op(leaf)
+    backward(T.sum64(T.mul_const(y, g)))
+    return y.data, leaf.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_bitwise_equals_reference_expression(dtype):
+    xd, g = _probe_inputs(dtype, (4, 6, 33))
+    # the one-line forms gelu had before it was rewritten with in-place ufuncs
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (xd + 0.044715 * xd * xd * xd))
+    want = 0.5 * xd * (1.0 + t)
+    dinner = c * (1.0 + 3.0 * 0.044715 * xd * xd)
+    want_dx = g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner)
+    got, got_dx = _grad_of(T.gelu, xd, g)
+    assert got.dtype == got_dx.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    assert got_dx.tobytes() == want_dx.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_rows_bitwise_equals_reference_expression(dtype):
+    xd, g = _probe_inputs(dtype, (4, 2, 6, 6))
+    mask = np.tril(np.ones((6, 6), dtype=bool))
+    xd = xd + np.where(mask, 0.0, -1e9).astype(dtype)
+    # the one-line forms softmax_rows had before it was rewritten in place
+    e = np.exp(xd - xd.max(axis=-1, keepdims=True))
+    want = (e / e.sum(axis=-1, keepdims=True, dtype=np.float64)).astype(dtype, copy=False)
+    want_dx = want * (g - (g * want).sum(axis=-1, keepdims=True))
+    got, got_dx = _grad_of(T.softmax_rows, xd, g)
+    assert got.dtype == got_dx.dtype == dtype
+    assert np.all(got[..., ~mask] == 0.0)
+    assert got.tobytes() == want.tobytes()
+    assert got_dx.tobytes() == want_dx.tobytes()
 
 
 # ---------------------------------------------------------- attention
