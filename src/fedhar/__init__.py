@@ -25,7 +25,7 @@ from .metrics import (ClientReport, ConfusionCounts, FoldReport,
 from .training import (SearchSpace, TrainConfig, Trial, compute_pos_weight,
                        evaluate, random_search, train)
 from .fedavg import (ClientUpdate, FedConfig, FoldResult, aggregate,
-                     client_fit, run_cross_validation, run_fold, run_round,
+                     client_fit, drive_fold, run_cross_validation, run_fold,
                      select_clients)
 from .wire import (client_loop, decode_weights, encode_weights,
                    load_checkpoint, save_checkpoint, server_loop,
@@ -57,7 +57,7 @@ __all__ = [
     "Trial", "random_search",
     # fedavg
     "FedConfig", "ClientUpdate", "FoldResult", "select_clients", "aggregate",
-    "client_fit", "run_round", "run_fold", "run_cross_validation",
+    "client_fit", "drive_fold", "run_fold", "run_cross_validation",
     # wire
     "encode_weights", "decode_weights", "save_checkpoint", "load_checkpoint",
     "standardizer_path", "server_loop", "client_loop",

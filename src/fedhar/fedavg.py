@@ -1,10 +1,12 @@
 """FedAvg: client selection, example-weighted aggregation, round driving.
 
 The base model is pretrained centrally elsewhere; this module runs the
-federated fine-tuning phase. Aggregation walks clients in canonical
-client-id order and accumulates in float64, so the result is independent
-of arrival order and a lone client (or all-identical updates) comes back
-bitwise unchanged.
+federated fine-tuning phase. One round driver, ``drive_fold``, serves both
+transports: ``run_fold`` trains and evaluates the clients in process, and
+``wire.server_loop`` asks them over TCP. Clients train with ``client_fit``
+on either transport. Aggregation walks clients in canonical client-id order
+and accumulates in float64, so the result is independent of arrival order
+and a lone client (or all-identical updates) comes back bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ from .util import derive_seed
 __all__ = [
     "FedConfig",
     "ClientUpdate",
-    "RoundState",
     "FoldResult",
     "select_clients",
     "aggregate",
     "client_fit",
-    "run_round",
+    "drive_fold",
     "run_fold",
     "run_cross_validation",
 ]
@@ -72,13 +73,6 @@ class ClientUpdate:
     weights: WeightSet
     num_examples: int
     train_loss: float
-
-
-@dataclass
-class RoundState:
-    round: int
-    global_weights: WeightSet
-    report: FoldReport | None = None
 
 
 @dataclass
@@ -188,15 +182,62 @@ def client_fit(
     )
 
 
-def run_round(state: RoundState, updates: list[ClientUpdate]) -> RoundState:
-    """Aggregate one round's updates into the next global state."""
-    new_weights = aggregate(updates)
-    return RoundState(round=state.round + 1, global_weights=new_weights)
-
-
 def _audit(audit, **event):
     if audit is not None:
         audit({"ts": time.time(), **event})
+
+
+def drive_fold(fold: int, ids, fit, evaluate_clients, base_weights: WeightSet,
+               config: FedConfig, audit=None, eval_base: bool = True) -> FoldResult:
+    """Drive all rounds of one fold over any transport.
+
+    ``fit(weights, round_idx, ids)`` and ``evaluate_clients(weights,
+    round_idx, ids)`` yield ``(client_id, result)`` in the order of ``ids``:
+    a ClientUpdate (None for a client without training windows) and a
+    ClientReport. Selection, aggregation, fold summaries and audit events
+    happen here. ``eval_base`` first evaluates the base weights as round 0.
+    """
+    ids = sorted(ids)
+    result = FoldResult(fold=fold, base_report=None)
+
+    def eval_phase(weights, round_idx, eval_ids):
+        reports = []
+        for cid, rep in evaluate_clients(weights, round_idx, eval_ids):
+            _audit(audit, fold=fold, round=round_idx, event="eval_result",
+                   client_id=cid, mean_ba=rep.mean_ba)
+            reports.append(rep)
+        return fold_summary(reports, fold)
+
+    weights = base_weights.copy()
+    if eval_base:
+        result.base_report = eval_phase(weights, 0, ids)
+
+    for round_idx in range(1, config.rounds + 1):
+        fit_ids = select_clients(ids, config.fit_fraction,
+                                 config.min_available_clients, config.seed, round_idx)
+        _audit(audit, fold=fold, round=round_idx, event="broadcast",
+               n_clients=len(fit_ids))
+        updates = []
+        for cid, update in fit(weights, round_idx, fit_ids):
+            if update is None:
+                log.warning("fold %d round %d: client %s has no data, skipped",
+                            fold, round_idx, cid)
+                _audit(audit, fold=fold, round=round_idx, event="skip", client_id=cid)
+                continue
+            _audit(audit, fold=fold, round=round_idx, event="fit_result",
+                   client_id=cid, num_examples=update.num_examples)
+            updates.append(update)
+        weights = aggregate(updates)
+        _audit(audit, fold=fold, round=round_idx, event="aggregate",
+               n_updates=len(updates))
+
+        eval_ids = select_clients(ids, config.eval_fraction,
+                                  config.min_available_clients,
+                                  derive_seed(config.seed, "eval"), round_idx)
+        result.round_reports.append(eval_phase(weights, round_idx, eval_ids))
+
+    result.final_weights = weights
+    return result
 
 
 def run_fold(
@@ -210,59 +251,21 @@ def run_fold(
 ) -> FoldResult:
     """Drive all rounds for one fold in simulation mode.
 
-    ``clients`` maps client_id -> (train_windows, test_windows). The base
-    checkpoint is evaluated first (round 0), then each round broadcasts,
-    fits every selected client locally, aggregates, and evaluates the new
-    global model on each client's test windows.
+    ``clients`` maps client_id -> (train_windows, test_windows); ``drive_fold``
+    runs the rounds, with ``client_fit`` and ``evaluate`` called in process.
     """
-    ids = sorted(clients)
-    result = FoldResult(fold=fold, base_report=None)
-    state = RoundState(round=0, global_weights=base_weights.copy())
-
-    if eval_base:
-        reports = []
-        for cid in ids:
-            rep = evaluate(state.global_weights, clients[cid][1], cid, label_names)
-            _audit(audit, fold=fold, round=0, event="eval_result",
-                   client_id=cid, mean_ba=rep.mean_ba)
-            reports.append(rep)
-        result.base_report = fold_summary(reports, fold)
-
-    for round_idx in range(1, config.rounds + 1):
-        fit_ids = select_clients(ids, config.fit_fraction,
-                                 config.min_available_clients, config.seed, round_idx)
-        _audit(audit, fold=fold, round=round_idx, event="broadcast",
-               n_clients=len(fit_ids))
-        updates = []
+    def fit(weights, round_idx, fit_ids):
         for cid in fit_ids:
             train_w = clients[cid][0]
-            if not train_w:
-                log.warning("fold %d round %d: client %s has no data, skipped",
-                            fold, round_idx, cid)
-                _audit(audit, fold=fold, round=round_idx, event="skip", client_id=cid)
-                continue
-            update = client_fit(state.global_weights, train_w, config,
-                                cid, fold, round_idx)
-            _audit(audit, fold=fold, round=round_idx, event="fit_result",
-                   client_id=cid, num_examples=update.num_examples)
-            updates.append(update)
-        state = run_round(state, updates)
-        _audit(audit, fold=fold, round=round_idx, event="aggregate",
-               n_updates=len(updates))
+            yield cid, (client_fit(weights, train_w, config, cid, fold, round_idx)
+                        if train_w else None)
 
-        eval_ids = select_clients(ids, config.eval_fraction,
-                                  config.min_available_clients,
-                                  derive_seed(config.seed, "eval"), round_idx)
-        reports = []
+    def evaluate_clients(weights, round_idx, eval_ids):
         for cid in eval_ids:
-            rep = evaluate(state.global_weights, clients[cid][1], cid, label_names)
-            _audit(audit, fold=fold, round=round_idx, event="eval_result",
-                   client_id=cid, mean_ba=rep.mean_ba)
-            reports.append(rep)
-        result.round_reports.append(fold_summary(reports, fold))
+            yield cid, evaluate(weights, clients[cid][1], cid, label_names)
 
-    result.final_weights = state.global_weights
-    return result
+    return drive_fold(fold, clients, fit, evaluate_clients, base_weights, config,
+                      audit=audit, eval_base=eval_base)
 
 
 def run_cross_validation(

@@ -1,7 +1,8 @@
-"""Small shared helpers: seed derivation and atomic JSON output."""
+"""Small shared helpers: seed derivation and atomic file output."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -18,13 +19,30 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data``; readers see the old file or the new one.
+
+    Writes a uniquely named temp file beside ``path``, fsyncs and renames it;
+    a failed write removes the temp file and leaves ``path`` as it was.
+    """
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def atomic_write_json(path: str, obj) -> None:
-    """Write JSON via a temp file + rename so readers never see a torn file."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    os.replace(tmp, path)
+    """Write indented JSON with ``atomic_write_bytes``."""
+    text = json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def append_jsonl(fh, obj) -> None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import queue
 import socket
 import struct
@@ -29,12 +28,12 @@ import zlib
 import numpy as np
 
 from .errors import (AvailabilityError, DecodeError, ProtocolError, ShapeError)
-from .fedavg import ClientUpdate, FedConfig, FoldResult, aggregate, select_clients
-from .metrics import ClientReport, fold_summary
+from .fedavg import ClientUpdate, FedConfig, FoldResult, client_fit, drive_fold
+from .metrics import ClientReport
 from .model import ModelConfig, WeightSet, parameter_shapes
 from .tensor import Tensor
-from .training import TrainConfig, evaluate, train
-from .util import derive_seed
+from .training import evaluate
+from .util import atomic_write_bytes
 
 __all__ = [
     "MSG_HELLO", "MSG_ROUND_CONFIG", "MSG_FIT_RESULT", "MSG_EVAL_REQUEST",
@@ -271,14 +270,10 @@ def _decode_config(cur: _Cursor) -> ModelConfig:
 
 
 def save_checkpoint(path: str, weights: WeightSet) -> None:
-    """Write config + weights; the write is atomic (temp file + rename)."""
+    """Write config + weights; the write is atomic (``atomic_write_bytes``)."""
     blob = encode_weights(weights)
-    payload = (CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION)
-               + _encode_config(weights.config) + _pack_blob(blob))
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    atomic_write_bytes(path, CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION)
+                       + _encode_config(weights.config) + _pack_blob(blob))
 
 
 def load_checkpoint(path: str) -> WeightSet:
@@ -349,6 +344,21 @@ def decode_fit_result(payload: bytes):
     blob = _read_blob(cur) if cur.u8() else None
     cur.done()
     return client_id, num_examples, train_loss, blob
+
+
+def decode_eval_result(payload: bytes) -> ClientReport:
+    """Parse an EVAL_RESULT's JSON report; a malformed one is a DecodeError."""
+    try:
+        report = json.loads(payload.decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise DecodeError(f"EVAL_RESULT is not UTF-8 JSON: {exc}") from None
+    required = {"subject_id", "mean_ba", "defined_labels"}
+    if not isinstance(report, dict) or not required <= report.keys():
+        raise DecodeError(f"EVAL_RESULT is not an object with keys {sorted(required)}")
+    mean_ba = report["mean_ba"]
+    if isinstance(mean_ba, bool) or not isinstance(mean_ba, (int, float)):
+        raise DecodeError(f"EVAL_RESULT mean_ba {mean_ba!r} is not a number")
+    return ClientReport.from_json_dict(report)
 
 
 def encode_error(code: str, message: str) -> bytes:
@@ -439,8 +449,7 @@ class _ClientConn:
                 elif msg_type == MSG_FIT_RESULT:
                     self.results.put(("fit", self.client_id, decode_fit_result(payload)))
                 elif msg_type == MSG_EVAL_RESULT:
-                    report = json.loads(payload.decode("utf-8"))
-                    self.results.put(("eval", self.client_id, report))
+                    self.results.put(("eval", self.client_id, decode_eval_result(payload)))
         except Exception as exc:  # decoding bugs should not hang the server
             self._fail("internal", str(exc))
 
@@ -486,9 +495,11 @@ def server_loop(
     """Accept clients, drive all federated rounds over TCP, return the result.
 
     Blocks until ``expected_clients`` (default min_available_clients) have
-    sent HELLO, then mirrors the simulation driver: per round, broadcast
-    ROUND_CONFIG to the selected clients, aggregate their FIT_RESULTs, and
-    evaluate via EVAL_REQUEST / EVAL_RESULT. Ends every client with DONE.
+    sent HELLO, then runs the same round driver as the simulation,
+    ``fedavg.drive_fold``, with a TCP transport: a fit sends ROUND_CONFIG to
+    the selected clients and collects their FIT_RESULTs, an eval sends
+    EVAL_REQUEST and collects EVAL_RESULTs. The base weights are not
+    evaluated (``"base": null``). Ends every client with DONE.
     """
     expected = expected_clients if expected_clients is not None else config.min_available_clients
     results: queue.Queue = queue.Queue()
@@ -531,73 +542,46 @@ def server_loop(
                 elif tag in ("error", "gone"):
                     conns.pop(cid, None)
 
-        if len(conns) < config.min_available_clients:
-            raise AvailabilityError(
-                f"{len(conns)} clients registered, {config.min_available_clients} required")
-
-        ids = sorted(conns)
-        global_weights = base_weights.copy()
-        round_reports = []
-        for round_idx in range(1, config.rounds + 1):
-            fit_ids = select_clients(ids, config.fit_fraction,
-                                     config.min_available_clients, config.seed, round_idx)
-            blob = encode_weights(global_weights)
+        def fit(weights, round_idx, fit_ids):
             payload = encode_round_config(round_idx, fold, config.seed,
                                           config.local_epochs, config.batch_size,
-                                          config.local_lr, blob)
+                                          config.local_lr, encode_weights(weights))
             for cid in fit_ids:
                 conns[cid].expected = MSG_FIT_RESULT
                 conns[cid].send(MSG_ROUND_CONFIG, payload)
-            emit(round=round_idx, event="broadcast", n_clients=len(fit_ids))
-
+            del payload  # free the frame while the clients train
             fits = _collect(results, "fit", set(fit_ids), config.round_timeout_s,
                             f"round {round_idx} fit")
-            updates = []
             for cid in fit_ids:
-                client_id, num_examples, train_loss, fit_blob = fits[cid]
+                client_id, num_examples, train_loss, fit_blob = fits.pop(cid)
                 if client_id != cid:
                     raise ProtocolError(
                         f"connection for {cid} reported client_id {client_id}")
-                emit(round=round_idx, event="fit_result", client_id=cid,
-                     num_examples=num_examples)
                 if num_examples < 1 or fit_blob is None:
-                    log.warning("round %d: client %s sent no update, skipped",
-                                round_idx, cid)
+                    yield cid, None
                     continue
-                updates.append(ClientUpdate(
-                    client_id=cid,
-                    weights=decode_weights(fit_blob, base_weights.config),
-                    num_examples=num_examples,
-                    train_loss=train_loss,
-                ))
-            global_weights = aggregate(updates)
-            emit(round=round_idx, event="aggregate", n_updates=len(updates))
+                yield cid, ClientUpdate(cid, decode_weights(fit_blob, base_weights.config),
+                                        num_examples, train_loss)
 
-            eval_ids = select_clients(ids, config.eval_fraction,
-                                      config.min_available_clients,
-                                      derive_seed(config.seed, "eval"), round_idx)
-            eval_payload = _pack_blob(encode_weights(global_weights))
+        def evaluate_clients(weights, round_idx, eval_ids):
+            payload = _pack_blob(encode_weights(weights))
             for cid in eval_ids:
                 conns[cid].expected = MSG_EVAL_RESULT
-                conns[cid].send(MSG_EVAL_REQUEST, eval_payload)
+                conns[cid].send(MSG_EVAL_REQUEST, payload)
             evals = _collect(results, "eval", set(eval_ids), config.round_timeout_s,
                              f"round {round_idx} eval")
-            reports = []
             for cid in eval_ids:
-                report = ClientReport.from_json_dict(evals[cid])
-                emit(round=round_idx, event="eval_result", client_id=cid,
-                     mean_ba=report.mean_ba)
-                reports.append(report)
-            round_reports.append(fold_summary(reports, fold))
+                yield cid, evals[cid]
 
-        for cid in ids:
+        result = drive_fold(fold, conns, fit, evaluate_clients, base_weights, config,
+                            audit=audit, eval_base=False)
+        for cid in sorted(conns):
             try:
                 conns[cid].send(MSG_DONE)
                 emit(round=config.rounds, event="done", client_id=cid)
             except OSError:
                 log.warning("client %s vanished before DONE", cid)
-        return FoldResult(fold=fold, base_report=None,
-                          round_reports=round_reports, final_weights=global_weights)
+        return result
     finally:
         listener.close()
         for conn in list(conns.values()) + pending_conns:
@@ -636,13 +620,13 @@ def client_loop(
                     sock.sendall(frame_encode(
                         MSG_FIT_RESULT, encode_fit_result(client_id, 0, 0.0, None)))
                     continue
-                tc = TrainConfig(epochs=local_epochs, learning_rate=local_lr,
-                                 batch_size=batch_size,
-                                 seed=derive_seed(seed, fold, client_id, round_idx))
-                trained, history = train(weights, train_windows, tc)
+                local = FedConfig(local_epochs=local_epochs, batch_size=batch_size,
+                                  local_lr=local_lr, seed=seed)
+                update = client_fit(weights, train_windows, local, client_id,
+                                    fold, round_idx)
                 sock.sendall(frame_encode(MSG_FIT_RESULT, encode_fit_result(
-                    client_id, len(train_windows), history[-1],
-                    encode_weights(trained))))
+                    client_id, update.num_examples, update.train_loss,
+                    encode_weights(update.weights))))
                 rounds_done += 1
             elif msg_type == MSG_EVAL_REQUEST:
                 cur = _Cursor(payload)

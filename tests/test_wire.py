@@ -1,6 +1,8 @@
 """Wire format: framing, weight blobs, checkpoints, and the TCP loop."""
 
 import io
+import json
+import os
 import socket
 import struct
 import threading
@@ -16,6 +18,7 @@ from fedhar.errors import (AvailabilityError, DecodeError, ProtocolError,
 from fedhar.fedavg import FedConfig, run_fold
 from fedhar.model import ModelConfig, WeightSet, init_model, parameter_shapes
 from fedhar.tensor import Tensor
+from fedhar.util import atomic_write_json
 
 MC = ModelConfig(n_features=6, n_labels=3, transformers_layers=1,
                  hidden_size=8, n_positions=8, dropout=0.1, seed=0)
@@ -169,6 +172,29 @@ def test_checkpoint_detects_corrupted_weights(tmp_path):
         W.load_checkpoint(path)
 
 
+def test_atomic_writes_ignore_a_stale_tmp_path(tmp_path):
+    # a crashed writer (or anything else) may have left <path>.tmp behind
+    ws = random_weights(MC, seed=3)
+    ckpt, report = str(tmp_path / "model.ckpt"), str(tmp_path / "fold0.json")
+    os.mkdir(f"{ckpt}.tmp")
+    os.mkdir(f"{report}.tmp")
+    W.save_checkpoint(ckpt, ws)
+    atomic_write_json(report, {"fold": 0})
+    assert W.load_checkpoint(ckpt).equals_bitwise(ws)
+    assert json.load(open(report)) == {"fold": 0}
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["model.ckpt", "model.ckpt.tmp", "fold0.json", "fold0.json.tmp"])
+
+
+def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError):
+        W.save_checkpoint(str(target), random_weights(MC, seed=3))
+    assert os.listdir(tmp_path) == ["taken"]
+    assert os.listdir(target) == []
+
+
 def test_checkpoint_crc_covers_blob():
     blob = b"hello weights"
     packed = W._pack_blob(blob)
@@ -280,6 +306,25 @@ def test_tcp_matches_in_process_simulation_bitwise():
         assert tcp_rep.summary == sim_rep.summary
 
 
+def test_tcp_audit_trail_matches_simulation_event_for_event():
+    clients = synthetic_clients(3)
+    empty = sorted(clients)[1]
+    clients[empty] = ([], clients[empty][1])  # no training windows, still evaluated
+    cfg = FedConfig(rounds=2, min_available_clients=3, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    tcp_events, sim_events = [], []
+    tcp_result, base = run_tcp_federation(clients, cfg, audit=tcp_events.append)
+    sim_result = run_fold(0, clients, base, cfg, audit=sim_events.append, eval_base=False)
+
+    def rounds_only(events):
+        return [{k: v for k, v in e.items() if k != "ts"} for e in events
+                if e["event"] not in ("hello", "done")]
+
+    assert rounds_only(tcp_events) == rounds_only(sim_events)
+    assert [e["event"] for e in sim_events].count("skip") == 2
+    assert tcp_result.final_weights.equals_bitwise(sim_result.final_weights)
+
+
 def test_tcp_audit_trail_counts():
     clients = synthetic_clients(3)
     cfg = FedConfig(rounds=2, min_available_clients=3, local_epochs=1,
@@ -348,3 +393,49 @@ def test_server_times_out_when_clients_missing():
     with pytest.raises(AvailabilityError, match="0 of 2"):
         W.server_loop("127.0.0.1", port, init_model(MC), cfg,
                       expected_clients=2, accept_timeout=0.5)
+
+
+@pytest.mark.parametrize("report", [
+    b"{}",
+    b'{"subject_id": "rogue", "mean_ba": "high", "defined_labels": 1}',
+    b"[0.5]",
+    b"\xff not json",
+])
+def test_server_rejects_malformed_eval_result(report):
+    cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    port = free_port()
+    ready = threading.Event()
+    box = {}
+
+    def serve():
+        try:
+            W.server_loop("127.0.0.1", port, init_model(MC), cfg, expected_clients=1,
+                          accept_timeout=30.0, ready_event=ready)
+        except Exception as exc:
+            box["error"] = exc
+
+    server = threading.Thread(target=serve)
+    server.start()
+    assert ready.wait(10.0)
+    # a rogue peer fits honestly (echoing the weights back), then lies in eval
+    rogue = socket.create_connection(("127.0.0.1", port))
+    try:
+        rfile = rogue.makefile("rb")
+        rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("rogue", 1)))
+        msg_type, payload = W.read_frame(rfile)
+        assert msg_type == W.MSG_ROUND_CONFIG
+        blob = W.decode_round_config(payload)[-1]
+        rogue.sendall(W.frame_encode(W.MSG_FIT_RESULT,
+                                     W.encode_fit_result("rogue", 1, 0.0, blob)))
+        assert W.read_frame(rfile)[0] == W.MSG_EVAL_REQUEST
+        rogue.sendall(W.frame_encode(W.MSG_EVAL_RESULT, report))
+        msg_type, payload = W.read_frame(rfile)
+        assert msg_type == W.MSG_ERROR
+        assert "EVAL_RESULT" in W.decode_error(payload)[1]
+    finally:
+        rogue.close()
+    server.join(30.0)
+    assert not server.is_alive()
+    assert isinstance(box["error"], ProtocolError)
+    assert "rogue" in str(box["error"])
