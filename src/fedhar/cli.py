@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: gen-synthetic, pretrain, search, simulate, fed-server,
-fed-client, evaluate. Every command seeds all randomness from --seed and
-writes a RunManifest next to its outputs. Exit codes: 0 success, 1 runtime
-failure, 2 usage error.
+Subcommands: gen-synthetic, make-folds, pretrain, search, simulate,
+fed-server, fed-client, evaluate. Every command seeds all randomness from
+--seed. Each command but fed-client returns the manifest of its run (path,
+config, inputs, outputs); ``main`` times the command and writes that
+manifest next to its outputs. Exit codes: 0 success, 1 runtime failure,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import os
 import shutil
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
 from . import data as D
@@ -35,36 +36,6 @@ log = logging.getLogger(__name__)
 DESK_EPOCHS = 50
 DESK_BUDGET = 8
 DESK_LOCAL_EPOCHS = 20
-
-
-@dataclass
-class RunManifest:
-    """What a command ran with; written next to its outputs."""
-
-    command: str
-    argv: list[str]
-    config: dict
-    seed: int
-    inputs: list[str] = field(default_factory=list)
-    outputs: list[str] = field(default_factory=list)
-    started_at: str = ""
-    wall_ms: float = 0.0
-    package_version: str = __version__
-
-    def write(self, path: str) -> None:
-        atomic_write_json(path, self.__dict__)
-
-
-def _manifest_for(args, command: str, config: dict, inputs, outputs) -> RunManifest:
-    return RunManifest(
-        command=command,
-        argv=list(args._argv),
-        config=config,
-        seed=getattr(args, "seed", 0),
-        inputs=[str(p) for p in inputs],
-        outputs=[str(p) for p in outputs],
-        started_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    )
 
 
 def _positive(kind):
@@ -99,6 +70,31 @@ def _subject_subset(records, wanted_ids):
     return [by_id[s] for s in wanted_ids]
 
 
+def _base_records(args):
+    """Load the base-model subjects (the fold's, given --fold-plan) and standardize them.
+
+    Returns the standardizer fit to them and the standardized records.
+    """
+    records = _load_records(args.data)
+    if args.fold_plan:
+        plan = D.FoldPlan.load(args.fold_plan)
+        records = _subject_subset(records, plan.base_subjects[args.fold])
+    standardizer = D.fit_standardizer(records)
+    return standardizer, [D.apply_standardizer(r, standardizer) for r in records]
+
+
+def _checkpoint(path: str, standardizer_file: str | None):
+    """A checkpoint's weights and its standardizer (the sidecar unless overridden)."""
+    weights = load_checkpoint(path)
+    return weights, D.Standardizer.load(standardizer_file or standardizer_path(path))
+
+
+def _fed_config(args, min_clients: int, timeout: float | None = None) -> FedConfig:
+    return FedConfig(rounds=args.rounds, min_available_clients=min_clients,
+                     local_epochs=args.local_epochs, batch_size=args.batch_size,
+                     local_lr=args.local_lr, seed=args.seed, round_timeout_s=timeout)
+
+
 def _model_config_from_args(args, n_features: int, n_labels: int) -> ModelConfig:
     file_cfg = {}
     if getattr(args, "config", None):
@@ -123,20 +119,18 @@ def _model_config_from_args(args, n_features: int, n_labels: int) -> ModelConfig
     )
 
 
-def _client_windows_for_fold(records, fold_subjects, standardizer, n_positions, seed):
-    """Standardize, window, and 80/20-split each fold subject's data."""
-    clients = {}
-    for rec in _subject_subset(records, fold_subjects):
-        standardized = D.apply_standardizer(rec, standardizer)
-        windows = D.make_windows(standardized, n_positions)
-        train_w, test_w = D.split_train_test(windows, 0.8, seed)
-        clients[rec.subject_id] = (train_w, test_w)
-    return clients
+def _split_windows(record, standardizer, n_positions, seed):
+    """Standardize and window one subject's data, then split it 80/20."""
+    windows = D.make_windows(D.apply_standardizer(record, standardizer), n_positions)
+    return D.split_train_test(windows, 0.8, seed)
 
 
 # ------------------------------------------------------------- commands
+#
+# Each command returns (manifest path, config, inputs, outputs), or None
+# when it writes no files.
 
-def cmd_gen_synthetic(args) -> int:
+def cmd_gen_synthetic(args):
     spec = D.SyntheticSpec(
         n_subjects=args.subjects,
         minutes_per_subject=args.minutes,
@@ -146,7 +140,6 @@ def cmd_gen_synthetic(args) -> int:
         noise_std=args.noise_std,
         seed=args.seed,
     )
-    started = time.monotonic()
     records = D.gen_synthetic(spec)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
@@ -154,36 +147,22 @@ def cmd_gen_synthetic(args) -> int:
         path = os.path.join(args.out, f"{rec.subject_id}.csv")
         D.write_subject_csv(rec, path)
         outputs.append(path)
-    manifest = _manifest_for(args, "gen-synthetic", spec.__dict__, [], outputs)
-    manifest.wall_ms = (time.monotonic() - started) * 1e3
-    manifest.write(os.path.join(args.out, "manifest.json"))
     print(f"wrote {len(records)} subjects to {args.out}")
-    return 0
+    return os.path.join(args.out, "manifest.json"), spec.__dict__, [], outputs
 
 
-def cmd_make_folds(args) -> int:
-    started = time.monotonic()
+def cmd_make_folds(args):
     records = _load_records(args.data)
     plan = D.build_fold_plan([r.subject_id for r in records], args.seed,
                              n_folds=args.n_folds)
     plan.save(args.out)
-    manifest = _manifest_for(args, "make-folds", {"n_folds": args.n_folds},
-                             [args.data], [args.out])
-    manifest.wall_ms = (time.monotonic() - started) * 1e3
-    manifest.write(f"{args.out}.manifest.json")
     print(f"{args.n_folds} folds of {len(plan.folds[0])} subjects -> {args.out}")
-    return 0
+    return (f"{args.out}.manifest.json", {"n_folds": args.n_folds},
+            [args.data], [args.out])
 
 
-def cmd_pretrain(args) -> int:
-    started = time.monotonic()
-    records = _load_records(args.data)
-    if args.fold_plan:
-        plan = D.FoldPlan.load(args.fold_plan)
-        records = _subject_subset(records, plan.base_subjects[args.fold])
-    standardizer = D.fit_standardizer(records)
-    standardized = [D.apply_standardizer(r, standardizer) for r in records]
-
+def cmd_pretrain(args):
+    standardizer, standardized = _base_records(args)
     mc = _model_config_from_args(args, standardized[0].features.shape[1],
                                  standardized[0].labels.shape[1])
     windows = []
@@ -199,56 +178,37 @@ def cmd_pretrain(args) -> int:
     standardizer.save(standardizer_path(args.out))
     history_path = f"{args.out}.history.json"
     atomic_write_json(history_path, {"loss": history})
-    manifest = _manifest_for(
-        args, "pretrain",
-        {"model": mc.to_dict(), "train": tc.__dict__},
-        [args.data] + ([args.fold_plan] if args.fold_plan else []),
-        [args.out, standardizer_path(args.out), history_path],
-    )
-    manifest.wall_ms = (time.monotonic() - started) * 1e3
-    manifest.write(f"{args.out}.manifest.json")
     print(f"checkpoint written to {args.out} (final loss {history[-1]:.4f})")
-    return 0
+    return (f"{args.out}.manifest.json",
+            {"model": mc.to_dict(), "train": tc.__dict__},
+            [args.data] + ([args.fold_plan] if args.fold_plan else []),
+            [args.out, standardizer_path(args.out), history_path])
 
 
-def cmd_search(args) -> int:
-    started = time.monotonic()
-    records = _load_records(args.data)
-    if args.fold_plan:
-        plan = D.FoldPlan.load(args.fold_plan)
-        records = _subject_subset(records, plan.base_subjects[args.fold])
-    standardizer = D.fit_standardizer(records)
-    standardized = [D.apply_standardizer(r, standardizer) for r in records]
-
+def cmd_search(args):
+    _standardizer, standardized = _base_records(args)
     space = SearchSpace()
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
-        best, trials = random_search(
+        best, _trials = random_search(
             space, args.budget, standardized, args.seed,
             epochs=args.epochs, batch_size=args.batch_size,
             on_trial=lambda t: append_jsonl(fh, t.to_json_dict()),
         )
     if best is None:
-        print("no trial produced a defined validation score", file=sys.stderr)
-        return 1
+        raise FedharError("no trial produced a defined validation score")
     best_path = args.best_out or f"{args.out}.best.json"
     atomic_write_json(best_path, {"trial": best.index, "params": best.params,
                                   "val_mean_ba": best.val_mean_ba})
-    manifest = _manifest_for(
-        args, "search",
-        {"budget": args.budget, "epochs": args.epochs, "batch_size": args.batch_size,
-         "space": space.__dict__},
-        [args.data], [args.out, best_path],
-    )
-    manifest.wall_ms = (time.monotonic() - started) * 1e3
-    manifest.write(f"{args.out}.manifest.json")
     print(f"best trial {best.index}: val mean BA {best.val_mean_ba:.4f} "
           f"with {best.params}")
-    return 0
+    return (f"{args.out}.manifest.json",
+            {"budget": args.budget, "epochs": args.epochs, "batch_size": args.batch_size,
+             "space": space.__dict__},
+            [args.data], [args.out, best_path])
 
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
+def cmd_simulate(args):
     records = _load_records(args.data)
     plan = D.FoldPlan.load(args.fold_plan)
     folds = ([int(f) for f in args.folds.split(",")] if args.folds
@@ -260,33 +220,22 @@ def cmd_simulate(args) -> int:
         ckpt = os.path.join(args.base_ckpt_dir, f"base_fold{k}.ckpt")
         if not os.path.exists(ckpt):
             raise FedharError(f"missing base checkpoint {ckpt}")
-        base_weights[k] = load_checkpoint(ckpt)
-        standardizers[k] = D.Standardizer.load(standardizer_path(ckpt))
+        base_weights[k], standardizers[k] = _checkpoint(ckpt, None)
 
-    min_clients = args.min_clients or min(len(plan.folds[k]) for k in folds)
-    config = FedConfig(
-        rounds=args.rounds,
-        min_available_clients=min_clients,
-        local_epochs=args.local_epochs,
-        batch_size=args.batch_size,
-        local_lr=args.local_lr,
-        seed=args.seed,
-    )
-
+    config = _fed_config(args, args.min_clients or min(len(plan.folds[k]) for k in folds))
     os.makedirs(args.out, exist_ok=True)
-    label_names = records[0].label_names
 
     def data_for_fold(k: int):
-        return _client_windows_for_fold(
-            records, plan.folds[k], standardizers[k],
-            base_weights[k].config.n_positions, args.seed)
+        n_positions = base_weights[k].config.n_positions
+        return {rec.subject_id: _split_windows(rec, standardizers[k], n_positions, args.seed)
+                for rec in _subject_subset(records, plan.folds[k])}
 
     audit_path = os.path.join(args.out, "audit.jsonl")
     with open(audit_path, "w", encoding="utf-8") as audit_fh:
         results = run_cross_validation(
             plan, data_for_fold, base_weights, config,
             audit=lambda e: append_jsonl(audit_fh, e),
-            label_names=label_names, folds=folds,
+            label_names=records[0].label_names, folds=folds,
         )
 
     outputs = [audit_path]
@@ -310,30 +259,17 @@ def cmd_simulate(args) -> int:
         "best_client": max(all_client_bas),
     })
     outputs += [means_path, summary_path]
-
-    manifest = _manifest_for(args, "simulate",
-                             {"fed": config.__dict__, "folds": folds},
-                             [args.data, args.fold_plan, args.base_ckpt_dir], outputs)
-    manifest.wall_ms = (time.monotonic() - started) * 1e3
-    manifest.write(os.path.join(args.out, "manifest.json"))
     for f in fold_means:
         print(f"fold {f['fold']}: base mean BA {f['base_mean_ba']:.4f} -> "
               f"federated {f['mean_ba']:.4f}")
-    return 0
+    return (os.path.join(args.out, "manifest.json"),
+            {"fed": config.__dict__, "folds": folds},
+            [args.data, args.fold_plan, args.base_ckpt_dir], outputs)
 
 
-def cmd_fed_server(args) -> int:
-    started = time.monotonic()
+def cmd_fed_server(args):
     base = load_checkpoint(args.base_ckpt)
-    config = FedConfig(
-        rounds=args.rounds,
-        min_available_clients=args.clients,
-        local_epochs=args.local_epochs,
-        batch_size=args.batch_size,
-        local_lr=args.local_lr,
-        seed=args.seed,
-        round_timeout_s=args.timeout,
-    )
+    config = _fed_config(args, args.clients, timeout=args.timeout)
     os.makedirs(args.out, exist_ok=True)
     audit_path = os.path.join(args.out, "audit.jsonl")
     with open(audit_path, "w", encoding="utf-8") as audit_fh:
@@ -351,39 +287,29 @@ def cmd_fed_server(args) -> int:
     base_stdz = standardizer_path(args.base_ckpt)
     if os.path.exists(base_stdz):
         shutil.copyfile(base_stdz, standardizer_path(final_ckpt))
-    manifest = _manifest_for(args, "fed-server", {"fed": config.__dict__},
-                             [args.base_ckpt], [report_path, final_ckpt, audit_path])
-    manifest.wall_ms = (time.monotonic() - started) * 1e3
-    manifest.write(os.path.join(args.out, "manifest.json"))
     print(f"federation finished: mean BA {result.final_report.summary['mean']:.4f}")
-    return 0
+    return (os.path.join(args.out, "manifest.json"), {"fed": config.__dict__},
+            [args.base_ckpt], [report_path, final_ckpt, audit_path])
 
 
-def cmd_fed_client(args) -> int:
-    weights = load_checkpoint(args.base_ckpt)
-    stdz_file = args.standardizer or standardizer_path(args.base_ckpt)
-    standardizer = D.Standardizer.load(stdz_file)
+def cmd_fed_client(args):
+    weights, standardizer = _checkpoint(args.base_ckpt, args.standardizer)
     record = D.parse_extrasensory_csv(args.data)
-    standardized = D.apply_standardizer(record, standardizer)
-    windows = D.make_windows(standardized, weights.config.n_positions)
-    train_w, test_w = D.split_train_test(windows, 0.8, args.seed)
+    train_w, test_w = _split_windows(record, standardizer, weights.config.n_positions,
+                                     args.seed)
     client_id = args.client_id or record.subject_id
     rounds = client_loop(
         args.server, args.port, client_id, weights.config,
         train_w, test_w, label_names=record.label_names,
     )
     print(f"client {client_id} finished {rounds} rounds")
-    return 0
+    return None
 
 
-def cmd_evaluate(args) -> int:
-    started = time.monotonic()
-    weights = load_checkpoint(args.ckpt)
-    stdz_file = args.standardizer or standardizer_path(args.ckpt)
-    standardizer = D.Standardizer.load(stdz_file)
-    records = _load_records(args.data)
+def cmd_evaluate(args):
+    weights, standardizer = _checkpoint(args.ckpt, args.standardizer)
     reports = []
-    for rec in records:
+    for rec in _load_records(args.data):
         standardized = D.apply_standardizer(rec, standardizer)
         windows = D.make_windows(standardized, weights.config.n_positions)
         if args.split_seed is not None:
@@ -391,12 +317,9 @@ def cmd_evaluate(args) -> int:
         reports.append(evaluate(weights, windows, rec.subject_id, rec.label_names))
     report = fold_summary(reports, fold=args.fold)
     atomic_write_json(args.out, report.to_json_dict())
-    manifest = _manifest_for(args, "evaluate", {"ckpt": args.ckpt},
-                             [args.ckpt, args.data], [args.out])
-    manifest.wall_ms = (time.monotonic() - started) * 1e3
-    manifest.write(f"{args.out}.manifest.json")
     print(f"mean BA over {len(reports)} subjects: {report.summary['mean']:.4f}")
-    return 0
+    return (f"{args.out}.manifest.json", {"ckpt": args.ckpt},
+            [args.ckpt, args.data], [args.out])
 
 
 # -------------------------------------------------------------- parsing
@@ -522,17 +445,28 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     logging.basicConfig(level=os.environ.get("FEDHAR_LOG", "WARNING"),
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = list(argv)
+    args = build_parser().parse_args(argv)
+    started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    started = time.monotonic()
     try:
-        return args.func(args)
-    except FedharError as exc:
+        manifest = args.func(args)
+        if manifest is not None:
+            path, config, inputs, outputs = manifest
+            atomic_write_json(path, {
+                "command": args.command,
+                "argv": list(argv),
+                "config": config,
+                "seed": getattr(args, "seed", 0),
+                "inputs": [str(p) for p in inputs],
+                "outputs": [str(p) for p in outputs],
+                "started_at": started_at,
+                "wall_ms": (time.monotonic() - started) * 1e3,
+                "package_version": __version__,
+            })
+    except (FedharError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

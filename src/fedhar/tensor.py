@@ -15,7 +15,6 @@ of activations, such as the attention scores and context.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +47,6 @@ __all__ = [
     "layer_norm",
     "dropout",
     "causal_self_attention",
-    "AdamState",
-    "adam_step",
     "Adam",
 ]
 
@@ -499,55 +496,39 @@ def causal_self_attention(
     return linear(ctx, out_w, out_b)
 
 
-@dataclass
-class AdamState:
-    """Running Adam moments for one parameter tensor."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    @classmethod
-    def for_param(cls, param: Tensor, beta1: float = 0.9, beta2: float = 0.999,
-                  eps: float = 1e-8) -> "AdamState":
-        return cls(np.zeros_like(param.data), np.zeros_like(param.data), 0, beta1, beta2, eps)
-
-
-def adam_step(param: Tensor, grad, state: AdamState, lr: float):
-    """One Adam update (bias-corrected, no weight decay) in place."""
-    if lr <= 0.0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
-    g = grad.data if isinstance(grad, Tensor) else np.asarray(grad)
-    if g.shape != param.data.shape:
-        raise ShapeError(f"adam_step: grad shape {g.shape} != param shape {param.data.shape}")
-    if state.m.shape != param.data.shape:
-        raise ShapeError(f"adam_step: state shape {state.m.shape} != param shape {param.data.shape}")
-    state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
-    mhat = state.m / (1.0 - state.beta1 ** state.t)
-    vhat = state.v / (1.0 - state.beta2 ** state.t)
-    param.data = param.data - lr * mhat / (np.sqrt(vhat) + state.eps)
-    return param, state
-
-
 class Adam:
-    """Adam states for a named family of parameters, created lazily."""
+    """Bias-corrected Adam (no weight decay) over a named family of parameters.
+
+    ``states`` maps each parameter name to its moments ``(m, v, t)``,
+    created at the name's first step.
+    """
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.states: dict[str, AdamState] = {}
+        self.states: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
 
     def step(self, params: dict[str, Tensor], lr: float) -> None:
+        """Update every parameter in place from its ``grad`` (None counts as zeros)."""
+        if lr <= 0.0:
+            raise ConfigError(f"learning rate must be positive, got {lr}")
+        b1, b2 = self.beta1, self.beta2
         for name, p in params.items():
-            state = self.states.get(name)
-            if state is None:
-                state = AdamState.for_param(p, self.beta1, self.beta2, self.eps)
-                self.states[name] = state
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            adam_step(p, g, state, lr)
+            if g.shape != p.data.shape:
+                raise ShapeError(
+                    f"Adam {name}: grad shape {g.shape} != param shape {p.data.shape}")
+            # popped, so the old moments are freed as the new ones replace them
+            m, v, t = (self.states.pop(name, None)
+                       or (np.zeros_like(p.data), np.zeros_like(p.data), 0))
+            if m.shape != p.data.shape:
+                raise ShapeError(
+                    f"Adam {name}: state shape {m.shape} != param shape {p.data.shape}")
+            t += 1
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            mhat = m / (1.0 - b1 ** t)
+            vhat = v / (1.0 - b2 ** t)
+            p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.states[name] = (m, v, t)

@@ -10,8 +10,10 @@ Checkpoint files are magic "FHG1" + u16 version + a name-tagged config
 block + the WeightBlob + its CRC32.
 
 Protocol, per client: HELLO, then per round ROUND_CONFIG -> FIT_RESULT and
-EVAL_REQUEST -> EVAL_RESULT, finally DONE. Anything out of order gets an
-ERROR frame and the connection dropped.
+EVAL_REQUEST -> EVAL_RESULT, finally DONE. A message out of order gets an
+ERROR frame with code ``out_of_order``, a malformed one ``bad_message``, and
+the connection is dropped. When the server ends a fold with an error, every
+client still connected gets an ERROR frame with code ``aborted`` first.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import zlib
 
 import numpy as np
 
-from .errors import (AvailabilityError, DecodeError, ProtocolError, ShapeError)
+from .errors import (AvailabilityError, DecodeError, FedharError, ProtocolError,
+                     ShapeError)
 from .fedavg import ClientUpdate, FedConfig, FoldResult, client_fit, drive_fold
 from .metrics import ClientReport
 from .model import ModelConfig, WeightSet, parameter_shapes
@@ -450,6 +453,8 @@ class _ClientConn:
                     self.results.put(("fit", self.client_id, decode_fit_result(payload)))
                 elif msg_type == MSG_EVAL_RESULT:
                     self.results.put(("eval", self.client_id, decode_eval_result(payload)))
+        except ProtocolError as exc:  # the peer sent a malformed body
+            self._fail("bad_message", str(exc))
         except Exception as exc:  # decoding bugs should not hang the server
             self._fail("internal", str(exc))
 
@@ -499,7 +504,9 @@ def server_loop(
     ``fedavg.drive_fold``, with a TCP transport: a fit sends ROUND_CONFIG to
     the selected clients and collects their FIT_RESULTs, an eval sends
     EVAL_REQUEST and collects EVAL_RESULTs. The base weights are not
-    evaluated (``"base": null``). Ends every client with DONE.
+    evaluated (``"base": null``). Ends every client with DONE; if the fold
+    fails with a ``FedharError`` instead, every client still connected gets
+    an ERROR frame carrying its message before the error is re-raised.
     """
     expected = expected_clients if expected_clients is not None else config.min_available_clients
     results: queue.Queue = queue.Queue()
@@ -582,6 +589,11 @@ def server_loop(
             except OSError:
                 log.warning("client %s vanished before DONE", cid)
         return result
+    except FedharError as exc:
+        for conn in pending_conns:
+            if not conn.closed:
+                conn._fail("aborted", str(exc))
+        raise
     finally:
         listener.close()
         for conn in list(conns.values()) + pending_conns:

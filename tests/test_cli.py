@@ -1,5 +1,6 @@
 """CLI: every subcommand end to end on a tiny synthetic corpus."""
 
+import datetime
 import json
 import socket
 import threading
@@ -40,6 +41,33 @@ def read_json(path):
         return json.load(fh)
 
 
+MANIFEST_KEYS = ["command", "argv", "config", "seed", "inputs", "outputs",
+                 "started_at", "wall_ms", "package_version"]
+
+
+def read_manifest(path, command):
+    """A command's manifest, checked for its exact keys in their order."""
+    manifest = read_json(path)
+    assert list(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == command
+    assert manifest["wall_ms"] >= 0.0
+    return manifest
+
+
+def test_manifest_started_at_is_the_start_of_the_run(workspace, tmp_path):
+    out = tmp_path / "timed.ckpt"
+    before = datetime.datetime.now(datetime.timezone.utc)
+    assert main(["pretrain", "--data", str(workspace["corpus"]), "--out", str(out),
+                 "--epochs", "3", "--lr", "1e-2", "--batch-size", "8",
+                 "--seed", "0"] + TINY_MODEL) == 0
+    after = datetime.datetime.now(datetime.timezone.utc)
+    manifest = read_manifest(f"{out}.manifest.json", "pretrain")
+    started = datetime.datetime.fromisoformat(manifest["started_at"])
+    slack = datetime.timedelta(milliseconds=5)
+    assert before - slack <= started
+    assert started + datetime.timedelta(milliseconds=manifest["wall_ms"]) <= after + slack
+
+
 # ------------------------------------------------------------ generate
 
 def test_gen_synthetic_outputs(workspace, tmp_path):
@@ -49,8 +77,7 @@ def test_gen_synthetic_outputs(workspace, tmp_path):
     assert records[0].features.shape == (96, 6)
     assert records[0].labels.shape == (96, 3)
 
-    manifest = read_json(corpus / "manifest.json")
-    assert manifest["command"] == "gen-synthetic"
+    manifest = read_manifest(corpus / "manifest.json", "gen-synthetic")
     assert manifest["seed"] == 1
     assert len(manifest["outputs"]) == 6
     assert manifest["package_version"]
@@ -80,7 +107,8 @@ def test_make_folds_plan(workspace):
     assert plan.n_folds == 3
     assert [len(f) for f in plan.folds] == [2, 2, 2]
     assert [len(b) for b in plan.base_subjects] == [4, 4, 4]
-    assert (workspace["root"] / "folds.json.manifest.json").exists()
+    manifest = read_manifest(workspace["root"] / "folds.json.manifest.json", "make-folds")
+    assert manifest["outputs"] == [str(workspace["plan"])]
 
 
 # ------------------------------------------------------------- pretrain
@@ -93,8 +121,7 @@ def test_pretrain_outputs(workspace):
     assert (workspace["ckpts"] / "base_fold0.ckpt.stdz.json").exists()
     history = read_json(str(base) + ".history.json")
     assert len(history["loss"]) == 3
-    manifest = read_json(str(base) + ".manifest.json")
-    assert manifest["command"] == "pretrain"
+    manifest = read_manifest(str(base) + ".manifest.json", "pretrain")
     assert manifest["config"]["model"]["hidden_size"] == 8
 
 
@@ -135,6 +162,8 @@ def test_search_writes_trial_log_and_best(workspace, tmp_path, capsys):
     assert {"trial", "params", "val_mean_ba"} <= set(best)
     assert best["val_mean_ba"] == max(
         e["val_mean_ba"] for e in lines if e["val_mean_ba"] is not None)
+    manifest = read_manifest(str(out) + ".manifest.json", "search")
+    assert manifest["outputs"] == [str(out), str(out) + ".best.json"]
 
     rerun = tmp_path / "rerun.jsonl"
     with pytest.warns(D.SplitWarning):
@@ -159,7 +188,8 @@ def test_search_exits_1_when_no_trial_scores(tmp_path, capsys):
         code = main(["search", "--data", str(corpus), "--out", str(out),
                      "--budget", "2", "--epochs", "1", "--seed", "0"])
     assert code == 1
-    assert "no trial produced" in capsys.readouterr().err
+    assert "error: no trial produced" in capsys.readouterr().err
+    assert not (tmp_path / "trials.jsonl.manifest.json").exists()
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert [e["val_mean_ba"] for e in lines] == [None, None]
 
@@ -193,7 +223,7 @@ def test_simulate_fold_zero(workspace, tmp_path, capsys):
 
     audit = [json.loads(l) for l in (out / "audit.jsonl").read_text().splitlines()]
     assert sum(e["event"] == "aggregate" for e in audit) == 2
-    assert read_json(out / "manifest.json")["command"] == "simulate"
+    read_manifest(out / "manifest.json", "simulate")
 
 
 def test_simulate_requires_base_checkpoints(workspace, tmp_path, capsys):
@@ -220,6 +250,8 @@ def test_evaluate_report_schema(workspace, tmp_path):
     assert set(report["summary"]) == {"mean", "median", "q1", "q3", "min", "max"}
     for client in report["clients"]:
         assert {"subject_id", "mean_ba", "n_eval_instances"} <= set(client)
+    manifest = read_manifest(f"{out}.manifest.json", "evaluate")
+    assert manifest["seed"] == 0  # evaluate has no --seed
 
 
 def test_evaluate_missing_checkpoint_exits_1(workspace, tmp_path, capsys):
@@ -278,3 +310,6 @@ def test_fed_server_and_clients_loopback(workspace, tmp_path):
     audit = [json.loads(l) for l in (out / "audit.jsonl").read_text().splitlines()]
     assert sum(e["event"] == "hello" for e in audit) == 2
     assert sum(e["event"] == "done" for e in audit) == 2
+    manifest = read_manifest(out / "manifest.json", "fed-server")
+    assert manifest["outputs"] == [str(out / "fold0.json"), str(out / "final_fold0.ckpt"),
+                                   str(out / "audit.jsonl")]

@@ -424,8 +424,8 @@ def test_adam_first_step_size_is_lr():
     # bias correction makes |update| ~= lr regardless of grad scale
     for scale in (1e-4, 1.0, 1e4):
         p = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-        state = T.AdamState.for_param(p)
-        T.adam_step(p, np.full(3, scale, dtype=np.float32), state, lr=0.1)
+        p.grad = np.full(3, scale, dtype=np.float32)
+        T.Adam().step({"p": p}, lr=0.1)
         assert np.allclose(p.data, -0.1, rtol=1e-3)
 
 
@@ -433,9 +433,10 @@ def test_adam_two_steps_match_reference_recurrence():
     g1 = np.array([0.5, -1.0])
     g2 = np.array([-0.25, 2.0])
     p = Tensor(np.array([1.0, 1.0]), requires_grad=True)
-    state = T.AdamState.for_param(p)
-    T.adam_step(p, g1, state, lr=0.01)
-    T.adam_step(p, g2, state, lr=0.01)
+    opt = T.Adam()
+    for g in (g1, g2):
+        p.grad = g
+        opt.step({"p": p}, lr=0.01)
 
     m = v = np.zeros(2)
     x = np.array([1.0, 1.0])
@@ -448,11 +449,16 @@ def test_adam_two_steps_match_reference_recurrence():
 
 def test_adam_rejects_bad_lr_and_shape():
     p = Tensor(np.zeros(2), requires_grad=True)
-    state = T.AdamState.for_param(p)
+    p.grad = np.zeros(2)
+    opt = T.Adam()
     with pytest.raises(ConfigError):
-        T.adam_step(p, np.zeros(2), state, lr=0.0)
+        opt.step({"p": p}, lr=0.0)
+    p.grad = np.zeros(3)
     with pytest.raises(ShapeError):
-        T.adam_step(p, np.zeros(3), state, lr=0.1)
+        opt.step({"p": p}, lr=0.1)
+    opt.step({"p": Tensor(np.zeros(2), requires_grad=True)}, lr=0.1)
+    with pytest.raises(ShapeError):  # moments kept for a 2-vector under this name
+        opt.step({"p": Tensor(np.zeros(3), requires_grad=True)}, lr=0.1)
 
 
 def test_adam_named_family_none_grad_still_steps_moments():
@@ -460,4 +466,5 @@ def test_adam_named_family_none_grad_still_steps_moments():
     opt = T.Adam()
     opt.step(params, lr=0.1)  # no grad yet -> treated as zeros
     assert np.allclose(params["a"].data, 1.0)
-    assert opt.states["a"].t == 1
+    m, v, t = opt.states["a"]
+    assert t == 1 and not m.any() and not v.any()

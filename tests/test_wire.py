@@ -395,6 +395,45 @@ def test_server_times_out_when_clients_missing():
                       expected_clients=2, accept_timeout=0.5)
 
 
+def test_server_error_reaches_every_client():
+    # both clients register, then selection finds 2 of the 3 required
+    clients = synthetic_clients(2)
+    cfg = FedConfig(rounds=1, min_available_clients=3, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    port = free_port()
+    ready = threading.Event()
+    errors = {}
+
+    def serve():
+        try:
+            W.server_loop("127.0.0.1", port, init_model(MC), cfg, expected_clients=2,
+                          accept_timeout=30.0, ready_event=ready)
+        except Exception as exc:
+            errors["server"] = exc
+
+    def join(cid, train_w, test_w):
+        try:
+            W.client_loop("127.0.0.1", port, cid, MC, train_w, test_w)
+        except Exception as exc:
+            errors[cid] = exc
+
+    server = threading.Thread(target=serve)
+    server.start()
+    assert ready.wait(10.0)
+    workers = [threading.Thread(target=join, args=(cid, *windows))
+               for cid, windows in clients.items()]
+    for t in workers:
+        t.start()
+    for t in [server] + workers:
+        t.join(30.0)
+        assert not t.is_alive()
+    assert isinstance(errors.pop("server"), AvailabilityError)
+    assert set(errors) == set(clients)
+    for exc in errors.values():
+        assert isinstance(exc, ProtocolError)
+        assert "aborted" in str(exc) and "3 required" in str(exc)
+
+
 @pytest.mark.parametrize("report", [
     b"{}",
     b'{"subject_id": "rogue", "mean_ba": "high", "defined_labels": 1}',
@@ -432,7 +471,9 @@ def test_server_rejects_malformed_eval_result(report):
         rogue.sendall(W.frame_encode(W.MSG_EVAL_RESULT, report))
         msg_type, payload = W.read_frame(rfile)
         assert msg_type == W.MSG_ERROR
-        assert "EVAL_RESULT" in W.decode_error(payload)[1]
+        code, message = W.decode_error(payload)
+        assert code == "bad_message"
+        assert "EVAL_RESULT" in message
     finally:
         rogue.close()
     server.join(30.0)
