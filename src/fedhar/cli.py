@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import logging
 import os
 import shutil
@@ -22,7 +21,7 @@ import time
 from . import __version__
 from . import data as D
 from .errors import FedharError
-from .fedavg import FedConfig, run_cross_validation
+from .fedavg import FedConfig, run_fold
 from .metrics import fold_summary
 from .model import ModelConfig, init_model
 from .training import SearchSpace, TrainConfig, evaluate, random_search, train
@@ -95,30 +94,6 @@ def _fed_config(args, min_clients: int, timeout: float | None = None) -> FedConf
                      local_lr=args.local_lr, seed=args.seed, round_timeout_s=timeout)
 
 
-def _model_config_from_args(args, n_features: int, n_labels: int) -> ModelConfig:
-    file_cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-
-    def pick(flag, key, default):
-        value = getattr(args, flag, None)
-        if value is not None:
-            return value
-        return file_cfg.get(key, default)
-
-    return ModelConfig(
-        n_features=n_features,
-        n_labels=n_labels,
-        transformers_layers=pick("layers", "transformers_layers", 4),
-        hidden_size=pick("hidden", "hidden_size", 384),
-        n_positions=pick("n_positions", "n_positions", 128),
-        n_heads=pick("n_heads", "n_heads", None),
-        dropout=pick("dropout", "dropout", 0.1),
-        seed=args.seed,
-    )
-
-
 def _split_windows(record, standardizer, n_positions, seed):
     """Standardize and window one subject's data, then split it 80/20."""
     windows = D.make_windows(D.apply_standardizer(record, standardizer), n_positions)
@@ -163,8 +138,11 @@ def cmd_make_folds(args):
 
 def cmd_pretrain(args):
     standardizer, standardized = _base_records(args)
-    mc = _model_config_from_args(args, standardized[0].features.shape[1],
-                                 standardized[0].labels.shape[1])
+    mc = ModelConfig(n_features=standardized[0].features.shape[1],
+                     n_labels=standardized[0].labels.shape[1],
+                     transformers_layers=args.layers, hidden_size=args.hidden,
+                     n_positions=args.n_positions, n_heads=args.n_heads,
+                     dropout=args.dropout, seed=args.seed)
     windows = []
     for rec in standardized:
         windows.extend(D.make_windows(rec, mc.n_positions))
@@ -205,7 +183,8 @@ def cmd_search(args):
     return (f"{args.out}.manifest.json",
             {"budget": args.budget, "epochs": args.epochs, "batch_size": args.batch_size,
              "space": space.__dict__},
-            [args.data], [args.out, best_path])
+            [args.data] + ([args.fold_plan] if args.fold_plan else []),
+            [args.out, best_path])
 
 
 def cmd_simulate(args):
@@ -231,12 +210,13 @@ def cmd_simulate(args):
                 for rec in _subject_subset(records, plan.folds[k])}
 
     audit_path = os.path.join(args.out, "audit.jsonl")
+    results = []
     with open(audit_path, "w", encoding="utf-8") as audit_fh:
-        results = run_cross_validation(
-            plan, data_for_fold, base_weights, config,
-            audit=lambda e: append_jsonl(audit_fh, e),
-            label_names=records[0].label_names, folds=folds,
-        )
+        for k in folds:
+            log.info("fold %d: starting %d federated rounds", k, config.rounds)
+            results.append(run_fold(k, data_for_fold(k), base_weights[k], config,
+                                    audit=lambda e: append_jsonl(audit_fh, e),
+                                    label_names=records[0].label_names))
 
     outputs = [audit_path]
     fold_means = []
@@ -357,12 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--fold-plan", help="restrict to a fold's base subjects")
     p.add_argument("--fold", type=int, default=0)
-    p.add_argument("--config", help="JSON file with model/training fields")
-    p.add_argument("--layers", type=_positive(int))
-    p.add_argument("--hidden", type=_positive(int))
-    p.add_argument("--n-positions", type=_positive(int))
+    p.add_argument("--layers", type=_positive(int), default=4)
+    p.add_argument("--hidden", type=_positive(int), default=384)
+    p.add_argument("--n-positions", type=_positive(int), default=128)
     p.add_argument("--n-heads", type=_positive(int))
-    p.add_argument("--dropout", type=_nonnegative(float))
+    p.add_argument("--dropout", type=_nonnegative(float), default=0.1)
     p.add_argument("--epochs", type=_positive(int), default=DESK_EPOCHS)
     p.add_argument("--lr", type=_positive(float), default=4e-5)
     p.add_argument("--batch-size", type=_positive(int), default=64)
@@ -409,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--local-lr", type=_positive(float), default=1e-3)
     p.add_argument("--batch-size", type=_positive(int), default=64)
     p.add_argument("--timeout", type=_positive(float),
-                   help="per-round collection timeout in seconds")
+                   help="seconds to wait for each fit and each eval collection")
     p.add_argument("--accept-timeout", type=_positive(float), default=120.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fed_server)

@@ -195,30 +195,21 @@ def write_subject_csv(record: SubjectRecord, path: str) -> None:
             writer.writerow(row)
 
 
-def load_subject_dir(
-    path: str,
-    expected_features: int | None = None,
-    expected_labels: int | None = None,
-) -> list[SubjectRecord]:
+def load_subject_dir(path: str) -> list[SubjectRecord]:
     """Parse every *.csv / *.csv.gz in a directory, sorted by filename.
 
-    All files must agree on feature/label counts; the first file sets them
-    when no expectation is passed.
+    The first file sets the feature/label counts every other file must match.
     """
     names = sorted(n for n in os.listdir(path)
                    if n.endswith(".csv") or n.endswith(".csv.gz"))
     if not names:
         raise FormatError(f"no subject CSVs found in {path}")
-    records = []
-    for name in names:
-        rec = parse_extrasensory_csv(os.path.join(path, name),
-                                     expected_features=expected_features,
-                                     expected_labels=expected_labels)
-        if expected_features is None:
-            expected_features = rec.features.shape[1]
-            expected_labels = rec.labels.shape[1]
-        records.append(rec)
-    return records
+    first = parse_extrasensory_csv(os.path.join(path, names[0]))
+    return [first] + [
+        parse_extrasensory_csv(os.path.join(path, name),
+                               expected_features=first.features.shape[1],
+                               expected_labels=first.labels.shape[1])
+        for name in names[1:]]
 
 
 @dataclass

@@ -33,7 +33,6 @@ __all__ = [
     "client_fit",
     "drive_fold",
     "run_fold",
-    "run_cross_validation",
 ]
 
 log = logging.getLogger(__name__)
@@ -41,6 +40,13 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class FedConfig:
+    """Round count, client selection and local-training settings of a fold.
+
+    ``round_timeout_s`` (TCP only; None waits forever) bounds each fit
+    collection and each eval collection once: the server raises
+    ``ProtocolError`` when a selected client has not answered in time.
+    """
+
     rounds: int = 4
     fit_fraction: float = 1.0
     eval_fraction: float = 1.0
@@ -158,7 +164,6 @@ def client_fit(
     client_id: str,
     fold: int,
     round_idx: int,
-    pos_weight: np.ndarray | None = None,
 ) -> ClientUpdate:
     """Local fine-tuning from the broadcast weights with a fresh optimizer.
 
@@ -173,7 +178,7 @@ def client_fit(
         batch_size=config.batch_size,
         seed=derive_seed(config.seed, fold, client_id, round_idx),
     )
-    trained, history = train(global_weights, train_windows, tc, pos_weight)
+    trained, history = train(global_weights, train_windows, tc)
     return ClientUpdate(
         client_id=client_id,
         weights=trained,
@@ -266,38 +271,3 @@ def run_fold(
 
     return drive_fold(fold, clients, fit, evaluate_clients, base_weights, config,
                       audit=audit, eval_base=eval_base)
-
-
-def run_cross_validation(
-    fold_plan,
-    data_for_fold,
-    base_weights_for_fold,
-    config: FedConfig,
-    audit=None,
-    label_names: list[str] | None = None,
-    folds: list[int] | None = None,
-) -> list[FoldResult]:
-    """Run every fold: init from its base checkpoint, federate its clients.
-
-    ``data_for_fold(k)`` returns the client dict for fold k;
-    ``base_weights_for_fold`` is a dict or callable giving fold k's base
-    WeightSet. All base weights are resolved up front so a missing
-    checkpoint fails before any round starts.
-    """
-    if folds is None:
-        folds = list(range(fold_plan.n_folds))
-    getter = (base_weights_for_fold if callable(base_weights_for_fold)
-              else base_weights_for_fold.__getitem__)
-    base = {}
-    for k in folds:
-        try:
-            base[k] = getter(k)
-        except (KeyError, FileNotFoundError, OSError) as exc:
-            raise ConfigError(f"missing base checkpoint for fold {k}: {exc}") from exc
-
-    results = []
-    for k in folds:
-        log.info("fold %d: starting %d federated rounds", k, config.rounds)
-        results.append(run_fold(k, data_for_fold(k), base[k], config,
-                                audit=audit, label_names=label_names))
-    return results

@@ -56,7 +56,8 @@ class Tensor:
 
     Leaves created with ``requires_grad=True`` accumulate into ``.grad`` when
     ``backward`` runs on a scalar descendant. Backward calls accumulate (two
-    calls double the gradient); use ``zero_grad`` between optimizer steps.
+    calls double the gradient); clear them between optimizer steps with
+    ``WeightSet.zero_grads``.
     Tensors written by an op are treated as immutable.
     """
 
@@ -83,14 +84,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def item(self) -> float:
         return float(self.data)
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -496,6 +491,11 @@ def causal_self_attention(
     return linear(ctx, out_w, out_b)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Bias-corrected Adam (no weight decay) over a named family of parameters.
 
@@ -503,17 +503,14 @@ class Adam:
     created at the name's first step.
     """
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.states: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
 
     def step(self, params: dict[str, Tensor], lr: float) -> None:
         """Update every parameter in place from its ``grad`` (None counts as zeros)."""
         if lr <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, p in params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
@@ -530,5 +527,5 @@ class Adam:
             v = b2 * v + (1.0 - b2) * (g * g)
             mhat = m / (1.0 - b1 ** t)
             vhat = v / (1.0 - b2 ** t)
-            p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
             self.states[name] = (m, v, t)

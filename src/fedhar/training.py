@@ -38,7 +38,6 @@ class TrainConfig:
     learning_rate: float
     batch_size: int = 64
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -49,16 +48,15 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
-def compute_pos_weight(windows: list[Window],
-                       clamp: tuple[float, float] = POS_WEIGHT_CLAMP) -> np.ndarray:
+def compute_pos_weight(windows: list[Window]) -> np.ndarray:
     """Per-label negatives/positives ratio over unmasked training instances.
 
     Labels with no positives (ratio would blow up) or no negatives clamp to
-    the given range, default [0.1, 100].
+    ``POS_WEIGHT_CLAMP``, [0.1, 100].
     """
     if not windows:
         raise ConfigError("pos_weight needs at least one window")
-    lo, hi = clamp
+    lo, hi = POS_WEIGHT_CLAMP
     n_labels = windows[0].targets.shape[-1]
     pos = np.zeros(n_labels, dtype=np.float64)
     neg = np.zeros(n_labels, dtype=np.float64)
@@ -81,7 +79,6 @@ def train(
     weights: WeightSet,
     windows: list[Window],
     config: TrainConfig,
-    pos_weight: np.ndarray | None = None,
 ) -> tuple[WeightSet, list[float]]:
     """Adam-train a copy of the weights; returns (trained copy, loss history).
 
@@ -92,8 +89,7 @@ def train(
     if not windows:
         raise ConfigError("training needs at least one window")
     w = weights.copy()
-    if pos_weight is None:
-        pos_weight = compute_pos_weight(windows)
+    pos_weight = compute_pos_weight(windows)
     x_all, pad_all, tgt_all, mask_all = batch_arrays(windows)
     if x_all.shape[-1] != w.config.n_features:
         raise ConfigError(
@@ -105,7 +101,7 @@ def train(
     n = len(windows)
     history: list[float] = []
     for _ in range(config.epochs):
-        order = shuffle_rng.permutation(n) if config.shuffle else np.arange(n)
+        order = shuffle_rng.permutation(n)
         losses = []
         for idx in _batches(n, config.batch_size, order):
             y = forward(w, x_all[idx], pad_all[idx], train_mode=True, rng=drop_rng)
@@ -193,8 +189,6 @@ def random_search(
     seed: int,
     epochs: int = 50,
     batch_size: int = 64,
-    split_ratio: float = 0.8,
-    val_frac: float = 0.1,
     on_trial=None,
 ) -> tuple[Trial | None, list[Trial]]:
     """Sample ``budget`` configs, train each, score on carved-out validation.
@@ -232,8 +226,8 @@ def random_search(
         windows = []
         for rec in records:
             windows.extend(make_windows(rec, mc.n_positions))
-        train_w, _ = split_train_test(windows, split_ratio, seed=derive_seed(seed, "split"))
-        fit_w, val_w = carve_validation(train_w, val_frac)
+        train_w, _ = split_train_test(windows, 0.8, seed=derive_seed(seed, "split"))
+        fit_w, val_w = carve_validation(train_w, 0.1)
         if not fit_w or not val_w:
             # n_positions too large for this corpus; the trial fails, not
             # the search.

@@ -12,7 +12,9 @@ block + the WeightBlob + its CRC32.
 Protocol, per client: HELLO, then per round ROUND_CONFIG -> FIT_RESULT and
 EVAL_REQUEST -> EVAL_RESULT, finally DONE. A message out of order gets an
 ERROR frame with code ``out_of_order``, a malformed one ``bad_message``, and
-the connection is dropped. When the server ends a fold with an error, every
+the connection is dropped. A FIT_RESULT must report the example count its
+HELLO announced, since that count weights its update in the mean; any other
+count is ``bad_message``. When the server ends a fold with an error, every
 client still connected gets an ERROR frame with code ``aborted`` first.
 """
 
@@ -450,7 +452,13 @@ class _ClientConn:
                     self.client_id, self.num_examples = decode_hello(payload)
                     self.results.put(("hello", self.client_id, self))
                 elif msg_type == MSG_FIT_RESULT:
-                    self.results.put(("fit", self.client_id, decode_fit_result(payload)))
+                    fit = decode_fit_result(payload)
+                    if fit[1] != self.num_examples:
+                        raise ProtocolError(
+                            f"FIT_RESULT claims {fit[1]} examples, HELLO said "
+                            f"{self.num_examples}")
+                    self.results.put(("fit", self.client_id, fit))
+                    del fit  # else this thread keeps the weight blob until the next round
                 elif msg_type == MSG_EVAL_RESULT:
                     self.results.put(("eval", self.client_id, decode_eval_result(payload)))
         except ProtocolError as exc:  # the peer sent a malformed body
@@ -461,29 +469,23 @@ class _ClientConn:
 
 def _collect(results: queue.Queue, kind: str, pending: set, timeout: float | None,
              what: str):
-    """Drain expected results; one extra timeout window before giving up."""
+    """Drain one expected result per pending client within ``timeout`` seconds."""
     out = {}
-    for attempt in range(2):
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while pending:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                break
-            try:
-                tag, cid, value = results.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if tag == "error" or tag == "gone":
-                raise ProtocolError(f"client {cid} dropped during {what}: {value}")
-            if tag != kind or cid not in pending:
-                raise ProtocolError(f"unexpected {tag} from {cid} during {what}")
-            out[cid] = value
-            pending.discard(cid)
-        if not pending:
-            return out
-        if attempt == 0:
-            log.warning("%s timed out waiting for %s; retrying once", what, sorted(pending))
-    raise ProtocolError(f"{what} timed out waiting for clients {sorted(pending)}")
+    deadline = None if timeout is None else time.monotonic() + timeout
+    while pending:
+        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+        try:
+            tag, cid, value = results.get(timeout=remaining)
+        except queue.Empty:
+            raise ProtocolError(
+                f"{what} timed out waiting for clients {sorted(pending)}") from None
+        if tag == "error" or tag == "gone":
+            raise ProtocolError(f"client {cid} dropped during {what}: {value}")
+        if tag != kind or cid not in pending:
+            raise ProtocolError(f"unexpected {tag} from {cid} during {what}")
+        out[cid] = value
+        pending.discard(cid)
+    return out
 
 
 def server_loop(
@@ -608,8 +610,6 @@ def client_loop(
     train_windows,
     test_windows,
     label_names: list[str] | None = None,
-    attempts: int = CONNECT_ATTEMPTS,
-    base_delay: float = CONNECT_BASE_DELAY,
 ) -> int:
     """Participate in a federation as one client; returns rounds completed.
 
@@ -617,7 +617,7 @@ def client_loop(
     count, then serves ROUND_CONFIG (local fine-tune) and EVAL_REQUEST
     (local test-set evaluation) until DONE.
     """
-    sock = connect_with_retry(host, port, attempts, base_delay)
+    sock = connect_with_retry(host, port)
     rfile = sock.makefile("rb")
     rounds_done = 0
     try:

@@ -2,6 +2,7 @@
 
 import datetime
 import json
+import shutil
 import socket
 import threading
 
@@ -150,6 +151,7 @@ def test_search_writes_trial_log_and_best(workspace, tmp_path, capsys):
     out = tmp_path / "trials.jsonl"
     with pytest.warns(D.SplitWarning):  # oversized trials degrade, not abort
         code = main(["search", "--data", str(workspace["corpus"]),
+                     "--fold-plan", str(workspace["plan"]), "--fold", "0",
                      "--out", str(out), "--budget", "3", "--epochs", "1",
                      "--seed", "0"])
     assert code == 0
@@ -163,11 +165,13 @@ def test_search_writes_trial_log_and_best(workspace, tmp_path, capsys):
     assert best["val_mean_ba"] == max(
         e["val_mean_ba"] for e in lines if e["val_mean_ba"] is not None)
     manifest = read_manifest(str(out) + ".manifest.json", "search")
+    assert manifest["inputs"] == [str(workspace["corpus"]), str(workspace["plan"])]
     assert manifest["outputs"] == [str(out), str(out) + ".best.json"]
 
     rerun = tmp_path / "rerun.jsonl"
     with pytest.warns(D.SplitWarning):
         assert main(["search", "--data", str(workspace["corpus"]),
+                     "--fold-plan", str(workspace["plan"]), "--fold", "0",
                      "--out", str(rerun), "--budget", "3", "--epochs", "1",
                      "--seed", "0"]) == 0
     redo = [json.loads(l) for l in rerun.read_text().splitlines()]
@@ -226,15 +230,25 @@ def test_simulate_fold_zero(workspace, tmp_path, capsys):
     read_manifest(out / "manifest.json", "simulate")
 
 
-def test_simulate_requires_base_checkpoints(workspace, tmp_path, capsys):
-    empty = tmp_path / "empty"
-    empty.mkdir()
+@pytest.mark.parametrize("folds, present", [("1", []), ("0,1", [0])],
+                         ids=["one_fold", "two_folds"])
+def test_simulate_requires_base_checkpoints(workspace, tmp_path, capsys, folds, present):
+    """Every fold's checkpoint is checked before any round starts."""
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    for k in present:
+        name = f"base_fold{k}.ckpt"
+        shutil.copyfile(workspace["ckpts"] / name, ckpts / name)
+        shutil.copyfile(workspace["ckpts"] / f"{name}.stdz.json", ckpts / f"{name}.stdz.json")
+    out = tmp_path / "sim"
     code = main(["simulate", "--data", str(workspace["corpus"]),
                  "--fold-plan", str(workspace["plan"]),
-                 "--base-ckpt-dir", str(empty),
-                 "--out", str(tmp_path / "sim"), "--folds", "1"])
+                 "--base-ckpt-dir", str(ckpts),
+                 "--out", str(out), "--folds", folds])
     assert code == 1
     assert "missing base checkpoint" in capsys.readouterr().err
+    assert not (out / "audit.jsonl").exists()
+    assert not (out / "fold0.json").exists()
 
 
 # ------------------------------------------------------------- evaluate

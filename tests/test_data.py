@@ -106,6 +106,10 @@ def test_load_subject_dir_sorted_and_consistent(tmp_path):
     D.write_subject_csv(rec, str(tmp_path / "a.csv"))
     records = D.load_subject_dir(str(tmp_path))
     assert [r.subject_id for r in records] == ["a", "b"]
+    # the first file by name sets the column counts every other file must match
+    (tmp_path / "c.csv").write_text("timestamp,a,label:X\n1000,1.0,1\n")
+    with pytest.raises(FormatError, match="expected 2 feature columns, found 1"):
+        D.load_subject_dir(str(tmp_path))
     empty = tmp_path / "empty"
     empty.mkdir()
     with pytest.raises(FormatError, match="no subject CSVs"):

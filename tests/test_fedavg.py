@@ -6,7 +6,7 @@ import pytest
 import fedhar.data as D
 from fedhar.errors import (AggregationError, AvailabilityError, ConfigError)
 from fedhar.fedavg import (ClientUpdate, FedConfig, aggregate, client_fit,
-                           run_cross_validation, run_fold, select_clients)
+                           run_fold, select_clients)
 from fedhar.model import ModelConfig, WeightSet, init_model, parameter_shapes
 from fedhar.tensor import Tensor
 from fedhar.training import TrainConfig, train
@@ -225,14 +225,6 @@ def test_run_fold_skips_empty_clients_in_training():
     assert kinds.count("skip") == 1
     assert kinds.count("fit_result") == 3
     assert len(result.final_report.clients) == 4
-
-
-def test_run_cross_validation_requires_all_base_checkpoints():
-    plan = D.build_fold_plan([f"s{i}" for i in range(4)], seed=0, n_folds=2)
-    cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=1,
-                    batch_size=8, local_lr=1e-2, seed=0)
-    with pytest.raises(ConfigError, match="missing base checkpoint for fold 1"):
-        run_cross_validation(plan, lambda k: {}, {0: init_model(MC)}, cfg)
 
 
 def test_fed_config_validation():

@@ -6,6 +6,7 @@ import os
 import socket
 import struct
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -434,6 +435,25 @@ def test_server_error_reaches_every_client():
         assert "aborted" in str(exc) and "3 required" in str(exc)
 
 
+def serve_one_client(cfg, audit=None):
+    """A server thread for one client; returns (port, thread, box["error"])."""
+    port = free_port()
+    ready = threading.Event()
+    box = {}
+
+    def serve():
+        try:
+            W.server_loop("127.0.0.1", port, init_model(MC), cfg, expected_clients=1,
+                          accept_timeout=30.0, audit=audit, ready_event=ready)
+        except Exception as exc:
+            box["error"] = exc
+
+    server = threading.Thread(target=serve)
+    server.start()
+    assert ready.wait(10.0)
+    return port, server, box
+
+
 @pytest.mark.parametrize("report", [
     b"{}",
     b'{"subject_id": "rogue", "mean_ba": "high", "defined_labels": 1}',
@@ -443,20 +463,7 @@ def test_server_error_reaches_every_client():
 def test_server_rejects_malformed_eval_result(report):
     cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=1,
                     batch_size=8, local_lr=1e-2, seed=0)
-    port = free_port()
-    ready = threading.Event()
-    box = {}
-
-    def serve():
-        try:
-            W.server_loop("127.0.0.1", port, init_model(MC), cfg, expected_clients=1,
-                          accept_timeout=30.0, ready_event=ready)
-        except Exception as exc:
-            box["error"] = exc
-
-    server = threading.Thread(target=serve)
-    server.start()
-    assert ready.wait(10.0)
+    port, server, box = serve_one_client(cfg)
     # a rogue peer fits honestly (echoing the weights back), then lies in eval
     rogue = socket.create_connection(("127.0.0.1", port))
     try:
@@ -480,3 +487,59 @@ def test_server_rejects_malformed_eval_result(report):
     assert not server.is_alive()
     assert isinstance(box["error"], ProtocolError)
     assert "rogue" in str(box["error"])
+
+
+def test_fit_result_must_claim_the_hello_count():
+    cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    events = []
+    port, server, box = serve_one_client(cfg, audit=events.append)
+    # a rogue peer says hello with 1 window, then claims 2**32 - 1 to dominate the mean
+    rogue = socket.create_connection(("127.0.0.1", port))
+    try:
+        rfile = rogue.makefile("rb")
+        rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("rogue", 1)))
+        msg_type, payload = W.read_frame(rfile)
+        assert msg_type == W.MSG_ROUND_CONFIG
+        blob = W.decode_round_config(payload)[-1]
+        rogue.sendall(W.frame_encode(W.MSG_FIT_RESULT,
+                                     W.encode_fit_result("rogue", 2**32 - 1, 0.0, blob)))
+        msg_type, payload = W.read_frame(rfile)
+        assert msg_type == W.MSG_ERROR
+        code, message = W.decode_error(payload)
+        assert code == "bad_message"
+        assert "4294967295 examples" in message
+    finally:
+        rogue.close()
+    server.join(30.0)
+    assert not server.is_alive()
+    assert isinstance(box["error"], ProtocolError)
+    assert "rogue" in str(box["error"])
+    assert "aggregate" not in [e["event"] for e in events]
+
+
+def test_collection_timeout_is_one_window():
+    cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0, round_timeout_s=1.0)
+    port, server, box = serve_one_client(cfg)
+    # a rogue peer says hello, then never answers ROUND_CONFIG
+    rogue = socket.create_connection(("127.0.0.1", port))
+    rogue.settimeout(10.0)
+    try:
+        rfile = rogue.makefile("rb")
+        rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("rogue", 1)))
+        assert W.read_frame(rfile)[0] == W.MSG_ROUND_CONFIG
+        sent = time.monotonic()
+        msg_type, payload = W.read_frame(rfile)
+        waited = time.monotonic() - sent
+        assert msg_type == W.MSG_ERROR
+        code, message = W.decode_error(payload)
+        assert code == "aborted"
+        assert "timed out" in message
+    finally:
+        rogue.close()
+    assert 0.8 <= waited < 1.8
+    server.join(30.0)
+    assert not server.is_alive()
+    assert isinstance(box["error"], ProtocolError)
+    assert "timed out" in str(box["error"])
