@@ -10,11 +10,25 @@ graph dtype so repeated runs compare stably.
 weight): it runs each of the forward product and both gradients as one 2-D
 GEMM over the flattened rows of ``x``. ``matmul`` is for batched products
 of activations, such as the attention scores and context.
+
+The backward graph holds only the arrays its VJPs read. An op output that
+a gradient can reach points to a ``_Node``: its inputs' nodes plus a VJP
+closure over exactly the arrays and shapes that VJP reads, never over a
+``Tensor``. So an activation no VJP reads (a residual sum, the raw
+attention scores) is freed as soon as the forward drops it. A leaf is its
+own node, so there is no Tensor-node reference cycle. An op whose inputs
+all lack ``requires_grad`` builds no node, so a forward over no-grad
+weights keeps no graph at all.
+
+Importing this module raises glibc's malloc trim and mmap thresholds; see
+``_keep_freed_heap`` for why.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 
 import numpy as np
 
@@ -50,20 +64,71 @@ __all__ = [
     "Adam",
 ]
 
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Make glibc keep freed blocks of up to 32 MiB for reuse.
+
+    Every training step frees its whole graph and then allocates the same
+    sizes again. With glibc's defaults the freed top of the heap is handed
+    back to the kernel and large blocks are mmapped afresh, so each step
+    faults its pages in again: a repeated desk-scale ``train`` call (2
+    layers, hidden 48, batch 64) took 12,203 minor page faults. Serving
+    blocks up to 32 MiB (the largest value glibc accepts on 64-bit) from
+    the heap and trimming only above 1 GiB reuses the pages instead: 162
+    faults, and no higher peak, since each step reaches the same peak
+    either way. Elsewhere than glibc this does nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 1 << 30)):
+        if mallopt(param, value) != 1:
+            return  # this glibc rejects the value; keep its defaults
+
+
+_keep_freed_heap()
+
+
+class _Node:
+    """One op of the backward graph.
+
+    ``parents`` holds, per op input, the node its gradient flows into: a
+    ``_Node``, a grad-requiring leaf ``Tensor`` (its own node), or None when
+    no gradient flows there. ``vjp`` maps the output's gradient to one
+    gradient per input and closes over arrays and shapes only.
+    """
+
+    __slots__ = ("parents", "vjp")
+
+    def __init__(self, parents: tuple, vjp):
+        self.parents = parents
+        self.vjp = vjp
+
 
 class Tensor:
     """A dense array plus the bookkeeping needed to backpropagate through it.
 
     Leaves created with ``requires_grad=True`` accumulate into ``.grad`` when
-    ``backward`` runs on a scalar descendant. Backward calls accumulate (two
-    calls double the gradient); clear them between optimizer steps with
-    ``WeightSet.zero_grads``.
+    ``backward`` runs on a scalar descendant. An op output has
+    ``requires_grad`` iff some input does, and only then a ``_node``: the
+    graph below it holds the arrays its VJPs read, not the op outputs, and
+    it lives as long as the output does. Backward keeps the graph, and calls
+    accumulate (two calls double the gradient); clear them between optimizer
+    steps with ``WeightSet.zero_grads``.
     Tensors written by an op are treated as immutable.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _vjp=None):
+    def __init__(self, data, requires_grad: bool = False, _node: _Node | None = None):
         if isinstance(data, np.ndarray):
             self.data = data
         elif isinstance(data, np.generic):
@@ -72,9 +137,8 @@ class Tensor:
         else:
             self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
-        self._parents = _parents
-        self._vjp = _vjp
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
+        self._node = _node
+        self.requires_grad = bool(requires_grad) or _node is not None
 
     @property
     def shape(self):
@@ -112,11 +176,26 @@ class Tensor:
         return matmul(self, other)
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Post-order over the grad-requiring subgraph (leaves first)."""
-    order: list[Tensor] = []
+def _graph_ref(t: Tensor):
+    """The node gradients for ``t`` flow into, or None if none do."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
+def _result(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
+    """An op output; it gets a node only if a gradient can reach an input."""
+    parents = tuple([_graph_ref(t) for t in inputs])
+    if parents.count(None) == len(parents):
+        return Tensor(data)
+    return Tensor(data, _node=_Node(parents, vjp))
+
+
+def _topo_order(root) -> list:
+    """Post-order over the graph below ``root`` (leaves first)."""
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -126,9 +205,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
-                stack.append((parent, False))
+        if type(node) is _Node:
+            for parent in node.parents:
+                if parent is not None and id(parent) not in seen:
+                    stack.append((parent, False))
     return order
 
 
@@ -136,19 +216,20 @@ def backward(loss: Tensor) -> None:
     """Push d(loss)/d(leaf) into every reachable leaf's ``.grad``."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if not loss.requires_grad:
+    root = _graph_ref(loss)
+    if root is None:
         return
-    order = _topo_order(loss)
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    order = _topo_order(root)
+    flowing: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(order):
         g = flowing.pop(id(node), None)
         if g is None:
             continue
-        if node._vjp is None:
+        if type(node) is not _Node:  # a leaf
             node.grad = g if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent.requires_grad:
+        for parent, pg in zip(node.parents, node.vjp(g)):
+            if pg is None or parent is None:
                 continue
             pid = id(parent)
             if pid in flowing:
@@ -168,76 +249,79 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
-    return Tensor(data, _parents=(a, b), _vjp=vjp)
+    return _result(a.data + b.data, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
-    return Tensor(data, _parents=(a, b), _vjp=vjp)
+    return _result(a.data - b.data, (a, b), vjp)
 
 
 def neg(x: Tensor) -> Tensor:
-    return Tensor(-x.data, _parents=(x,), _vjp=lambda g: (-g,))
+    return _result(-x.data, (x,), lambda g: (-g,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
+    ad, bd = a.data, b.data
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return Tensor(data, _parents=(a, b), _vjp=vjp)
+    return _result(ad * bd, (a, b), vjp)
 
 
 def add_scalar(x: Tensor, s: float) -> Tensor:
-    return Tensor(x.data + float(s), _parents=(x,), _vjp=lambda g: (g,))
+    return _result(x.data + float(s), (x,), lambda g: (g,))
 
 
 def mul_scalar(x: Tensor, s: float) -> Tensor:
     s = float(s)
-    return Tensor(x.data * s, _parents=(x,), _vjp=lambda g: (g * s,))
+    return _result(x.data * s, (x,), lambda g: (g * s,))
 
 
 def add_const(x: Tensor, c: np.ndarray) -> Tensor:
     """Add a constant array (no gradient through ``c``)."""
-    return Tensor(x.data + c, _parents=(x,), _vjp=lambda g: (_unbroadcast(g, x.data.shape),))
+    shape = x.data.shape
+    return _result(x.data + c, (x,), lambda g: (_unbroadcast(g, shape),))
 
 
 def mul_const(x: Tensor, c: np.ndarray) -> Tensor:
     """Multiply by a constant array (no gradient through ``c``)."""
     c = np.asarray(c, dtype=x.data.dtype)
+    shape = x.data.shape
 
     def vjp(g):
-        return (_unbroadcast(g * c, x.data.shape),)
+        return (_unbroadcast(g * c, shape),)
 
-    return Tensor(x.data * c, _parents=(x,), _vjp=vjp)
+    return _result(x.data * c, (x,), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2:
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
     try:
-        data = a.data @ b.data
+        data = ad @ bd
     except ValueError as exc:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}") from exc
 
     def vjp(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
+        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
+        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
         return ga, gb
 
-    return Tensor(data, _parents=(a, b), _vjp=vjp)
+    return _result(data, (a, b), vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -254,78 +338,77 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: inner dimensions disagree: {x.shape} @ {w.shape}")
     if b.data.shape != (n_out,):
         raise ShapeError(f"linear: bias {b.shape} does not match weight {w.shape}")
+    x_shape, wd, need_gx = x.data.shape, w.data, x.requires_grad
     x2 = x.data.reshape(-1, n_in)
-    out = x2 @ w.data
+    out = x2 @ wd
     out += b.data
-    data = out.reshape(x.data.shape[:-1] + (n_out,))
+    data = out.reshape(x_shape[:-1] + (n_out,))
 
     def vjp(g):
         g2 = g.reshape(-1, n_out)
-        gx = (g2 @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
-        return gx, x2.T @ g2, _unbroadcast(g, b.data.shape)
+        gx = (g2 @ wd.T).reshape(x_shape) if need_gx else None
+        return gx, x2.T @ g2, _unbroadcast(g, (n_out,))
 
-    return Tensor(data, _parents=(x, w, b), _vjp=vjp)
+    return _result(data, (x, w, b), vjp)
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
-    data = x.data.reshape(shape)
-    return Tensor(data, _parents=(x,), _vjp=lambda g: (g.reshape(x.data.shape),))
+    old = x.data.shape
+    return _result(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
 def transpose(x: Tensor, axes: tuple) -> Tensor:
     inverse = tuple(np.argsort(axes))
-    data = x.data.transpose(axes)
-    return Tensor(data, _parents=(x,), _vjp=lambda g: (g.transpose(inverse),))
+    return _result(x.data.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
 
 
 def narrow_last(x: Tensor, start: int, size: int) -> Tensor:
     """Slice ``size`` columns of the last axis starting at ``start``."""
-    data = x.data[..., start : start + size]
+    shape, dtype = x.data.shape, x.data.dtype
 
     def vjp(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape, dtype=dtype)
         full[..., start : start + size] = g
         return (full,)
 
-    return Tensor(data, _parents=(x,), _vjp=vjp)
+    return _result(x.data[..., start : start + size], (x,), vjp)
 
 
 def narrow0(x: Tensor, size: int) -> Tensor:
     """Slice the first ``size`` rows of axis 0."""
-    data = x.data[:size]
+    shape, dtype = x.data.shape, x.data.dtype
 
     def vjp(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape, dtype=dtype)
         full[:size] = g
         return (full,)
 
-    return Tensor(data, _parents=(x,), _vjp=vjp)
+    return _result(x.data[:size], (x,), vjp)
 
 
 def sum64(x: Tensor) -> Tensor:
     """Sum every element, accumulating in float64. Result is a float64 scalar."""
-    val = np.asarray(x.data.sum(dtype=np.float64))
+    shape, dtype = x.data.shape, x.data.dtype
 
     def vjp(g):
-        return (np.full(x.data.shape, float(g), dtype=x.data.dtype),)
+        return (np.full(shape, float(g), dtype=dtype),)
 
-    return Tensor(val, _parents=(x,), _vjp=vjp)
+    return _result(np.asarray(x.data.sum(dtype=np.float64)), (x,), vjp)
 
 
 def log(x: Tensor) -> Tensor:
-    data = np.log(x.data)
-    return Tensor(data, _parents=(x,), _vjp=lambda g: (g / x.data,))
+    xd = x.data
+    return _result(np.log(xd), (x,), lambda g: (g / xd,))
 
 
 def tanh(x: Tensor) -> Tensor:
     data = np.tanh(x.data)
-    return Tensor(data, _parents=(x,), _vjp=lambda g: (g * (1.0 - data * data),))
+    return _result(data, (x,), lambda g: (g * (1.0 - data * data),))
 
 
 def relu(x: Tensor) -> Tensor:
-    data = np.maximum(x.data, 0)
-    mask = (x.data > 0).astype(x.data.dtype)
-    return Tensor(data, _parents=(x,), _vjp=lambda g: (g * mask,))
+    positive = x.data > 0
+    return _result(np.maximum(x.data, 0), (x,), lambda g: (g * positive,))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -364,14 +447,13 @@ def gelu(x: Tensor) -> Tensor:
         dx *= g
         return (dx,)
 
-    return Tensor(data, _parents=(x,), _vjp=vjp)
+    return _result(data, (x,), vjp)
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient flows only strictly inside the range."""
-    data = np.clip(x.data, lo, hi)
-    inside = ((x.data > lo) & (x.data < hi)).astype(x.data.dtype)
-    return Tensor(data, _parents=(x,), _vjp=lambda g: (g * inside,))
+    inside = (x.data > lo) & (x.data < hi)
+    return _result(np.clip(x.data, lo, hi), (x,), lambda g: (g * inside,))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -394,7 +476,7 @@ def softmax_rows(x: Tensor) -> Tensor:
         gx *= y
         return (gx,)
 
-    return Tensor(y, _parents=(x,), _vjp=vjp)
+    return _result(y, (x,), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -411,30 +493,45 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    data = xhat * gain.data + bias.data
+    gd = gain.data
+    data = xhat * gd + bias.data
 
     def vjp(g):
         reduce_axes = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=reduce_axes)
         dbias = g.sum(axis=reduce_axes)
-        dxhat = g * gain.data
+        dxhat = g * gd
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         dx = inv * (dxhat - m1 - xhat * m2)
         return dx, dgain, dbias
 
-    return Tensor(data, _parents=(x, gain, bias), _vjp=vjp)
+    return _result(data, (x, gain, bias), vjp)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: scales kept activations by 1/(1-p). No-op at p<=0."""
+    """Inverted dropout: scales kept activations by 1/(1-p). No-op at p<=0.
+
+    The graph keeps the mask as bool. Scaling and then zeroing the dropped
+    entries gives the bits of a product with the scaled float mask wherever
+    the scaled value is finite.
+    """
     if p <= 0.0:
         return x
     if not 0.0 < p < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
     keep = 1.0 - p
-    mask = (rng.random(x.data.shape) < keep).astype(x.data.dtype) * (1.0 / keep)
-    return Tensor(x.data * mask, _parents=(x,), _vjp=lambda g: (g * mask,))
+    kept = rng.random(x.data.shape) < keep
+    scale = x.data.dtype.type(1.0 / keep)
+
+    def vjp(g):
+        gx = np.multiply(g, scale)
+        gx *= kept
+        return (gx,)
+
+    data = np.multiply(x.data, scale)
+    data *= kept
+    return _result(data, (x,), vjp)
 
 
 def causal_self_attention(

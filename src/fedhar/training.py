@@ -13,7 +13,7 @@ from .errors import ConfigError, DegenerateReportError
 from .metrics import ClientReport, ConfusionCounts
 from .model import (ModelConfig, WeightSet, forward, init_model,
                     masked_weighted_loss, predict)
-from .tensor import Adam, backward
+from .tensor import Adam, Tensor, backward
 from .util import derive_seed
 
 log = logging.getLogger(__name__)
@@ -108,8 +108,10 @@ def train(
             loss = masked_weighted_loss(y, tgt_all[idx], mask_all[idx], pos_weight)
             w.zero_grads()
             backward(loss)
-            opt.step(w.tensors, config.learning_rate)
             losses.append(loss.item())
+            # the graph dies here, not while the next forward builds another
+            del y, loss
+            opt.step(w.tensors, config.learning_rate)
         history.append(float(np.mean(losses)))
     return w, history
 
@@ -127,6 +129,8 @@ def evaluate(
         ids = {w.subject_id for w in test_windows}
         subject_id = ids.pop() if len(ids) == 1 else "pooled"
     x_all, pad_all, tgt_all, mask_all = batch_arrays(test_windows)
+    # no-grad tensors over the same arrays: the forward builds no graph
+    frozen = WeightSet(weights.config, {n: Tensor(t.data) for n, t in weights.items()})
     n_labels = tgt_all.shape[-1]
     tp = np.zeros(n_labels, dtype=np.int64)
     tn = np.zeros(n_labels, dtype=np.int64)
@@ -134,7 +138,7 @@ def evaluate(
     fn = np.zeros(n_labels, dtype=np.int64)
     for start in range(0, len(test_windows), EVAL_BATCH):
         sl = slice(start, start + EVAL_BATCH)
-        y = forward(weights, x_all[sl], pad_all[sl], train_mode=False)
+        y = forward(frozen, x_all[sl], pad_all[sl], train_mode=False)
         p = predict(y).astype(bool)
         t = tgt_all[sl] > 0
         m = mask_all[sl] > 0

@@ -461,6 +461,9 @@ class _ClientConn:
                     del fit  # else this thread keeps the weight blob until the next round
                 elif msg_type == MSG_EVAL_RESULT:
                     self.results.put(("eval", self.client_id, decode_eval_result(payload)))
+                # a FIT_RESULT payload is weight-sized; do not hold it while
+                # blocking on the next frame
+                del payload
         except ProtocolError as exc:  # the peer sent a malformed body
             self._fail("bad_message", str(exc))
         except Exception as exc:  # decoding bugs should not hang the server

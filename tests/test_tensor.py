@@ -88,6 +88,64 @@ def test_backward_twice_doubles_leaf_grads():
     assert np.allclose(x.grad, 2 * first)
 
 
+def test_backward_twice_on_one_graph_doubles_leaf_grads():
+    # backward keeps the graph: a second call on the same loss adds again
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    loss = T.sum64(T.tanh(T.linear(x, w, b)))
+    backward(loss)
+    first = [t.grad.copy() for t in (x, w, b)]
+    backward(loss)
+    for t, g in zip((x, w, b), first):
+        assert np.array_equal(t.grad, 2 * g)
+
+
+def test_op_on_no_grad_inputs_builds_no_node():
+    a = Tensor(np.ones((2, 3)))
+    w = Tensor(np.ones((3, 2)))
+    for out in (T.add(a, a), T.linear(a, w, Tensor(np.zeros(2))),
+                T.dropout(a, 0.5, np.random.default_rng(0)), T.sum64(a)):
+        assert not out.requires_grad
+        assert out._node is None
+    backward(T.sum64(a))  # nothing to push into
+    assert a.grad is None
+
+
+def test_graph_nodes_hold_arrays_not_tensors():
+    """Every VJP closes over arrays and shapes only, and every parent entry
+    is a node or a grad-requiring leaf, so a node never keeps an op output
+    alive and the graph has no Tensor-node cycle."""
+    from fedhar.model import ModelConfig, forward, init_model, masked_weighted_loss
+    cfg = ModelConfig(n_features=3, n_labels=2, transformers_layers=2,
+                      hidden_size=8, n_positions=6, dropout=0.1, seed=0)
+    weights = init_model(cfg)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 6, 3)).astype(np.float32)
+    pad = np.ones((2, 6), dtype=np.float32)
+    pad[1, 4:] = 0
+    y = forward(weights, x, pad, train_mode=True, rng=rng)
+    targets = (rng.random((2, 6, 2)) > 0.5).astype(np.float32)
+    loss = masked_weighted_loss(y, targets, np.ones_like(targets), np.ones(2))
+    leaves = {id(t) for t in weights.tensors.values()}
+    seen, stack, nodes = set(), [loss._node], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Tensor):
+            assert id(node) in leaves and node._node is None
+            continue
+        nodes += 1
+        for cell in node.vjp.__closure__ or ():
+            assert not isinstance(cell.cell_contents, Tensor), node.vjp.__qualname__
+        stack.extend(p for p in node.parents if p is not None)
+    assert nodes > 50
+    assert leaves <= seen  # every weight is reached
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeError):
@@ -327,6 +385,19 @@ def test_softmax_rows_bitwise_equals_reference_expression(dtype):
     assert np.all(got[..., ~mask] == 0.0)
     assert got.tobytes() == want.tobytes()
     assert got_dx.tobytes() == want_dx.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_bitwise_equals_scaled_float_mask(dtype):
+    xd, g = _probe_inputs(dtype, (4, 6, 33))
+    keep = 0.9
+    kept = np.random.default_rng(5).random(xd.shape) < keep
+    # the scaled float mask dropout kept before it stored a bool one
+    mask = kept.astype(dtype) * (1.0 / keep)
+    got, got_dx = _grad_of(lambda t: T.dropout(t, 0.1, np.random.default_rng(5)), xd, g)
+    assert got.dtype == got_dx.dtype == dtype
+    assert got.tobytes() == (xd * mask).tobytes()
+    assert got_dx.tobytes() == (g * mask).tobytes()
 
 
 # ---------------------------------------------------------- attention

@@ -1,11 +1,18 @@
 """Local training loop, evaluation, and the random hyperparameter search."""
 
+import os
+import resource
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import fedhar.data as D
+import fedhar.training as TR
 from fedhar.errors import ConfigError, DegenerateReportError
-from fedhar.model import ModelConfig, init_model, parameter_shapes
+from fedhar.metrics import ClientReport, confusion_from_arrays
+from fedhar.model import (ModelConfig, forward, init_model, masked_weighted_loss,
+                          parameter_shapes, predict)
 from fedhar.tensor import Tensor
 from fedhar.training import (SearchSpace, TrainConfig, compute_pos_weight,
                              evaluate, random_search, train)
@@ -80,6 +87,62 @@ def test_train_validates_inputs():
         train(init_model(wrong), ws, TrainConfig(epochs=1, learning_rate=1e-2))
 
 
+def test_train_holds_one_graph_at_a_time():
+    """A step's graph is gone before the next forward builds its own."""
+    cfg = ModelConfig(n_features=6, n_labels=3, transformers_layers=2,
+                      hidden_size=32, n_positions=16, dropout=0.1, seed=0)
+    ws = all_windows(corpus(minutes=800), n_positions=16)[:48]
+    weights = init_model(cfg)
+    x, pad, tgt, mask = D.batch_arrays(ws[:16])
+    pos_weight = compute_pos_weight(ws)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = forward(weights, x, pad, train_mode=True, rng=np.random.default_rng(0))
+        loss = masked_weighted_loss(y, tgt, mask, pos_weight)
+        graph = tracemalloc.get_traced_memory()[0] - before
+        del y, loss
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _, history = train(weights, ws, TrainConfig(epochs=1, learning_rate=1e-3,
+                                                    batch_size=16, seed=0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(history) == 1
+    # the trained copy, its grads and Adam's two moments
+    state = 4 * sum(t.data.nbytes for t in weights.tensors.values())
+    assert peak < 1.5 * graph + state, (peak, graph, state)
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc() or not hasattr(resource, "RUSAGE_THREAD"),
+                    reason="the malloc setting and per-thread rusage are Linux/glibc only")
+def test_repeated_train_reuses_freed_memory():
+    """The heap keeps each freed graph for the next step instead of handing
+    it back to the kernel and faulting it in again."""
+    cfg = ModelConfig(n_features=24, n_labels=8, transformers_layers=2,
+                      hidden_size=48, n_positions=32, dropout=0.1, seed=0)
+    spec = D.SyntheticSpec(n_subjects=2, minutes_per_subject=1024, n_features=24,
+                           n_labels=8, alpha=0.5, seed=0)
+    recs = D.gen_synthetic(spec)
+    st = D.fit_standardizer(recs)
+    ws = [w for r in recs for w in D.make_windows(D.apply_standardizer(r, st), 32)]
+    weights = init_model(cfg)
+    tc = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=64, seed=0)
+    train(weights, ws, tc)
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    train(weights, ws, tc)
+    faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+    assert faults < 1000, faults
+
+
 def test_pos_weight_ratio_and_clamp():
     ws = all_windows(corpus(n_subjects=3, minutes=96))
     pw = compute_pos_weight(ws)
@@ -144,6 +207,30 @@ def test_evaluate_counts_match_manual_confusion():
     assert [((c.tp, c.tn, c.fp, c.fn)) for c in rep.counts] == \
            [((c.tp, c.tn, c.fp, c.fn)) for c in counts]
     assert rep.n_eval_instances == int((mask > 0).sum())
+
+
+def test_evaluate_builds_no_graph_and_matches_grad_forward(monkeypatch):
+    recs = corpus()
+    ws = all_windows(recs)
+    w = init_model(MC)
+    outputs = []
+
+    def spy(*args, **kwargs):
+        y = forward(*args, **kwargs)
+        outputs.append(y)
+        return y
+
+    monkeypatch.setattr(TR, "forward", spy)
+    rep = evaluate(w, ws, "pooled", recs[0].label_names)
+    assert outputs and all(not y.requires_grad and y._node is None for y in outputs)
+    assert all(t.grad is None for t in w.tensors.values())
+    assert all(t.requires_grad for t in w.tensors.values())
+
+    x, pad, tgt, mask = D.batch_arrays(ws)
+    y = forward(w, x, pad)
+    assert y.requires_grad  # the same forward over the weights themselves
+    counts = confusion_from_arrays(predict(y), tgt > 0, mask > 0)
+    assert rep == ClientReport.from_counts("pooled", counts, recs[0].label_names)
 
 
 def test_evaluate_empty_windows_raises():
