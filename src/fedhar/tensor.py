@@ -76,10 +76,10 @@ def _keep_freed_heap() -> None:
     back to the kernel and large blocks are mmapped afresh, so each step
     faults its pages in again: a repeated desk-scale ``train`` call (2
     layers, hidden 48, batch 64) took 12,203 minor page faults. Serving
-    blocks up to 32 MiB (the largest value glibc accepts on 64-bit) from
-    the heap and trimming only above 1 GiB reuses the pages instead: 162
-    faults, and no higher peak, since each step reaches the same peak
-    either way. Elsewhere than glibc this does nothing.
+    blocks up to 32 MiB (the ceiling of glibc's own dynamic mmap threshold
+    on 64-bit) from the heap and trimming only above 1 GiB reuses the pages
+    instead: 162 faults, and no higher peak, since each step reaches the
+    same peak either way. Elsewhere than glibc this does nothing.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -87,8 +87,6 @@ def _keep_freed_heap() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, ValueError):
         return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
     for param, value in ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 1 << 30)):
         if mallopt(param, value) != 1:
             return  # this glibc rejects the value; keep its defaults
