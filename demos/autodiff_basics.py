@@ -11,7 +11,7 @@ w = Tensor(np.array([[0.3], [-0.7]]), requires_grad=True)
 b = Tensor(np.array([0.1]), requires_grad=True)
 y = Tensor(np.array([[2.0], [-1.0]]))
 
-z = T.sum64(T.mul(T.tanh(T.add(T.matmul(x, w), b)), y))
+z = T.sum64(T.mul(T.tanh(T.linear(x, w, b)), y))
 backward(z)
 print("z          =", z.data.item())
 print("dz/dw      =", w.grad.ravel())
@@ -22,9 +22,9 @@ h = 1e-6
 fd = []
 for i in range(2):
     w.data[i, 0] += h
-    up = T.sum64(T.mul(T.tanh(T.add(T.matmul(x, w), b)), y)).data.item()
+    up = T.sum64(T.mul(T.tanh(T.linear(x, w, b)), y)).data.item()
     w.data[i, 0] -= 2 * h
-    down = T.sum64(T.mul(T.tanh(T.add(T.matmul(x, w), b)), y)).data.item()
+    down = T.sum64(T.mul(T.tanh(T.linear(x, w, b)), y)).data.item()
     w.data[i, 0] += h
     fd.append((up - down) / (2 * h))
 print("dz/dw (fd) =", np.array(fd))

@@ -55,6 +55,21 @@ def _nonnegative(kind):
     return parse
 
 
+def _fold_list(text):
+    try:
+        return [int(f) for f in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated fold indices, got {text!r}") from None
+
+
+def _check_fold(plan, k: int) -> int:
+    """``k``, checked to name a fold of ``plan``; a negative index is an error."""
+    if not 0 <= k < plan.n_folds:
+        raise FedharError(f"fold {k} is out of range: the plan has folds 0..{plan.n_folds - 1}")
+    return k
+
+
 def _load_records(path: str) -> list[D.SubjectRecord]:
     if os.path.isdir(path):
         return D.load_subject_dir(path)
@@ -77,7 +92,7 @@ def _base_records(args):
     records = _load_records(args.data)
     if args.fold_plan:
         plan = D.FoldPlan.load(args.fold_plan)
-        records = _subject_subset(records, plan.base_subjects[args.fold])
+        records = _subject_subset(records, plan.base_subjects[_check_fold(plan, args.fold)])
     standardizer = D.fit_standardizer(records)
     return standardizer, [D.apply_standardizer(r, standardizer) for r in records]
 
@@ -190,7 +205,7 @@ def cmd_search(args):
 def cmd_simulate(args):
     records = _load_records(args.data)
     plan = D.FoldPlan.load(args.fold_plan)
-    folds = ([int(f) for f in args.folds.split(",")] if args.folds
+    folds = ([_check_fold(plan, k) for k in args.folds] if args.folds
              else list(range(plan.n_folds)))
 
     base_weights = {}
@@ -366,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-ckpt-dir", required=True,
                    help="directory holding base_fold{k}.ckpt files")
     p.add_argument("--out", required=True)
-    p.add_argument("--folds", help="comma list of folds to run (default: all)")
+    p.add_argument("--folds", type=_fold_list,
+                   help="comma list of folds to run (default: all)")
     p.add_argument("--rounds", type=_positive(int), default=4)
     p.add_argument("--local-epochs", type=_positive(int), default=DESK_LOCAL_EPOCHS)
     p.add_argument("--local-lr", type=_positive(float), default=1e-3)
@@ -382,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=_positive(int), default=DEFAULT_PORT)
     p.add_argument("--clients", type=_positive(int), default=12,
                    help="clients to wait for before starting")
-    p.add_argument("--fold", type=int, default=0)
+    p.add_argument("--fold", type=_nonnegative(int), default=0)
     p.add_argument("--rounds", type=_positive(int), default=4)
     p.add_argument("--local-epochs", type=_positive(int), default=DESK_LOCAL_EPOCHS)
     p.add_argument("--local-lr", type=_positive(float), default=1e-3)
@@ -411,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--standardizer")
-    p.add_argument("--fold", type=int, default=0)
+    p.add_argument("--fold", type=_nonnegative(int), default=0)
     p.add_argument("--split-seed", type=int,
                    help="apply the 80/20 split and score only the test side")
     p.set_defaults(func=cmd_evaluate)

@@ -8,8 +8,10 @@ graph dtype so repeated runs compare stably.
 
 ``linear`` is the op for weight projections (``x @ w + b`` with a 2-D
 weight): it runs each of the forward product and both gradients as one 2-D
-GEMM over the flattened rows of ``x``. ``matmul`` is for batched products
-of activations, such as the attention scores and context.
+GEMM over the flattened rows of ``x``. Between its two ``linear``
+projections, ``causal_self_attention`` is one node with a hand-written VJP:
+the score and context products, the masked softmax and the attention
+dropout.
 
 The backward graph holds only the arrays its VJPs read. An op output that
 a gradient can reach points to a ``_Node``: its inputs' nodes plus a VJP
@@ -39,17 +41,12 @@ __all__ = [
     "backward",
     "add",
     "add_scalar",
-    "add_const",
     "sub",
     "neg",
     "mul",
     "mul_scalar",
     "mul_const",
-    "matmul",
     "linear",
-    "reshape",
-    "transpose",
-    "narrow_last",
     "narrow0",
     "sum64",
     "log",
@@ -57,7 +54,6 @@ __all__ = [
     "gelu",
     "clamp",
     "relu",
-    "softmax_rows",
     "layer_norm",
     "dropout",
     "causal_self_attention",
@@ -169,9 +165,6 @@ class Tensor:
 
     def __sub__(self, other):
         return sub(self, other) if isinstance(other, Tensor) else add_scalar(self, -other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _graph_ref(t: Tensor):
@@ -286,12 +279,6 @@ def mul_scalar(x: Tensor, s: float) -> Tensor:
     return _result(x.data * s, (x,), lambda g: (g * s,))
 
 
-def add_const(x: Tensor, c: np.ndarray) -> Tensor:
-    """Add a constant array (no gradient through ``c``)."""
-    shape = x.data.shape
-    return _result(x.data + c, (x,), lambda g: (_unbroadcast(g, shape),))
-
-
 def mul_const(x: Tensor, c: np.ndarray) -> Tensor:
     """Multiply by a constant array (no gradient through ``c``)."""
     c = np.asarray(c, dtype=x.data.dtype)
@@ -301,25 +288,6 @@ def mul_const(x: Tensor, c: np.ndarray) -> Tensor:
         return (_unbroadcast(g * c, shape),)
 
     return _result(x.data * c, (x,), vjp)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
-    try:
-        data = ad @ bd
-    except ValueError as exc:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}") from exc
-
-    def vjp(g):
-        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
-        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
-        return ga, gb
-
-    return _result(data, (a, b), vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -348,28 +316,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return gx, x2.T @ g2, _unbroadcast(g, (n_out,))
 
     return _result(data, (x, w, b), vjp)
-
-
-def reshape(x: Tensor, shape: tuple) -> Tensor:
-    old = x.data.shape
-    return _result(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
-
-
-def transpose(x: Tensor, axes: tuple) -> Tensor:
-    inverse = tuple(np.argsort(axes))
-    return _result(x.data.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
-
-
-def narrow_last(x: Tensor, start: int, size: int) -> Tensor:
-    """Slice ``size`` columns of the last axis starting at ``start``."""
-    shape, dtype = x.data.shape, x.data.dtype
-
-    def vjp(g):
-        full = np.zeros(shape, dtype=dtype)
-        full[..., start : start + size] = g
-        return (full,)
-
-    return _result(x.data[..., start : start + size], (x,), vjp)
 
 
 def narrow0(x: Tensor, size: int) -> Tensor:
@@ -454,29 +400,6 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     return _result(np.clip(x.data, lo, hi), (x,), lambda g: (g * inside,))
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row softmax along the last axis, stable under large magnitudes.
-
-    The denominator and the quotient are float64; numpy casts the quotient
-    back into the exp buffer chunk by chunk, so no float64 copy of the whole
-    tensor exists.
-    """
-    xd = x.data
-    y = np.subtract(xd, xd.max(axis=-1, keepdims=True))
-    np.exp(y, out=y)
-    denom = y.sum(axis=-1, keepdims=True, dtype=np.float64)
-    np.divide(y, denom, out=y, dtype=np.float64)
-
-    def vjp(g):
-        gx = np.multiply(g, y)
-        dot = gx.sum(axis=-1, keepdims=True)
-        np.subtract(g, dot, out=gx)
-        gx *= y
-        return (gx,)
-
-    return _result(y, (x,), vjp)
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     width = x.data.shape[-1]
@@ -507,29 +430,36 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result(data, (x, gain, bias), vjp)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: scales kept activations by 1/(1-p). No-op at p<=0.
-
-    The graph keeps the mask as bool. Scaling and then zeroing the dropped
-    entries gives the bits of a product with the scaled float mask wherever
-    the scaled value is finite.
-    """
-    if p <= 0.0:
-        return x
+def _draw_dropout(x: np.ndarray, p: float, rng: np.random.Generator):
+    """Draw and apply a dropout mask: (dropped ``x``, bool mask, 1/(1-p) scale)."""
     if not 0.0 < p < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
     keep = 1.0 - p
-    kept = rng.random(x.data.shape) < keep
-    scale = x.data.dtype.type(1.0 / keep)
+    kept = rng.random(x.shape) < keep
+    scale = x.dtype.type(1.0 / keep)
+    return _masked(x, kept, scale), kept, scale
 
-    def vjp(g):
-        gx = np.multiply(g, scale)
-        gx *= kept
-        return (gx,)
 
-    data = np.multiply(x.data, scale)
-    data *= kept
-    return _result(data, (x,), vjp)
+def _masked(x: np.ndarray, kept: np.ndarray, scale) -> np.ndarray:
+    """``x`` scaled by ``scale`` with the dropped entries zeroed.
+
+    This gives the bits of a product with the scaled float mask wherever the
+    scaled value is finite.
+    """
+    out = np.multiply(x, scale)
+    out *= kept
+    return out
+
+
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: scales kept activations by 1/(1-p). No-op at p<=0.
+
+    The graph keeps the mask as bool.
+    """
+    if p <= 0.0:
+        return x
+    data, kept, scale = _draw_dropout(x.data, p, rng)
+    return _result(data, (x,), lambda g: (_masked(g, kept, scale),))
 
 
 def causal_self_attention(
@@ -550,6 +480,12 @@ def causal_self_attention(
     receive zero attention weight from every query. Scores are scaled by
     sqrt(H / n_heads). Every sequence must contain at least one real
     position or the masked softmax degenerates.
+
+    The qkv and output projections are ``linear`` ops; everything between
+    them is one graph node. It keeps the qkv array, the probabilities and
+    the bool dropout mask, and its VJP recomputes the dropped probabilities.
+    The softmax denominator and quotient are float64, cast back into the
+    probabilities' buffer chunk by chunk.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"attention input must be [B, T, H], got {x.shape}")
@@ -558,32 +494,56 @@ def causal_self_attention(
         raise ConfigError(f"hidden size {width} not divisible by n_heads {n_heads}")
     if n_positions is not None and seq > n_positions:
         raise ShapeError(f"sequence length {seq} exceeds n_positions {n_positions}")
+    if pad_mask is not None and pad_mask.shape != (batch, seq):
+        raise ShapeError(f"pad_mask shape {pad_mask.shape} != ({batch}, {seq})")
     head_dim = width // n_heads
+    scale = 1.0 / math.sqrt(head_dim)
 
     qkv = linear(x, qkv_w, qkv_b)  # [B, T, 3H]
-    parts = []
-    for i in range(3):
-        piece = narrow_last(qkv, i * width, width)
-        piece = reshape(piece, (batch, seq, n_heads, head_dim))
-        parts.append(transpose(piece, (0, 2, 1, 3)))  # [B, nh, T, hd]
-    q, k, v = parts
-
-    scores = matmul(q, transpose(k, (0, 1, 3, 2)))  # [B, nh, T, T]
-    scores = mul_scalar(scores, 1.0 / math.sqrt(head_dim))
+    # q, k and v as [B, nh, T, hd] views of qkv
+    q, k, v = qkv.data.reshape(batch, seq, 3, n_heads, head_dim).transpose(2, 0, 3, 1, 4)
 
     allowed = np.tril(np.ones((seq, seq), dtype=bool))[None, None, :, :]
     if pad_mask is not None:
-        if pad_mask.shape != (batch, seq):
-            raise ShapeError(f"pad_mask shape {pad_mask.shape} != ({batch}, {seq})")
         allowed = allowed & pad_mask.astype(bool)[:, None, None, :]
-    bias = np.where(allowed, 0.0, -1e9).astype(x.data.dtype)
-    att = softmax_rows(add_const(scores, bias))
+    probs = q @ k.transpose(0, 1, 3, 2)  # [B, nh, T, T]
+    probs *= scale
+    probs += np.where(allowed, 0.0, -1e9).astype(x.data.dtype)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    denom = probs.sum(axis=-1, keepdims=True, dtype=np.float64)
+    np.divide(probs, denom, out=probs, dtype=np.float64)
+    kept = keep_scale = None
     if dropout_p > 0.0 and rng is not None:
-        att = dropout(att, dropout_p, rng)
+        dropped, kept, keep_scale = _draw_dropout(probs, dropout_p, rng)
+    else:
+        dropped = probs
+    ctx = (dropped @ v).transpose(0, 2, 1, 3).reshape(batch, seq, width)
+    del dropped
 
-    ctx = matmul(att, v)  # [B, nh, T, hd]
-    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, seq, width))
-    return linear(ctx, out_w, out_b)
+    def vjp(g):
+        g = g.reshape(batch, seq, n_heads, head_dim).transpose(0, 2, 1, 3)
+        dropped = probs if kept is None else _masked(probs, kept, keep_scale)
+        gv = dropped.swapaxes(-1, -2) @ g
+        del dropped
+        gp = g @ v.swapaxes(-1, -2)
+        if kept is not None:
+            gp = _masked(gp, kept, keep_scale)
+        # softmax VJP: probs * (gp - rowsum(gp * probs)), then the score scale
+        gs = np.multiply(gp, probs)
+        dot = gs.sum(axis=-1, keepdims=True)
+        np.subtract(gp, dot, out=gs)
+        del gp
+        gs *= probs
+        gs *= scale
+        gq = gs @ k
+        gk = (q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        gqkv = np.zeros((batch, seq, 3, n_heads, head_dim), dtype=gs.dtype)
+        for i, gi in enumerate((gq, gk, gv)):
+            gqkv[:, :, i] += gi.transpose(0, 2, 1, 3)
+        return (gqkv.reshape(batch, seq, 3 * width),)
+
+    return linear(_result(ctx, (qkv,), vjp), out_w, out_b)
 
 
 ADAM_BETA1 = 0.9

@@ -253,7 +253,7 @@ def random_search(
             score = None
         trial = Trial(i, params, score, history, (time.monotonic() - t0) * 1e3)
         trials.append(trial)
-        if score is not None and (best is None or score > (best.val_mean_ba or -1.0)):
+        if score is not None and (best is None or score > best.val_mean_ba):
             best = trial
         if on_trial is not None:
             on_trial(trial)

@@ -360,10 +360,25 @@ def decode_eval_result(payload: bytes) -> ClientReport:
     required = {"subject_id", "mean_ba", "defined_labels"}
     if not isinstance(report, dict) or not required <= report.keys():
         raise DecodeError(f"EVAL_RESULT is not an object with keys {sorted(required)}")
-    mean_ba = report["mean_ba"]
-    if isinstance(mean_ba, bool) or not isinstance(mean_ba, (int, float)):
-        raise DecodeError(f"EVAL_RESULT mean_ba {mean_ba!r} is not a number")
+    if not isinstance(report["subject_id"], str):
+        raise DecodeError(f"EVAL_RESULT subject_id {report['subject_id']!r} is not a string")
+    if not _is_fraction(report["mean_ba"]):
+        raise DecodeError(f"EVAL_RESULT mean_ba {report['mean_ba']!r} is not a number in [0, 1]")
+    for key in ("defined_labels", "n_eval_instances"):
+        count = report.get(key, 0)
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise DecodeError(f"EVAL_RESULT {key} {count!r} is not a non-negative integer")
+    per_label = report.get("per_label", {})
+    if not isinstance(per_label, dict) or not all(map(_is_fraction, per_label.values())):
+        raise DecodeError(f"EVAL_RESULT per_label {per_label!r} does not map names "
+                          "to numbers in [0, 1]")
     return ClientReport.from_json_dict(report)
+
+
+def _is_fraction(value) -> bool:
+    """A JSON number in [0, 1]; NaN, infinities and booleans are not."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and 0.0 <= value <= 1.0)
 
 
 def encode_error(code: str, message: str) -> bytes:
@@ -460,7 +475,12 @@ class _ClientConn:
                     self.results.put(("fit", self.client_id, fit))
                     del fit  # else this thread keeps the weight blob until the next round
                 elif msg_type == MSG_EVAL_RESULT:
-                    self.results.put(("eval", self.client_id, decode_eval_result(payload)))
+                    report = decode_eval_result(payload)
+                    if report.subject_id != self.client_id:
+                        raise ProtocolError(
+                            f"EVAL_RESULT is for subject {report.subject_id!r}, HELLO "
+                            f"said {self.client_id!r}")
+                    self.results.put(("eval", self.client_id, report))
                 # a FIT_RESULT payload is weight-sized; do not hold it while
                 # blocking on the next frame
                 del payload

@@ -92,13 +92,20 @@ def test_gen_synthetic_is_deterministic(workspace, tmp_path):
 
 
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["gen-synthetic", "--out", "x", "--subjects", "0"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["no-such-command"])
-    assert err.value.code == 2
-    capsys.readouterr()
+    for argv, message in [
+        (["gen-synthetic", "--out", "x", "--subjects", "0"], "must be positive"),
+        (["no-such-command"], "invalid choice"),
+        (["simulate", "--folds", "x"], "comma-separated fold indices"),
+        (["simulate", "--folds", "0,,1"], "comma-separated fold indices"),
+        (["simulate", "--folds", "1.5"], "comma-separated fold indices"),
+        # no fold plan to check these against, but a fold label is never negative
+        (["fed-server", "--fold", "-1"], "must be >= 0"),
+        (["evaluate", "--fold", "-1"], "must be >= 0"),
+    ]:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 # ----------------------------------------------------------- make-folds
@@ -249,6 +256,22 @@ def test_simulate_requires_base_checkpoints(workspace, tmp_path, capsys, folds, 
     assert "missing base checkpoint" in capsys.readouterr().err
     assert not (out / "audit.jsonl").exists()
     assert not (out / "fold0.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--out", "{tmp}/b.ckpt", "--fold", "9"],
+    ["pretrain", "--out", "{tmp}/b.ckpt", "--fold", "-1"],
+    ["search", "--out", "{tmp}/t.jsonl", "--fold", "3"],
+    ["simulate", "--base-ckpt-dir", "{ckpts}", "--out", "{tmp}/sim", "--folds", "0,7"],
+    ["simulate", "--base-ckpt-dir", "{ckpts}", "--out", "{tmp}/sim", "--folds", "-1"],
+], ids=["pretrain_9", "pretrain_negative", "search_3", "simulate_7", "simulate_negative"])
+def test_fold_outside_the_plan_exits_1(workspace, tmp_path, capsys, argv):
+    argv = [a.format(tmp=tmp_path, ckpts=workspace["ckpts"]) for a in argv]
+    code = main(argv + ["--data", str(workspace["corpus"]),
+                        "--fold-plan", str(workspace["plan"])])
+    assert code == 1
+    assert "out of range: the plan has folds 0..2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------- evaluate

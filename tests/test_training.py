@@ -3,6 +3,7 @@
 import os
 import resource
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -272,6 +273,16 @@ def test_random_search_runs_and_is_deterministic():
     assert best1.index == best2.index
     scored = [t for t in trials1 if t.val_mean_ba is not None]
     assert best1.val_mean_ba == max(t.val_mean_ba for t in scored)
+
+
+def test_random_search_tie_at_zero_goes_to_earliest_trial(monkeypatch):
+    recs = corpus(n_subjects=2, minutes=200, seed=5)
+    space = SearchSpace(layers_choices=(1,), hidden_choices=(8,),
+                        n_positions_choices=(8,))
+    monkeypatch.setattr(TR, "evaluate", lambda *a, **k: SimpleNamespace(mean_ba=0.0))
+    best, trials = random_search(space, 3, recs, seed=0, epochs=1, batch_size=8)
+    assert [t.val_mean_ba for t in trials] == [0.0, 0.0, 0.0]
+    assert best is trials[0]
 
 
 def test_random_search_oversized_windows_fail_soft():

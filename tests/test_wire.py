@@ -459,6 +459,16 @@ def serve_one_client(cfg, audit=None):
     b'{"subject_id": "rogue", "mean_ba": "high", "defined_labels": 1}',
     b"[0.5]",
     b"\xff not json",
+    b'{"subject_id": "rogue", "mean_ba": 0.5, "defined_labels": 1, "per_label": [1]}',
+    b'{"subject_id": "rogue", "mean_ba": 0.5, "defined_labels": 1, "per_label": {"a": "x"}}',
+    b'{"subject_id": "rogue", "mean_ba": NaN, "defined_labels": 1}',
+    b'{"subject_id": "rogue", "mean_ba": 1.5, "defined_labels": 1}',
+    b'{"subject_id": "rogue", "mean_ba": -0.1, "defined_labels": 1}',
+    b'{"subject_id": 7, "mean_ba": 0.5, "defined_labels": 1}',
+    b'{"subject_id": "rogue", "mean_ba": 0.5, "defined_labels": 1.5}',
+    b'{"subject_id": "rogue", "mean_ba": 0.5, "defined_labels": true}',
+    b'{"subject_id": "rogue", "mean_ba": 0.5, "defined_labels": 1, "n_eval_instances": -1}',
+    b'{"subject_id": "someone-else", "mean_ba": 0.5, "defined_labels": 1}',
 ])
 def test_server_rejects_malformed_eval_result(report):
     cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=1,
