@@ -55,6 +55,13 @@ def _nonnegative(kind):
     return parse
 
 
+def _port(text):
+    value = int(text)
+    if not 1 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be a port in 1..65535, got {text}")
+    return value
+
+
 def _fold_list(text):
     try:
         return [int(f) for f in text.split(",")]
@@ -395,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-ckpt", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--bind", default="127.0.0.1")
-    p.add_argument("--port", type=_positive(int), default=DEFAULT_PORT)
+    p.add_argument("--port", type=_port, default=DEFAULT_PORT)
     p.add_argument("--clients", type=_positive(int), default=12,
                    help="clients to wait for before starting")
     p.add_argument("--fold", type=_nonnegative(int), default=0)
@@ -411,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fed-client", help="join a federation as one subject")
     p.add_argument("--server", required=True)
-    p.add_argument("--port", type=_positive(int), default=DEFAULT_PORT)
+    p.add_argument("--port", type=_port, default=DEFAULT_PORT)
     p.add_argument("--subject-data", "--data", dest="data", required=True,
                    help="this subject's CSV")
     p.add_argument("--base-ckpt", required=True,

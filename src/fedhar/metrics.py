@@ -98,7 +98,7 @@ class ClientReport:
     """One client's evaluation: per-label counts, BAs, and their mean."""
 
     subject_id: str
-    counts: list[ConfusionCounts] | None
+    counts: list[ConfusionCounts]
     per_label_ba: list[float | None]
     mean_ba: float
     defined_labels: int
@@ -135,20 +135,6 @@ class ClientReport:
             "n_eval_instances": self.n_eval_instances,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ClientReport":
-        per_label = d.get("per_label", {})
-        names = list(per_label.keys())
-        return cls(
-            subject_id=d["subject_id"],
-            counts=None,
-            per_label_ba=list(per_label.values()),
-            mean_ba=d["mean_ba"],
-            defined_labels=d["defined_labels"],
-            n_eval_instances=d.get("n_eval_instances", 0),
-            label_names=names,
-        )
-
 
 @dataclass
 class FoldReport:
@@ -164,11 +150,6 @@ class FoldReport:
             "clients": [c.to_json_dict() for c in self.clients],
             "summary": self.summary,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FoldReport":
-        return cls(d["fold"], [ClientReport.from_json_dict(c) for c in d["clients"]],
-                   d["summary"])
 
 
 def fold_summary(clients: list[ClientReport], fold: int = 0) -> FoldReport:

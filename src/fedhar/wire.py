@@ -10,17 +10,21 @@ Checkpoint files are magic "FHG1" + u16 version + a name-tagged config
 block + the WeightBlob + its CRC32.
 
 Protocol, per client: HELLO, then per round ROUND_CONFIG -> FIT_RESULT and
-EVAL_REQUEST -> EVAL_RESULT, finally DONE. A message out of order gets an
-ERROR frame with code ``out_of_order``, a malformed one ``bad_message``, and
-the connection is dropped. A FIT_RESULT must report the example count its
-HELLO announced, since that count weights its update in the mean; any other
-count is ``bad_message``. When the server ends a fold with an error, every
-client still connected gets an ERROR frame with code ``aborted`` first.
+EVAL_REQUEST -> EVAL_RESULT, finally DONE. HELLO carries the client id and
+its training-window count, and is a connection's only identity: the server
+weights every update from that connection by the HELLO count and files its
+reports under the HELLO id. Peers send measurements only. A FIT_RESULT is
+the f64 train loss + u8 has-weights + the trained WeightBlob. An
+EVAL_RESULT is a u16 label count, then per label its name and u32
+tp/tn/fp/fn; the server scores it with ``ClientReport.from_counts``, as the
+simulation does. A message out of order gets an ERROR frame with code
+``out_of_order``, a malformed one ``bad_message``, and the connection is
+dropped. When the server ends a fold with an error, every client still
+connected gets an ERROR frame with code ``aborted`` first.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import queue
 import socket
@@ -31,10 +35,10 @@ import zlib
 
 import numpy as np
 
-from .errors import (AvailabilityError, DecodeError, FedharError, ProtocolError,
-                     ShapeError)
+from .errors import (AvailabilityError, DecodeError, DegenerateReportError, FedharError,
+                     ProtocolError, ShapeError)
 from .fedavg import ClientUpdate, FedConfig, FoldResult, client_fit, drive_fold
-from .metrics import ClientReport
+from .metrics import ClientReport, ConfusionCounts
 from .model import ModelConfig, WeightSet, parameter_shapes
 from .tensor import Tensor
 from .training import evaluate
@@ -333,52 +337,45 @@ def decode_round_config(payload: bytes):
     return round_idx, fold, seed, local_epochs, batch_size, local_lr, blob
 
 
-def encode_fit_result(client_id: str, num_examples: int, train_loss: float,
-                      blob: bytes | None) -> bytes:
-    head = _pack_text(client_id) + struct.pack("<Id", num_examples, train_loss)
+def encode_fit_result(train_loss: float, blob: bytes | None) -> bytes:
     if blob is None:
-        return head + struct.pack("<B", 0)
-    return head + struct.pack("<B", 1) + _pack_blob(blob)
+        return struct.pack("<dB", train_loss, 0)
+    return struct.pack("<dB", train_loss, 1) + _pack_blob(blob)
 
 
 def decode_fit_result(payload: bytes):
     cur = _Cursor(payload)
-    client_id = cur.text()
-    num_examples = cur.u32()
     train_loss = cur.f64()
     blob = _read_blob(cur) if cur.u8() else None
     cur.done()
-    return client_id, num_examples, train_loss, blob
+    return train_loss, blob
 
 
-def decode_eval_result(payload: bytes) -> ClientReport:
-    """Parse an EVAL_RESULT's JSON report; a malformed one is a DecodeError."""
+def encode_eval_result(report: ClientReport) -> bytes:
+    """A report's per-label confusion counts, under the names its JSON uses."""
+    parts = [struct.pack("<H", len(report.counts))]
+    for i, c in enumerate(report.counts):
+        parts.append(_pack_text(report._label_name(i)))
+        parts.append(struct.pack("<4I", c.tp, c.tn, c.fp, c.fn))
+    return b"".join(parts)
+
+
+def decode_eval_result(payload: bytes, subject_id: str) -> ClientReport:
+    """Score an EVAL_RESULT's counts as ``subject_id``'s report.
+
+    A malformed payload, or counts under which no label is defined, is a
+    DecodeError.
+    """
+    cur = _Cursor(payload)
     try:
-        report = json.loads(payload.decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
-        raise DecodeError(f"EVAL_RESULT is not UTF-8 JSON: {exc}") from None
-    required = {"subject_id", "mean_ba", "defined_labels"}
-    if not isinstance(report, dict) or not required <= report.keys():
-        raise DecodeError(f"EVAL_RESULT is not an object with keys {sorted(required)}")
-    if not isinstance(report["subject_id"], str):
-        raise DecodeError(f"EVAL_RESULT subject_id {report['subject_id']!r} is not a string")
-    if not _is_fraction(report["mean_ba"]):
-        raise DecodeError(f"EVAL_RESULT mean_ba {report['mean_ba']!r} is not a number in [0, 1]")
-    for key in ("defined_labels", "n_eval_instances"):
-        count = report.get(key, 0)
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise DecodeError(f"EVAL_RESULT {key} {count!r} is not a non-negative integer")
-    per_label = report.get("per_label", {})
-    if not isinstance(per_label, dict) or not all(map(_is_fraction, per_label.values())):
-        raise DecodeError(f"EVAL_RESULT per_label {per_label!r} does not map names "
-                          "to numbers in [0, 1]")
-    return ClientReport.from_json_dict(report)
-
-
-def _is_fraction(value) -> bool:
-    """A JSON number in [0, 1]; NaN, infinities and booleans are not."""
-    return (not isinstance(value, bool) and isinstance(value, (int, float))
-            and 0.0 <= value <= 1.0)
+        names, counts = [], []
+        for _ in range(cur.u16()):
+            names.append(cur.text())
+            counts.append(ConfusionCounts(*struct.unpack("<4I", cur.take(16))))
+        cur.done()
+        return ClientReport.from_counts(subject_id, counts, names)
+    except (DecodeError, DegenerateReportError) as exc:
+        raise DecodeError(f"EVAL_RESULT: {exc}") from None
 
 
 def encode_error(code: str, message: str) -> bytes:
@@ -445,7 +442,7 @@ class _ClientConn:
         except OSError:
             pass
         self.close()
-        self.results.put(("error", self.client_id, f"{code}: {message}"))
+        self.results.put(("error", self, f"{code}: {message}"))
 
     def _reader(self) -> None:
         try:
@@ -454,7 +451,7 @@ class _ClientConn:
                     msg_type, payload = read_frame(self.rfile)
                 except (DecodeError, OSError, ValueError):
                     if not self.closed:
-                        self.results.put(("gone", self.client_id, "connection lost"))
+                        self.results.put(("gone", self, "connection lost"))
                     return
                 want = self.expected
                 if want is None or msg_type != want:
@@ -465,22 +462,12 @@ class _ClientConn:
                 self.expected = None
                 if msg_type == MSG_HELLO:
                     self.client_id, self.num_examples = decode_hello(payload)
-                    self.results.put(("hello", self.client_id, self))
+                    self.results.put(("hello", self, None))
                 elif msg_type == MSG_FIT_RESULT:
-                    fit = decode_fit_result(payload)
-                    if fit[1] != self.num_examples:
-                        raise ProtocolError(
-                            f"FIT_RESULT claims {fit[1]} examples, HELLO said "
-                            f"{self.num_examples}")
-                    self.results.put(("fit", self.client_id, fit))
-                    del fit  # else this thread keeps the weight blob until the next round
+                    self.results.put(("fit", self, decode_fit_result(payload)))
                 elif msg_type == MSG_EVAL_RESULT:
-                    report = decode_eval_result(payload)
-                    if report.subject_id != self.client_id:
-                        raise ProtocolError(
-                            f"EVAL_RESULT is for subject {report.subject_id!r}, HELLO "
-                            f"said {self.client_id!r}")
-                    self.results.put(("eval", self.client_id, report))
+                    self.results.put(("eval", self, decode_eval_result(payload,
+                                                                       self.client_id)))
                 # a FIT_RESULT payload is weight-sized; do not hold it while
                 # blocking on the next frame
                 del payload
@@ -498,10 +485,11 @@ def _collect(results: queue.Queue, kind: str, pending: set, timeout: float | Non
     while pending:
         remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
         try:
-            tag, cid, value = results.get(timeout=remaining)
+            tag, conn, value = results.get(timeout=remaining)
         except queue.Empty:
             raise ProtocolError(
                 f"{what} timed out waiting for clients {sorted(pending)}") from None
+        cid = conn.client_id
         if tag == "error" or tag == "gone":
             raise ProtocolError(f"client {cid} dropped during {what}: {value}")
         if tag != kind or cid not in pending:
@@ -561,18 +549,19 @@ def server_loop(
                 pass
             while True:
                 try:
-                    tag, cid, value = results.get_nowait()
+                    tag, conn, _value = results.get_nowait()
                 except queue.Empty:
                     break
+                cid = conn.client_id
                 if tag == "hello":
                     if cid in conns:
-                        value._fail("duplicate_id", f"client id {cid} already registered")
+                        conn._fail("duplicate_id", f"client id {cid} already registered")
                         continue
-                    conns[cid] = value
+                    conns[cid] = conn
                     emit(round=0, event="hello", client_id=cid,
-                         num_examples=value.num_examples)
-                elif tag in ("error", "gone"):
-                    conns.pop(cid, None)
+                         num_examples=conn.num_examples)
+                elif conns.get(cid) is conn:  # a registered client failed or left
+                    del conns[cid]
 
         def fit(weights, round_idx, fit_ids):
             payload = encode_round_config(round_idx, fold, config.seed,
@@ -585,10 +574,8 @@ def server_loop(
             fits = _collect(results, "fit", set(fit_ids), config.round_timeout_s,
                             f"round {round_idx} fit")
             for cid in fit_ids:
-                client_id, num_examples, train_loss, fit_blob = fits.pop(cid)
-                if client_id != cid:
-                    raise ProtocolError(
-                        f"connection for {cid} reported client_id {client_id}")
+                train_loss, fit_blob = fits.pop(cid)
+                num_examples = conns[cid].num_examples
                 if num_examples < 1 or fit_blob is None:
                     yield cid, None
                     continue
@@ -652,25 +639,21 @@ def client_loop(
                  batch_size, local_lr, blob) = decode_round_config(payload)
                 weights = decode_weights(blob, model_config)
                 if not train_windows:
-                    sock.sendall(frame_encode(
-                        MSG_FIT_RESULT, encode_fit_result(client_id, 0, 0.0, None)))
+                    sock.sendall(frame_encode(MSG_FIT_RESULT, encode_fit_result(0.0, None)))
                     continue
                 local = FedConfig(local_epochs=local_epochs, batch_size=batch_size,
                                   local_lr=local_lr, seed=seed)
                 update = client_fit(weights, train_windows, local, client_id,
                                     fold, round_idx)
                 sock.sendall(frame_encode(MSG_FIT_RESULT, encode_fit_result(
-                    client_id, update.num_examples, update.train_loss,
-                    encode_weights(update.weights))))
+                    update.train_loss, encode_weights(update.weights))))
                 rounds_done += 1
             elif msg_type == MSG_EVAL_REQUEST:
                 cur = _Cursor(payload)
                 weights = decode_weights(_read_blob(cur), model_config)
                 cur.done()
                 report = evaluate(weights, test_windows, client_id, label_names)
-                sock.sendall(frame_encode(
-                    MSG_EVAL_RESULT,
-                    json.dumps(report.to_json_dict()).encode("utf-8")))
+                sock.sendall(frame_encode(MSG_EVAL_RESULT, encode_eval_result(report)))
             elif msg_type == MSG_DONE:
                 return rounds_done
             elif msg_type == MSG_ERROR:

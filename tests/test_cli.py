@@ -101,6 +101,10 @@ def test_usage_errors_exit_2(capsys):
         # no fold plan to check these against, but a fold label is never negative
         (["fed-server", "--fold", "-1"], "must be >= 0"),
         (["evaluate", "--fold", "-1"], "must be >= 0"),
+        (["fed-server", "--port", "70000"], "must be a port in 1..65535"),
+        (["fed-server", "--port", "0"], "must be a port in 1..65535"),
+        (["fed-client", "--port", "70000"], "must be a port in 1..65535"),
+        (["fed-client", "--port", "-1"], "must be a port in 1..65535"),
     ]:
         with pytest.raises(SystemExit) as err:
             main(argv)

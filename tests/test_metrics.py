@@ -1,12 +1,13 @@
 """Balanced accuracy against brute-force recounts and hand-worked numbers."""
 
+import json
+
 import numpy as np
 import pytest
 
 from fedhar.errors import DegenerateReportError, ShapeError
-from fedhar.metrics import (ClientReport, ConfusionCounts, FoldReport,
-                            accumulate_confusion, balanced_accuracy,
-                            client_mean_ba, confusion_from_arrays,
+from fedhar.metrics import (ClientReport, ConfusionCounts, accumulate_confusion,
+                            balanced_accuracy, client_mean_ba, confusion_from_arrays,
                             fold_summary)
 
 
@@ -121,9 +122,7 @@ def test_client_report_from_counts():
     assert rep.n_eval_instances == 100 + 10 + 10
     d = rep.to_json_dict()
     assert set(d["per_label"]) == {"label:A", "label:C"}  # undefined dropped
-    back = ClientReport.from_json_dict(d)
-    assert back.mean_ba == rep.mean_ba
-    assert back.defined_labels == 2
+    assert d["mean_ba"] == rep.mean_ba and d["defined_labels"] == 2
 
 
 def test_fold_summary_statistics():
@@ -153,7 +152,8 @@ def test_fold_summary_rejects_empty():
 def test_fold_report_json_round_trip():
     rep = ClientReport.from_counts("s", [ConfusionCounts(3, 3, 1, 1)], ["label:X"])
     fr = fold_summary([rep], fold=1)
-    back = FoldReport.from_json_dict(fr.to_json_dict())
-    assert back.fold == 1
-    assert back.summary == fr.summary
-    assert back.clients[0].subject_id == "s"
+    back = json.loads(json.dumps(fr.to_json_dict()))
+    assert back == fr.to_json_dict()
+    assert back["fold"] == 1
+    assert back["summary"] == fr.summary
+    assert back["clients"][0]["subject_id"] == "s"

@@ -1,5 +1,6 @@
 """Wire format: framing, weight blobs, checkpoints, and the TCP loop."""
 
+import contextlib
 import io
 import json
 import os
@@ -17,6 +18,7 @@ import fedhar.wire as W
 from fedhar.errors import (AvailabilityError, DecodeError, ProtocolError,
                            ShapeError)
 from fedhar.fedavg import FedConfig, run_fold
+from fedhar.metrics import ClientReport, ConfusionCounts
 from fedhar.model import ModelConfig, WeightSet, init_model, parameter_shapes
 from fedhar.tensor import Tensor
 from fedhar.util import atomic_write_json
@@ -228,10 +230,25 @@ def test_round_config_round_trip():
 
 def test_fit_result_round_trip_with_and_without_blob():
     blob = W.encode_weights(random_weights(MC, seed=6))
-    payload = W.encode_fit_result("c1", 17, 0.6931, blob)
-    assert W.decode_fit_result(payload) == ("c1", 17, 0.6931, blob)
-    payload = W.encode_fit_result("c1", 0, 0.0, None)
-    assert W.decode_fit_result(payload) == ("c1", 0, 0.0, None)
+    payload = W.encode_fit_result(0.6931, blob)
+    assert W.decode_fit_result(payload) == (0.6931, blob)
+    payload = W.encode_fit_result(0.0, None)
+    assert payload == struct.pack("<dB", 0.0, 0)
+    assert W.decode_fit_result(payload) == (0.0, None)
+
+
+def test_eval_result_round_trip_is_the_report_from_counts():
+    counts = [ConfusionCounts(30, 40, 20, 10), ConfusionCounts(5, 0, 0, 5),
+              ConfusionCounts(5, 5, 0, 0)]
+    for names in (["label:A", "label:B", "label:C"], None):
+        sent = ClientReport.from_counts("s1", counts, names)
+        payload = W.encode_eval_result(sent)
+        assert len(payload) == 2 + 3 * (2 + 7 + 16)  # both name sets are 7 bytes
+        got = W.decode_eval_result(payload, "s1")
+        assert got.counts == counts
+        assert got.to_json_dict() == sent.to_json_dict()
+    # the report is filed under the id it is decoded for
+    assert W.decode_eval_result(payload, "hello-id").subject_id == "hello-id"
 
 
 def test_error_message_round_trip():
@@ -305,6 +322,8 @@ def test_tcp_matches_in_process_simulation_bitwise():
     assert len(tcp_result.round_reports) == 2
     for tcp_rep, sim_rep in zip(tcp_result.round_reports, sim_result.round_reports):
         assert tcp_rep.summary == sim_rep.summary
+        assert [c.counts for c in tcp_rep.clients] == [c.counts for c in sim_rep.clients]
+    assert tcp_result.to_json_dict() == sim_result.to_json_dict()
 
 
 def test_tcp_audit_trail_matches_simulation_event_for_event():
@@ -454,20 +473,53 @@ def serve_one_client(cfg, audit=None):
     return port, server, box
 
 
+def eval_payload(*labels):
+    """An EVAL_RESULT payload from (name bytes, tp, tn, fp, fn) tuples."""
+    return struct.pack("<H", len(labels)) + b"".join(
+        struct.pack("<H", len(name)) + name + struct.pack("<4I", *counts)
+        for name, *counts in labels)
+
+
+@contextlib.contextmanager
+def rogue_peer(port):
+    """A raw connection and its reader; both are closed, so the server sees EOF."""
+    rogue = socket.create_connection(("127.0.0.1", port))
+    rfile = rogue.makefile("rb")
+    try:
+        yield rogue, rfile
+    finally:
+        rfile.close()
+        rogue.close()
+
+
+def echo_fit(rogue, rfile, client_id, num_examples):
+    """Say HELLO, echo the round's weights back as the fit, await EVAL_REQUEST."""
+    rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello(client_id, num_examples)))
+    msg_type, payload = W.read_frame(rfile)
+    assert msg_type == W.MSG_ROUND_CONFIG
+    blob = W.decode_round_config(payload)[-1]
+    rogue.sendall(W.frame_encode(W.MSG_FIT_RESULT, W.encode_fit_result(0.0, blob)))
+    assert W.read_frame(rfile)[0] == W.MSG_EVAL_REQUEST
+
+
 @pytest.mark.parametrize("report", [
+    pytest.param(b"", id="empty"),
+    pytest.param(eval_payload((b"a", 1, 1, 1, 1))[:-1], id="truncated"),
+    pytest.param(eval_payload((b"a", 1, 1, 1, 1)) + b"\x00", id="trailing-byte"),
+    pytest.param(eval_payload((b"\xff", 1, 1, 1, 1)), id="bad-utf8-name"),
+    pytest.param(eval_payload(), id="zero-labels"),
+    # "a" has no negatives and "b" no positives
+    pytest.param(eval_payload((b"a", 1, 0, 0, 1), (b"b", 0, 2, 0, 0)), id="all-undefined"),
+    # JSON reports, as peers speaking an older EVAL_RESULT format send them
     b"{}",
     b'{"subject_id": "rogue", "mean_ba": "high", "defined_labels": 1}',
     b"[0.5]",
     b"\xff not json",
-    b'{"subject_id": "rogue", "mean_ba": 0.5, "defined_labels": 1, "per_label": [1]}',
-    b'{"subject_id": "rogue", "mean_ba": 0.5, "defined_labels": 1, "per_label": {"a": "x"}}',
     b'{"subject_id": "rogue", "mean_ba": NaN, "defined_labels": 1}',
     b'{"subject_id": "rogue", "mean_ba": 1.5, "defined_labels": 1}',
     b'{"subject_id": "rogue", "mean_ba": -0.1, "defined_labels": 1}',
     b'{"subject_id": 7, "mean_ba": 0.5, "defined_labels": 1}',
     b'{"subject_id": "rogue", "mean_ba": 0.5, "defined_labels": 1.5}',
-    b'{"subject_id": "rogue", "mean_ba": 0.5, "defined_labels": true}',
-    b'{"subject_id": "rogue", "mean_ba": 0.5, "defined_labels": 1, "n_eval_instances": -1}',
     b'{"subject_id": "someone-else", "mean_ba": 0.5, "defined_labels": 1}',
 ])
 def test_server_rejects_malformed_eval_result(report):
@@ -475,57 +527,79 @@ def test_server_rejects_malformed_eval_result(report):
                     batch_size=8, local_lr=1e-2, seed=0)
     port, server, box = serve_one_client(cfg)
     # a rogue peer fits honestly (echoing the weights back), then lies in eval
-    rogue = socket.create_connection(("127.0.0.1", port))
-    try:
-        rfile = rogue.makefile("rb")
-        rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("rogue", 1)))
-        msg_type, payload = W.read_frame(rfile)
-        assert msg_type == W.MSG_ROUND_CONFIG
-        blob = W.decode_round_config(payload)[-1]
-        rogue.sendall(W.frame_encode(W.MSG_FIT_RESULT,
-                                     W.encode_fit_result("rogue", 1, 0.0, blob)))
-        assert W.read_frame(rfile)[0] == W.MSG_EVAL_REQUEST
+    with rogue_peer(port) as (rogue, rfile):
+        echo_fit(rogue, rfile, "rogue", 1)
         rogue.sendall(W.frame_encode(W.MSG_EVAL_RESULT, report))
         msg_type, payload = W.read_frame(rfile)
         assert msg_type == W.MSG_ERROR
         code, message = W.decode_error(payload)
         assert code == "bad_message"
         assert "EVAL_RESULT" in message
-    finally:
-        rogue.close()
     server.join(30.0)
     assert not server.is_alive()
     assert isinstance(box["error"], ProtocolError)
     assert "rogue" in str(box["error"])
 
 
-def test_fit_result_must_claim_the_hello_count():
+def test_fit_result_is_weighted_by_the_hello_count():
     cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=1,
                     batch_size=8, local_lr=1e-2, seed=0)
     events = []
     port, server, box = serve_one_client(cfg, audit=events.append)
-    # a rogue peer says hello with 1 window, then claims 2**32 - 1 to dominate the mean
-    rogue = socket.create_connection(("127.0.0.1", port))
-    try:
-        rfile = rogue.makefile("rb")
-        rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("rogue", 1)))
-        msg_type, payload = W.read_frame(rfile)
-        assert msg_type == W.MSG_ROUND_CONFIG
-        blob = W.decode_round_config(payload)[-1]
-        rogue.sendall(W.frame_encode(W.MSG_FIT_RESULT,
-                                     W.encode_fit_result("rogue", 2**32 - 1, 0.0, blob)))
-        msg_type, payload = W.read_frame(rfile)
-        assert msg_type == W.MSG_ERROR
-        code, message = W.decode_error(payload)
-        assert code == "bad_message"
-        assert "4294967295 examples" in message
-    finally:
-        rogue.close()
+    # a FIT_RESULT carries no example count: the HELLO's 7 weights the update
+    with rogue_peer(port) as (rogue, rfile):
+        echo_fit(rogue, rfile, "rogue", 7)
+        rogue.sendall(W.frame_encode(W.MSG_EVAL_RESULT,
+                                     eval_payload((b"a", 1, 1, 0, 0))))
+        assert W.read_frame(rfile)[0] == W.MSG_DONE
     server.join(30.0)
     assert not server.is_alive()
-    assert isinstance(box["error"], ProtocolError)
-    assert "rogue" in str(box["error"])
-    assert "aggregate" not in [e["event"] for e in events]
+    assert "error" not in box
+    fits = [e for e in events if e["event"] == "fit_result"]
+    assert [(e["client_id"], e["num_examples"]) for e in fits] == [("rogue", 7)]
+
+
+def test_duplicate_hello_leaves_the_registered_client_in_place():
+    clients = synthetic_clients(2)
+    (first, first_w), (second, second_w) = sorted(clients.items())
+    cfg = FedConfig(rounds=1, min_available_clients=2, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    port = free_port()
+    ready = threading.Event()
+    events, box = [], {}
+
+    def serve():
+        box["result"] = W.server_loop("127.0.0.1", port, init_model(MC), cfg,
+                                      expected_clients=2, accept_timeout=30.0,
+                                      audit=events.append, ready_event=ready)
+
+    server = threading.Thread(target=serve)
+    server.start()
+    assert ready.wait(10.0)
+    workers = [threading.Thread(target=W.client_loop,
+                                args=("127.0.0.1", port, first, MC, *first_w))]
+    workers[0].start()
+    deadline = time.monotonic() + 10.0
+    while not any(e["event"] == "hello" for e in events):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+    # a rogue peer claims the registered client's id
+    with rogue_peer(port) as (rogue, rfile):
+        rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello(first, 1)))
+        msg_type, payload = W.read_frame(rfile)
+        assert msg_type == W.MSG_ERROR
+        assert W.decode_error(payload)[0] == "duplicate_id"
+
+    workers.append(threading.Thread(target=W.client_loop,
+                                    args=("127.0.0.1", port, second, MC, *second_w)))
+    workers[1].start()
+    server.join(60.0)
+    for t in workers:
+        t.join(10.0)
+    assert not server.is_alive()
+    final = box["result"].final_report
+    assert sorted(c.subject_id for c in final.clients) == [first, second]
 
 
 def test_collection_timeout_is_one_window():
