@@ -64,10 +64,13 @@ def _port(text):
 
 def _fold_list(text):
     try:
-        return [int(f) for f in text.split(",")]
+        folds = [int(f) for f in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated fold indices, got {text!r}") from None
+    if len(set(folds)) != len(folds):
+        raise argparse.ArgumentTypeError(f"fold listed twice in {text!r}")
+    return folds
 
 
 def _check_fold(plan, k: int) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .util import derive_seed
+from .util import atomic_write_json, derive_seed
 
 __all__ = [
     "EXTRASENSORY_FEATURES",
@@ -230,7 +230,6 @@ class FoldPlan:
         return cls(d["n_folds"], d["seed"], d["folds"], d["base_subjects"])
 
     def save(self, path: str) -> None:
-        from .util import atomic_write_json
         atomic_write_json(path, self.to_json_dict())
 
     @classmethod
@@ -274,7 +273,6 @@ class Standardizer:
                    np.asarray(d["std"], dtype=np.float64))
 
     def save(self, path: str) -> None:
-        from .util import atomic_write_json
         atomic_write_json(path, self.to_json_dict())
 
     @classmethod

@@ -170,8 +170,6 @@ def client_fit(
     The local RNG stream is derived from (seed, fold, client_id, round), so
     simulation and live transport train identically.
     """
-    if not train_windows:
-        raise ConfigError(f"client {client_id} has no training windows")
     tc = TrainConfig(
         epochs=config.local_epochs,
         learning_rate=config.local_lr,
@@ -192,17 +190,21 @@ def _audit(audit, **event):
         audit({"ts": time.time(), **event})
 
 
-def drive_fold(fold: int, ids, fit, evaluate_clients, base_weights: WeightSet,
-               config: FedConfig, audit=None, eval_base: bool = True) -> FoldResult:
+def drive_fold(fold: int, num_examples: dict, fit, evaluate_clients,
+               base_weights: WeightSet, config: FedConfig, audit=None,
+               eval_base: bool = True) -> FoldResult:
     """Drive all rounds of one fold over any transport.
 
+    ``num_examples`` maps each client id to its training-window count.
     ``fit(weights, round_idx, ids)`` and ``evaluate_clients(weights,
     round_idx, ids)`` yield ``(client_id, result)`` in the order of ``ids``:
-    a ClientUpdate (None for a client without training windows) and a
-    ClientReport. Selection, aggregation, fold summaries and audit events
-    happen here. ``eval_base`` first evaluates the base weights as round 0.
+    a ClientUpdate and a ClientReport. Selection, aggregation, fold summaries
+    and audit events happen here. A selected client with no training windows
+    is skipped (a ``skip`` event right after ``broadcast``) and never reaches
+    ``fit``; every client is evaluated. ``eval_base`` first evaluates the
+    base weights as round 0.
     """
-    ids = sorted(ids)
+    ids = sorted(num_examples)
     result = FoldResult(fold=fold, base_report=None)
 
     def eval_phase(weights, round_idx, eval_ids):
@@ -218,17 +220,20 @@ def drive_fold(fold: int, ids, fit, evaluate_clients, base_weights: WeightSet,
         result.base_report = eval_phase(weights, 0, ids)
 
     for round_idx in range(1, config.rounds + 1):
-        fit_ids = select_clients(ids, config.fit_fraction,
-                                 config.min_available_clients, config.seed, round_idx)
+        selected = select_clients(ids, config.fit_fraction,
+                                  config.min_available_clients, config.seed, round_idx)
         _audit(audit, fold=fold, round=round_idx, event="broadcast",
-               n_clients=len(fit_ids))
-        updates = []
-        for cid, update in fit(weights, round_idx, fit_ids):
-            if update is None:
+               n_clients=len(selected))
+        fit_ids = []
+        for cid in selected:
+            if num_examples[cid] < 1:
                 log.warning("fold %d round %d: client %s has no data, skipped",
                             fold, round_idx, cid)
                 _audit(audit, fold=fold, round=round_idx, event="skip", client_id=cid)
-                continue
+            else:
+                fit_ids.append(cid)
+        updates = []
+        for cid, update in fit(weights, round_idx, fit_ids):
             _audit(audit, fold=fold, round=round_idx, event="fit_result",
                    client_id=cid, num_examples=update.num_examples)
             updates.append(update)
@@ -261,13 +266,12 @@ def run_fold(
     """
     def fit(weights, round_idx, fit_ids):
         for cid in fit_ids:
-            train_w = clients[cid][0]
-            yield cid, (client_fit(weights, train_w, config, cid, fold, round_idx)
-                        if train_w else None)
+            yield cid, client_fit(weights, clients[cid][0], config, cid, fold, round_idx)
 
     def evaluate_clients(weights, round_idx, eval_ids):
         for cid in eval_ids:
             yield cid, evaluate(weights, clients[cid][1], cid, label_names)
 
-    return drive_fold(fold, clients, fit, evaluate_clients, base_weights, config,
+    return drive_fold(fold, {cid: len(train) for cid, (train, _test) in clients.items()},
+                      fit, evaluate_clients, base_weights, config,
                       audit=audit, eval_base=eval_base)

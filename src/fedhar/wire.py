@@ -6,18 +6,22 @@ for each tensor in canonical order, u16 name length + UTF-8 name + u8 rank
 + u32 per-dim sizes + raw little-endian float32 data. Wherever a blob is
 embedded (messages, checkpoint files) a CRC32 of the blob follows it.
 
-Checkpoint files are magic "FHG1" + u16 version + a name-tagged config
-block + the WeightBlob + its CRC32.
+Checkpoint files are magic "FHG1" + u16 version + a config block + the
+WeightBlob + its CRC32. The config block has one fixed layout: a u16 count of
+8, then each ModelConfig field in declared order as its name, a type tag and
+its value.
 
 Protocol, per client: HELLO, then per round ROUND_CONFIG -> FIT_RESULT and
 EVAL_REQUEST -> EVAL_RESULT, finally DONE. HELLO carries the client id and
 its training-window count, and is a connection's only identity: the server
 weights every update from that connection by the HELLO count and files its
-reports under the HELLO id. Peers send measurements only. A FIT_RESULT is
-the f64 train loss + u8 has-weights + the trained WeightBlob. An
-EVAL_RESULT is a u16 label count, then per label its name and u32
-tp/tn/fp/fn; the server scores it with ``ClientReport.from_counts``, as the
-simulation does. A message out of order gets an ERROR frame with code
+reports under the HELLO id. A client with count 0 is never sent a
+ROUND_CONFIG, only EVAL_REQUESTs. Once the expected clients have registered,
+every other connection gets ERROR ``registration_closed``. Peers send
+measurements only. A FIT_RESULT is the f64 train loss + the trained
+WeightBlob. An EVAL_RESULT is a u16 label count, then per label its name and
+u32 tp/tn/fp/fn; the server scores it with ``ClientReport.from_counts``, as
+the simulation does. A message out of order gets an ERROR frame with code
 ``out_of_order``, a malformed one ``bad_message``, and the connection is
 dropped. When the server ends a fold with an error, every client still
 connected gets an ERROR frame with code ``aborted`` first.
@@ -132,26 +136,17 @@ class _Cursor:
         self.pos += n
         return out
 
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def u8(self):
-        return self.unpack("<B")
+        return self.unpack("<B")[0]
 
     def u16(self):
-        return self.unpack("<H")
+        return self.unpack("<H")[0]
 
     def u32(self):
-        return self.unpack("<I")
-
-    def u64(self):
-        return self.unpack("<Q")
-
-    def i64(self):
-        return self.unpack("<q")
-
-    def f64(self):
-        return self.unpack("<d")
+        return self.unpack("<I")[0]
 
     def text(self) -> str:
         n = self.u16()
@@ -230,52 +225,37 @@ def _read_blob(cur: _Cursor) -> bytes:
 
 # ----------------------------------------------------------- checkpoints
 
-_CONFIG_FIELDS = [
-    ("n_features", "int"),
-    ("n_labels", "int"),
-    ("transformers_layers", "int"),
-    ("hidden_size", "int"),
-    ("n_positions", "int"),
-    ("n_heads", "int"),
-    ("dropout", "float"),
-    ("seed", "uint"),
-]
-_TAGS = {"int": 0, "float": 1, "uint": 2}
+# The config block is a u16 field count, then per field its name, a type tag
+# (0 i64, 1 f64, 2 u64) and the value. The writer emits the ModelConfig fields
+# in their declared order, always, so each field's name + tag is a constant.
+_CONFIG_FIELDS = [(name, _pack_text(name) + struct.pack("<B", tag), fmt)
+                  for name, tag, fmt in [
+                      ("n_features", 0, "<q"), ("n_labels", 0, "<q"),
+                      ("transformers_layers", 0, "<q"), ("hidden_size", 0, "<q"),
+                      ("n_positions", 0, "<q"), ("n_heads", 0, "<q"),
+                      ("dropout", 1, "<d"), ("seed", 2, "<Q")]]
 
 
 def _encode_config(config: ModelConfig) -> bytes:
     parts = [struct.pack("<H", len(_CONFIG_FIELDS))]
-    for name, kind in _CONFIG_FIELDS:
+    for name, prefix, fmt in _CONFIG_FIELDS:
         value = getattr(config, name)
-        parts.append(_pack_text(name))
-        parts.append(struct.pack("<B", _TAGS[kind]))
-        if kind == "int":
-            parts.append(struct.pack("<q", int(value)))
-        elif kind == "uint":
-            parts.append(struct.pack("<Q", int(value)))
-        else:
-            parts.append(struct.pack("<d", float(value)))
+        parts.append(prefix + struct.pack(fmt, float(value) if fmt == "<d" else int(value)))
     return b"".join(parts)
 
 
 def _decode_config(cur: _Cursor) -> ModelConfig:
     count = cur.u16()
-    fields = {}
-    for _ in range(count):
-        name = cur.text()
-        tag = cur.u8()
-        if tag == _TAGS["int"]:
-            fields[name] = cur.i64()
-        elif tag == _TAGS["uint"]:
-            fields[name] = cur.u64()
-        elif tag == _TAGS["float"]:
-            fields[name] = cur.f64()
-        else:
-            raise DecodeError(f"unknown config field tag {tag}", offset=cur.pos)
-    missing = [n for n, _ in _CONFIG_FIELDS if n not in fields]
-    if missing:
-        raise DecodeError(f"config block missing fields {missing}")
-    return ModelConfig.from_dict(fields)
+    if count != len(_CONFIG_FIELDS):
+        raise DecodeError(f"config block has {count} fields, expected {len(_CONFIG_FIELDS)}",
+                          offset=cur.pos)
+    values = []
+    for name, prefix, fmt in _CONFIG_FIELDS:
+        pos = cur.pos
+        if cur.take(len(prefix)) != prefix:
+            raise DecodeError(f"config block: expected field {name!r}", offset=pos)
+        values += cur.unpack(fmt)
+    return ModelConfig(*values)
 
 
 def save_checkpoint(path: str, weights: WeightSet) -> None:
@@ -328,25 +308,20 @@ def encode_round_config(round_idx: int, fold: int, seed: int, local_epochs: int,
 
 def decode_round_config(payload: bytes):
     cur = _Cursor(payload)
-    round_idx, fold = cur.u32(), cur.u32()
-    seed = cur.u64()
-    local_epochs, batch_size = cur.u32(), cur.u32()
-    local_lr = cur.f64()
+    round_idx, fold, seed, local_epochs, batch_size, local_lr = cur.unpack("<IIQIId")
     blob = _read_blob(cur)
     cur.done()
     return round_idx, fold, seed, local_epochs, batch_size, local_lr, blob
 
 
-def encode_fit_result(train_loss: float, blob: bytes | None) -> bytes:
-    if blob is None:
-        return struct.pack("<dB", train_loss, 0)
-    return struct.pack("<dB", train_loss, 1) + _pack_blob(blob)
+def encode_fit_result(train_loss: float, blob: bytes) -> bytes:
+    return struct.pack("<d", train_loss) + _pack_blob(blob)
 
 
 def decode_fit_result(payload: bytes):
     cur = _Cursor(payload)
-    train_loss = cur.f64()
-    blob = _read_blob(cur) if cur.u8() else None
+    (train_loss,) = cur.unpack("<d")
+    blob = _read_blob(cur)
     cur.done()
     return train_loss, blob
 
@@ -371,7 +346,7 @@ def decode_eval_result(payload: bytes, subject_id: str) -> ClientReport:
         names, counts = [], []
         for _ in range(cur.u16()):
             names.append(cur.text())
-            counts.append(ConfusionCounts(*struct.unpack("<4I", cur.take(16))))
+            counts.append(ConfusionCounts(*cur.unpack("<4I")))
         cur.done()
         return ClientReport.from_counts(subject_id, counts, names)
     except (DecodeError, DegenerateReportError) as exc:
@@ -477,9 +452,12 @@ class _ClientConn:
             self._fail("internal", str(exc))
 
 
-def _collect(results: queue.Queue, kind: str, pending: set, timeout: float | None,
-             what: str):
-    """Drain one expected result per pending client within ``timeout`` seconds."""
+def _collect(results: queue.Queue, conns: dict, kind: str, pending: set,
+             timeout: float | None, what: str):
+    """Drain one expected result per pending client within ``timeout`` seconds.
+
+    Events from a connection not registered under its id are ignored.
+    """
     out = {}
     deadline = None if timeout is None else time.monotonic() + timeout
     while pending:
@@ -490,6 +468,8 @@ def _collect(results: queue.Queue, kind: str, pending: set, timeout: float | Non
             raise ProtocolError(
                 f"{what} timed out waiting for clients {sorted(pending)}") from None
         cid = conn.client_id
+        if conns.get(cid) is not conn:
+            continue
         if tag == "error" or tag == "gone":
             raise ProtocolError(f"client {cid} dropped during {what}: {value}")
         if tag != kind or cid not in pending:
@@ -513,7 +493,8 @@ def server_loop(
     """Accept clients, drive all federated rounds over TCP, return the result.
 
     Blocks until ``expected_clients`` (default min_available_clients) have
-    sent HELLO, then runs the same round driver as the simulation,
+    sent HELLO, refuses every other connection with ERROR
+    ``registration_closed``, then runs the same round driver as the simulation,
     ``fedavg.drive_fold``, with a TCP transport: a fit sends ROUND_CONFIG to
     the selected clients and collects their FIT_RESULTs, an eval sends
     EVAL_REQUEST and collects EVAL_RESULTs. The base weights are not
@@ -547,7 +528,7 @@ def server_loop(
                 conn.start()
             except socket.timeout:
                 pass
-            while True:
+            while len(conns) < expected:
                 try:
                     tag, conn, _value = results.get_nowait()
                 except queue.Empty:
@@ -562,6 +543,10 @@ def server_loop(
                          num_examples=conn.num_examples)
                 elif conns.get(cid) is conn:  # a registered client failed or left
                     del conns[cid]
+        for conn in pending_conns:
+            if not conn.closed and conns.get(conn.client_id) is not conn:
+                conn._fail("registration_closed",
+                           f"registration is closed: {expected} clients registered")
 
         def fit(weights, round_idx, fit_ids):
             payload = encode_round_config(round_idx, fold, config.seed,
@@ -571,28 +556,25 @@ def server_loop(
                 conns[cid].expected = MSG_FIT_RESULT
                 conns[cid].send(MSG_ROUND_CONFIG, payload)
             del payload  # free the frame while the clients train
-            fits = _collect(results, "fit", set(fit_ids), config.round_timeout_s,
+            fits = _collect(results, conns, "fit", set(fit_ids), config.round_timeout_s,
                             f"round {round_idx} fit")
             for cid in fit_ids:
                 train_loss, fit_blob = fits.pop(cid)
-                num_examples = conns[cid].num_examples
-                if num_examples < 1 or fit_blob is None:
-                    yield cid, None
-                    continue
                 yield cid, ClientUpdate(cid, decode_weights(fit_blob, base_weights.config),
-                                        num_examples, train_loss)
+                                        conns[cid].num_examples, train_loss)
 
         def evaluate_clients(weights, round_idx, eval_ids):
             payload = _pack_blob(encode_weights(weights))
             for cid in eval_ids:
                 conns[cid].expected = MSG_EVAL_RESULT
                 conns[cid].send(MSG_EVAL_REQUEST, payload)
-            evals = _collect(results, "eval", set(eval_ids), config.round_timeout_s,
+            evals = _collect(results, conns, "eval", set(eval_ids), config.round_timeout_s,
                              f"round {round_idx} eval")
             for cid in eval_ids:
                 yield cid, evals[cid]
 
-        result = drive_fold(fold, conns, fit, evaluate_clients, base_weights, config,
+        result = drive_fold(fold, {cid: c.num_examples for cid, c in conns.items()},
+                            fit, evaluate_clients, base_weights, config,
                             audit=audit, eval_base=False)
         for cid in sorted(conns):
             try:
@@ -608,8 +590,10 @@ def server_loop(
         raise
     finally:
         listener.close()
-        for conn in list(conns.values()) + pending_conns:
+        for conn in pending_conns:
             conn.close()
+            conn.thread.join()
+            conn.rfile.close()
 
 
 def client_loop(
@@ -638,9 +622,6 @@ def client_loop(
                 (round_idx, fold, seed, local_epochs,
                  batch_size, local_lr, blob) = decode_round_config(payload)
                 weights = decode_weights(blob, model_config)
-                if not train_windows:
-                    sock.sendall(frame_encode(MSG_FIT_RESULT, encode_fit_result(0.0, None)))
-                    continue
                 local = FedConfig(local_epochs=local_epochs, batch_size=batch_size,
                                   local_lr=local_lr, seed=seed)
                 update = client_fit(weights, train_windows, local, client_id,
@@ -662,6 +643,7 @@ def client_loop(
             else:
                 raise ProtocolError(f"unexpected message type {msg_type}")
     finally:
+        rfile.close()
         try:
             sock.close()
         except OSError:

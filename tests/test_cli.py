@@ -98,6 +98,9 @@ def test_usage_errors_exit_2(capsys):
         (["simulate", "--folds", "x"], "comma-separated fold indices"),
         (["simulate", "--folds", "0,,1"], "comma-separated fold indices"),
         (["simulate", "--folds", "1.5"], "comma-separated fold indices"),
+        # a repeated fold would run twice and count its clients twice
+        (["simulate", "--folds", "0,0"], "fold listed twice"),
+        (["simulate", "--folds", "0,1,0"], "fold listed twice"),
         # no fold plan to check these against, but a fold label is never negative
         (["fed-server", "--fold", "-1"], "must be >= 0"),
         (["evaluate", "--fold", "-1"], "must be >= 0"),

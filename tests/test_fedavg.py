@@ -222,9 +222,12 @@ def test_run_fold_skips_empty_clients_in_training():
     events = []
     result = run_fold(0, clients, init_model(MC), cfg, audit=events.append)
     kinds = [e["event"] for e in events]
-    assert kinds.count("skip") == 1
-    assert kinds.count("fit_result") == 3
+    # the round driver skips it before any client trains
+    assert kinds[kinds.index("broadcast"):][:5] == ["broadcast", "skip"] + ["fit_result"] * 3
+    assert [e["client_id"] for e in events if e["event"] == "skip"] == [cid]
     assert len(result.final_report.clients) == 4
+    with pytest.raises(ConfigError, match="at least one window"):
+        client_fit(init_model(MC), [], cfg, cid, fold=0, round_idx=1)
 
 
 def test_fed_config_validation():

@@ -144,6 +144,49 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.config.to_dict() == MC.to_dict()
 
 
+# every field set away from its default; the seed sets the top bit of its u64
+GOLDEN_CONFIG = ModelConfig(n_features=6, n_labels=3, transformers_layers=1, hidden_size=8,
+                            n_positions=8, n_heads=2, dropout=0.25, seed=2 ** 63 + 5)
+
+
+def test_config_block_golden_bytes():
+    # u16 field count, then per field: u16 name length + name, a u8 tag
+    # (0 i64, 1 f64, 2 u64) and the value. Checkpoints already written
+    # depend on these bytes.
+    block = W._encode_config(GOLDEN_CONFIG)
+    assert block.hex() == (
+        "0800"
+        "0a00" "6e5f6665617475726573" "00" "0600000000000000"
+        "0800" "6e5f6c6162656c73" "00" "0300000000000000"
+        "1300" "7472616e73666f726d6572735f6c6179657273" "00" "0100000000000000"
+        "0b00" "68696464656e5f73697a65" "00" "0800000000000000"
+        "0b00" "6e5f706f736974696f6e73" "00" "0800000000000000"
+        "0700" "6e5f6865616473" "00" "0200000000000000"
+        "0700" "64726f706f7574" "01" "000000000000d03f"
+        "0400" "73656564" "02" "0500000000000080")
+    cur = W._Cursor(block)
+    assert W._decode_config(cur) == GOLDEN_CONFIG
+    cur.done()
+
+
+def test_config_block_rejects_any_other_layout():
+    block = W._encode_config(GOLDEN_CONFIG)
+    first = 2 + len("n_features") + 1 + 8  # each field: name, tag, value
+    second = 2 + len("n_labels") + 1 + 8
+    dropout_tag = block.index(b"dropout") + len("dropout")
+    for bad, message in [
+        (block.replace(b"n_heads", b"n_hedas"), "expected field 'n_heads'"),
+        (block[:2] + block[2 + first:2 + first + second] + block[2:2 + first]
+         + block[2 + first + second:], "expected field 'n_features'"),
+        (block[:dropout_tag] + b"\x00" + block[dropout_tag + 1:], "expected field 'dropout'"),
+        (struct.pack("<H", 7) + block[2:], "has 7 fields, expected 8"),
+        (struct.pack("<H", 9) + block[2:] + W._pack_text("extra") + bytes(9),
+         "has 9 fields, expected 8"),
+    ]:
+        with pytest.raises(DecodeError, match=message):
+            W._decode_config(W._Cursor(bad))
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = str(tmp_path / "bad.ckpt")
     with open(path, "wb") as fh:
@@ -228,13 +271,12 @@ def test_round_config_round_trip():
     assert back == blob
 
 
-def test_fit_result_round_trip_with_and_without_blob():
+def test_fit_result_round_trip():
     blob = W.encode_weights(random_weights(MC, seed=6))
     payload = W.encode_fit_result(0.6931, blob)
+    assert payload[:8] == struct.pack("<d", 0.6931)
+    assert payload[8:] == W._pack_blob(blob)
     assert W.decode_fit_result(payload) == (0.6931, blob)
-    payload = W.encode_fit_result(0.0, None)
-    assert payload == struct.pack("<dB", 0.0, 0)
-    assert W.decode_fit_result(payload) == (0.0, None)
 
 
 def test_eval_result_round_trip_is_the_report_from_counts():
@@ -454,16 +496,17 @@ def test_server_error_reaches_every_client():
         assert "aborted" in str(exc) and "3 required" in str(exc)
 
 
-def serve_one_client(cfg, audit=None):
-    """A server thread for one client; returns (port, thread, box["error"])."""
+def serve_one_client(cfg, audit=None, expected_clients=1):
+    """A server thread; returns (port, thread, box) with box "result" or "error"."""
     port = free_port()
     ready = threading.Event()
     box = {}
 
     def serve():
         try:
-            W.server_loop("127.0.0.1", port, init_model(MC), cfg, expected_clients=1,
-                          accept_timeout=30.0, audit=audit, ready_event=ready)
+            box["result"] = W.server_loop(
+                "127.0.0.1", port, init_model(MC), cfg, expected_clients=expected_clients,
+                accept_timeout=30.0, audit=audit, ready_event=ready)
         except Exception as exc:
             box["error"] = exc
 
@@ -600,6 +643,60 @@ def test_duplicate_hello_leaves_the_registered_client_in_place():
     assert not server.is_alive()
     final = box["result"].final_report
     assert sorted(c.subject_id for c in final.clients) == [first, second]
+
+
+def test_client_without_training_windows_is_only_asked_to_evaluate():
+    (cid, windows), = synthetic_clients(1).items()
+    cfg = FedConfig(rounds=1, min_available_clients=2, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    events = []
+    port, server, box = serve_one_client(cfg, audit=events.append, expected_clients=2)
+    worker = threading.Thread(target=W.client_loop,
+                              args=("127.0.0.1", port, cid, MC, *windows))
+    worker.start()
+    with rogue_peer(port) as (rogue, rfile):
+        rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("z", 0)))
+        assert W.read_frame(rfile)[0] == W.MSG_EVAL_REQUEST  # no ROUND_CONFIG
+        rogue.sendall(W.frame_encode(W.MSG_EVAL_RESULT, eval_payload((b"a", 1, 1, 0, 0))))
+        assert W.read_frame(rfile)[0] == W.MSG_DONE
+    server.join(60.0)
+    worker.join(10.0)
+    assert not server.is_alive() and not worker.is_alive()
+    assert "error" not in box
+    assert sorted(c.subject_id for c in box["result"].final_report.clients) == sorted([cid, "z"])
+    assert [(e["event"], e.get("client_id")) for e in events if e["event"] != "hello"] == [
+        ("broadcast", None), ("skip", "z"), ("fit_result", cid), ("aggregate", None),
+        ("eval_result", cid), ("eval_result", "z"), ("done", cid), ("done", "z")]
+
+
+def test_late_hello_is_refused_and_the_fold_completes():
+    (cid, windows), = synthetic_clients(1).items()
+    cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=50,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    threads_before = set(threading.enumerate())
+    events = []
+    port, server, box = serve_one_client(cfg, audit=events.append)
+    # connected before the real client, so accepted while registration is open
+    with rogue_peer(port) as (rogue, rfile):
+        worker = threading.Thread(target=W.client_loop,
+                                  args=("127.0.0.1", port, cid, MC, *windows))
+        worker.start()
+        deadline = time.monotonic() + 10.0
+        while not any(e["event"] == "hello" for e in events):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        with contextlib.suppress(OSError):  # the server may have closed it already
+            rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("late", 1)))
+        msg_type, payload = W.read_frame(rfile)
+        assert msg_type == W.MSG_ERROR
+        assert W.decode_error(payload)[0] == "registration_closed"
+    server.join(60.0)
+    worker.join(10.0)
+    assert not server.is_alive() and not worker.is_alive()
+    assert "error" not in box
+    assert [c.subject_id for c in box["result"].final_report.clients] == [cid]
+    # server_loop has joined every reader thread it started
+    assert [t for t in threading.enumerate() if t not in threads_before] == []
 
 
 def test_collection_timeout_is_one_window():
