@@ -25,11 +25,28 @@ the simulation does. A message out of order gets an ERROR frame with code
 ``out_of_order``, a malformed one ``bad_message``, and the connection is
 dropped. When the server ends a fold with an error, every client still
 connected gets an ERROR frame with code ``aborted`` first.
+
+Buffers: a received frame is read with ``readinto`` into one bytearray of
+its declared length. Decoders slice memoryviews of it, and each tensor is
+copied out of it once. A sent frame is one ``b"".join`` of its header, the
+message head and the tensors' own memoryviews, so weights are copied once,
+into the frame; the blob's CRC32 is folded over the same views. The server
+builds a round's parts once and joins one frame per selected client.
+
+Caps: a reader checks each declared length before it allocates the frame,
+against the longest frame the peer may send in its state. On the server
+that is a HELLO's bound (2 + 65535 + 4 payload bytes) before HELLO and
+whenever nothing is owed, the exact size ``parameter_shapes`` implies for
+an owed FIT_RESULT, and 2 + L x (2 + 65535 + 16) bytes for an owed
+EVAL_RESULT of L labels. A client accepts a ROUND_CONFIG of its own model
+config, or a HELLO's bound for an ERROR. A longer declaration gets ERROR
+``bad_message`` and the connection is dropped.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import queue
 import socket
 import struct
@@ -78,56 +95,68 @@ MAX_FRAME_LEN = 1 << 30  # 1 GiB, type byte + payload
 DEFAULT_PORT = 8099
 CONNECT_ATTEMPTS = 5
 CONNECT_BASE_DELAY = 0.2
+ACCEPT_POLL_S = 0.05  # how often a blocked accept looks at the clock and stop flag
 
 CHECKPOINT_MAGIC = b"FHG1"
 CHECKPOINT_VERSION = 1
 
+# ROUND_CONFIG head: round, fold, seed, local epochs, batch size, local lr
+_ROUND_HEAD = struct.Struct("<IIQIId")
+
 
 # ---------------------------------------------------------------- framing
 
-def frame_encode(msg_type: int, payload: bytes = b"") -> bytes:
+def frame_encode(msg_type: int, *payload) -> bytes:
+    """One frame; a payload given as several buffers is joined once, with the header."""
     if not 1 <= msg_type <= 255:
         raise ProtocolError(f"message type {msg_type} out of range")
-    length = 1 + len(payload)
+    length = 1 + sum(len(part) for part in payload)
     if length > MAX_FRAME_LEN:
         raise ProtocolError(f"frame of {length} bytes exceeds the 1 GiB limit")
-    return struct.pack("<I", length) + struct.pack("<B", msg_type) + payload
+    return b"".join([struct.pack("<IB", length, msg_type), *payload])
 
 
-def read_exact(stream, n: int) -> bytes:
-    """Read exactly n bytes, looping over partial reads; EOF raises."""
-    chunks = []
-    remaining = n
-    while remaining > 0:
-        chunk = stream.read(remaining)
-        if not chunk:
-            got = n - remaining
-            raise DecodeError(f"stream ended after {got} of {n} expected bytes")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def read_exact(stream, n: int) -> bytearray:
+    """Read exactly n bytes into one buffer, looping over partial reads; EOF raises."""
+    buf = bytearray(n)
+    with memoryview(buf) as view:
+        got = 0
+        while got < n:
+            k = stream.readinto(view[got:])
+            if not k:
+                raise DecodeError(f"stream ended after {got} of {n} expected bytes")
+            got += k
+    return buf
 
 
-def read_frame(stream) -> tuple[int, bytes]:
-    """Decode one frame from a byte stream; validates length before reading."""
-    header = read_exact(stream, 4)
-    (length,) = struct.unpack("<I", header)
+def read_frame(stream, max_len=MAX_FRAME_LEN) -> tuple[int, memoryview]:
+    """The type byte and a view of the payload, read into one buffer.
+
+    The declared length is checked against 1 GiB and ``max_len`` before the
+    buffer is allocated. ``max_len`` may be a callable, asked once the
+    header is in, for a reader whose state changes while it waits.
+    """
+    (length,) = struct.unpack("<I", read_exact(stream, 4))
     if length < 1:
         raise ProtocolError("frame length 0 leaves no room for a message type")
     if length > MAX_FRAME_LEN:
         raise ProtocolError(f"declared frame length {length} exceeds the 1 GiB limit")
+    limit = max_len() if callable(max_len) else max_len
+    if length > limit:
+        raise ProtocolError(
+            f"declared frame length {length} exceeds the {limit} bytes allowed here")
     body = read_exact(stream, length)
-    return body[0], body[1:]
+    return body[0], memoryview(body)[1:]
 
 
 class _Cursor:
-    """Bounds-checked little-endian reads over a byte buffer."""
+    """Bounds-checked little-endian reads over a buffer; ``take`` returns views."""
 
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    def __init__(self, buf):
+        self.buf = memoryview(buf)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise DecodeError(
                 f"need {n} bytes, only {len(self.buf) - self.pos} remain",
@@ -151,7 +180,7 @@ class _Cursor:
     def text(self) -> str:
         n = self.u16()
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError as exc:
             raise DecodeError(f"bad UTF-8: {exc}", offset=self.pos) from None
 
@@ -170,22 +199,24 @@ def _pack_text(s: str) -> bytes:
 
 # ---------------------------------------------------------- weight blobs
 
-def encode_weights(weights: WeightSet) -> bytes:
-    """Serialize all tensors in canonical order as little-endian float32."""
+def _blob_parts(weights: WeightSet) -> list:
+    """A WeightBlob as buffers: each tensor's header, then its data as a byte view."""
     parts = []
     for name, t in weights.items():
         data = np.ascontiguousarray(t.data, dtype="<f4")
         if data.ndim > 255:
             raise ShapeError(f"tensor {name} rank {data.ndim} exceeds 255")
-        parts.append(_pack_text(name))
-        parts.append(struct.pack("<B", data.ndim))
-        for dim in data.shape:
-            parts.append(struct.pack("<I", dim))
-        parts.append(data.tobytes())
-    return b"".join(parts)
+        parts.append(_pack_text(name) + struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape))
+        parts.append(memoryview(data).cast("B"))
+    return parts
 
 
-def decode_weights(blob: bytes, config: ModelConfig) -> WeightSet:
+def encode_weights(weights: WeightSet) -> bytes:
+    """Serialize all tensors in canonical order as little-endian float32."""
+    return b"".join(_blob_parts(weights))
+
+
+def decode_weights(blob, config: ModelConfig) -> WeightSet:
     """Rebuild a WeightSet; names, order, and shapes must match the config."""
     cur = _Cursor(blob)
     ws = WeightSet(config)
@@ -199,19 +230,33 @@ def decode_weights(blob: bytes, config: ModelConfig) -> WeightSet:
         if shape != want_shape:
             raise ShapeError(
                 f"tensor {name} has shape {shape}, config requires {want_shape}")
-        count = int(np.prod(shape)) if shape else 1
-        raw = cur.take(4 * count)
+        # one copy out of the frame: its offsets are not float-aligned
+        raw = cur.take(4 * math.prod(shape))
         data = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         ws.tensors[name] = Tensor(data, requires_grad=True)
     cur.done()
     return ws
 
 
-def _pack_blob(blob: bytes) -> bytes:
-    return struct.pack("<I", len(blob)) + blob + struct.pack("<I", zlib.crc32(blob))
+def _blob_message(head: bytes, blob: list) -> list:
+    """``head``, the blob's u32 length, its buffers and their CRC32: parts for one join."""
+    crc = 0
+    for part in blob:
+        crc = zlib.crc32(part, crc)
+    return [head, struct.pack("<I", sum(len(part) for part in blob)), *blob,
+            struct.pack("<I", crc)]
 
 
-def _read_blob(cur: _Cursor) -> bytes:
+def _decode_blob_message(payload, head: str) -> tuple:
+    """The values of a ``head`` struct format, then a view of the blob after it."""
+    cur = _Cursor(payload)
+    values = cur.unpack(head)
+    blob = _read_blob(cur)
+    cur.done()
+    return *values, blob
+
+
+def _read_blob(cur: _Cursor) -> memoryview:
     n = cur.u32()
     blob = cur.take(n)
     crc = cur.u32()
@@ -221,6 +266,18 @@ def _read_blob(cur: _Cursor) -> bytes:
             f"weight blob checksum mismatch: stored {crc:#010x}, computed {actual:#010x}",
             offset=cur.pos)
     return blob
+
+
+def _frame_caps(config: ModelConfig) -> dict[int, int]:
+    """The longest frame of each message type a peer may send for ``config``."""
+    blob = sum(2 + len(name.encode("utf-8")) + 1 + 4 * len(shape) + 4 * math.prod(shape)
+               for name, shape in parameter_shapes(config))
+    return {
+        MSG_HELLO: 1 + 2 + 0xFFFF + 4,
+        MSG_ROUND_CONFIG: 1 + _ROUND_HEAD.size + 4 + blob + 4,
+        MSG_FIT_RESULT: 1 + 8 + 4 + blob + 4,
+        MSG_EVAL_RESULT: 1 + 2 + config.n_labels * (2 + 0xFFFF + 16),
+    }
 
 
 # ----------------------------------------------------------- checkpoints
@@ -260,9 +317,9 @@ def _decode_config(cur: _Cursor) -> ModelConfig:
 
 def save_checkpoint(path: str, weights: WeightSet) -> None:
     """Write config + weights; the write is atomic (``atomic_write_bytes``)."""
-    blob = encode_weights(weights)
-    atomic_write_bytes(path, CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION)
-                       + _encode_config(weights.config) + _pack_blob(blob))
+    head = (CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION)
+            + _encode_config(weights.config))
+    atomic_write_bytes(path, b"".join(_blob_message(head, [encode_weights(weights)])))
 
 
 def load_checkpoint(path: str) -> WeightSet:
@@ -270,7 +327,7 @@ def load_checkpoint(path: str) -> WeightSet:
         raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DecodeError(f"bad checkpoint magic {raw[:4]!r}", offset=0)
-    cur = _Cursor(raw[4:])
+    cur = _Cursor(memoryview(raw)[4:])
     version = cur.u16()
     if version != CHECKPOINT_VERSION:
         raise DecodeError(f"unsupported checkpoint version {version}")
@@ -291,7 +348,7 @@ def encode_hello(client_id: str, num_examples: int) -> bytes:
     return _pack_text(client_id) + struct.pack("<I", num_examples)
 
 
-def decode_hello(payload: bytes) -> tuple[str, int]:
+def decode_hello(payload) -> tuple[str, int]:
     cur = _Cursor(payload)
     client_id = cur.text()
     num_examples = cur.u32()
@@ -299,31 +356,14 @@ def decode_hello(payload: bytes) -> tuple[str, int]:
     return client_id, num_examples
 
 
-def encode_round_config(round_idx: int, fold: int, seed: int, local_epochs: int,
-                        batch_size: int, local_lr: float, blob: bytes) -> bytes:
-    head = struct.pack("<IIQIId", round_idx, fold, seed,
-                       local_epochs, batch_size, local_lr)
-    return head + _pack_blob(blob)
+def decode_round_config(payload):
+    """(round, fold, seed, local epochs, batch size, local lr, blob view)."""
+    return _decode_blob_message(payload, _ROUND_HEAD.format)
 
 
-def decode_round_config(payload: bytes):
-    cur = _Cursor(payload)
-    round_idx, fold, seed, local_epochs, batch_size, local_lr = cur.unpack("<IIQIId")
-    blob = _read_blob(cur)
-    cur.done()
-    return round_idx, fold, seed, local_epochs, batch_size, local_lr, blob
-
-
-def encode_fit_result(train_loss: float, blob: bytes) -> bytes:
-    return struct.pack("<d", train_loss) + _pack_blob(blob)
-
-
-def decode_fit_result(payload: bytes):
-    cur = _Cursor(payload)
-    (train_loss,) = cur.unpack("<d")
-    blob = _read_blob(cur)
-    cur.done()
-    return train_loss, blob
+def decode_fit_result(payload):
+    """(train loss, blob view)."""
+    return _decode_blob_message(payload, "<d")
 
 
 def encode_eval_result(report: ClientReport) -> bytes:
@@ -335,7 +375,7 @@ def encode_eval_result(report: ClientReport) -> bytes:
     return b"".join(parts)
 
 
-def decode_eval_result(payload: bytes, subject_id: str) -> ClientReport:
+def decode_eval_result(payload, subject_id: str) -> ClientReport:
     """Score an EVAL_RESULT's counts as ``subject_id``'s report.
 
     A malformed payload, or counts under which no label is defined, is a
@@ -357,10 +397,10 @@ def encode_error(code: str, message: str) -> bytes:
     return _pack_text(code) + message.encode("utf-8")
 
 
-def decode_error(payload: bytes) -> tuple[str, str]:
+def decode_error(payload) -> tuple[str, str]:
     cur = _Cursor(payload)
     code = cur.text()
-    return code, payload[cur.pos:].decode("utf-8", errors="replace")
+    return code, str(cur.buf[cur.pos:], "utf-8", "replace")
 
 
 # -------------------------------------------------------------- transport
@@ -382,12 +422,13 @@ def connect_with_retry(host: str, port: int, attempts: int = CONNECT_ATTEMPTS,
 
 
 class _ClientConn:
-    """Server-side connection state; a reader thread enforces ordering."""
+    """Server-side connection state; a reader thread enforces ordering and caps."""
 
-    def __init__(self, sock: socket.socket, results: queue.Queue):
+    def __init__(self, sock: socket.socket, results: queue.Queue, caps: dict[int, int]):
         self.sock = sock
         self.rfile = sock.makefile("rb")
         self.results = results
+        self.caps = caps
         self.client_id: str | None = None
         self.num_examples = 0
         self.expected: int | None = MSG_HELLO
@@ -398,9 +439,9 @@ class _ClientConn:
     def start(self) -> None:
         self.thread.start()
 
-    def send(self, msg_type: int, payload: bytes = b"") -> None:
+    def send(self, msg_type: int, *payload) -> None:
         with self.send_lock:
-            self.sock.sendall(frame_encode(msg_type, payload))
+            self.sock.sendall(frame_encode(msg_type, *payload))
 
     def close(self) -> None:
         if not self.closed:
@@ -419,11 +460,15 @@ class _ClientConn:
         self.close()
         self.results.put(("error", self, f"{code}: {message}"))
 
+    def _max_len(self) -> int:
+        """The longest frame the peer may send in the state it is in now."""
+        return self.caps.get(self.expected, self.caps[MSG_HELLO])
+
     def _reader(self) -> None:
         try:
             while True:
                 try:
-                    msg_type, payload = read_frame(self.rfile)
+                    msg_type, payload = read_frame(self.rfile, self._max_len)
                 except (DecodeError, OSError, ValueError):
                     if not self.closed:
                         self.results.put(("gone", self, "connection lost"))
@@ -446,7 +491,7 @@ class _ClientConn:
                 # a FIT_RESULT payload is weight-sized; do not hold it while
                 # blocking on the next frame
                 del payload
-        except ProtocolError as exc:  # the peer sent a malformed body
+        except ProtocolError as exc:  # the peer sent a malformed or oversized frame
             self._fail("bad_message", str(exc))
         except Exception as exc:  # decoding bugs should not hang the server
             self._fail("internal", str(exc))
@@ -479,6 +524,26 @@ def _collect(results: queue.Queue, conns: dict, kind: str, pending: set,
     return out
 
 
+def _refuse_late(listener: socket.socket, stop: threading.Event, message: str) -> None:
+    """Answer each connection with ERROR ``registration_closed`` until ``stop``."""
+    while not stop.is_set():
+        try:
+            sock, _addr = listener.accept()
+        except socket.timeout:
+            continue
+        except OSError:  # out of file descriptors, say: the peer waits in the backlog
+            stop.wait(ACCEPT_POLL_S)
+            continue
+        with sock:
+            try:
+                sock.settimeout(1.0)
+                sock.sendall(frame_encode(MSG_ERROR, encode_error("registration_closed",
+                                                                  message)))
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+
 def server_loop(
     host: str,
     port: int,
@@ -493,8 +558,9 @@ def server_loop(
     """Accept clients, drive all federated rounds over TCP, return the result.
 
     Blocks until ``expected_clients`` (default min_available_clients) have
-    sent HELLO, refuses every other connection with ERROR
-    ``registration_closed``, then runs the same round driver as the simulation,
+    sent HELLO, then refuses every other connection, and every later one,
+    with ERROR ``registration_closed`` from a thread it stops and joins
+    before it returns or raises. It runs the same round driver as the simulation,
     ``fedavg.drive_fold``, with a TCP transport: a fit sends ROUND_CONFIG to
     the selected clients and collects their FIT_RESULTs, an eval sends
     EVAL_REQUEST and collects EVAL_RESULTs. The base weights are not
@@ -510,9 +576,13 @@ def server_loop(
         if audit is not None:
             audit({"ts": time.time(), "fold": fold, **event})
 
+    caps = _frame_caps(base_weights.config)
     pending_conns: list[_ClientConn] = []
+    closed_message = f"registration is closed: {expected} clients registered"
+    stop_refusing = threading.Event()
+    refuser: threading.Thread | None = None
     listener = socket.create_server((host, port))
-    listener.settimeout(0.2)
+    listener.settimeout(ACCEPT_POLL_S)
     if ready_event is not None:
         ready_event.set()
     try:
@@ -523,7 +593,7 @@ def server_loop(
                     f"only {len(conns)} of {expected} clients registered before timeout")
             try:
                 sock, _addr = listener.accept()
-                conn = _ClientConn(sock, results)
+                conn = _ClientConn(sock, results, caps)
                 pending_conns.append(conn)
                 conn.start()
             except socket.timeout:
@@ -545,17 +615,19 @@ def server_loop(
                     del conns[cid]
         for conn in pending_conns:
             if not conn.closed and conns.get(conn.client_id) is not conn:
-                conn._fail("registration_closed",
-                           f"registration is closed: {expected} clients registered")
+                conn._fail("registration_closed", closed_message)
+        refuser = threading.Thread(target=_refuse_late,
+                                   args=(listener, stop_refusing, closed_message))
+        refuser.start()
 
         def fit(weights, round_idx, fit_ids):
-            payload = encode_round_config(round_idx, fold, config.seed,
-                                          config.local_epochs, config.batch_size,
-                                          config.local_lr, encode_weights(weights))
+            # built once; each selected client's frame is one join of these parts
+            parts = _blob_message(_ROUND_HEAD.pack(round_idx, fold, config.seed,
+                                                   config.local_epochs, config.batch_size,
+                                                   config.local_lr), _blob_parts(weights))
             for cid in fit_ids:
                 conns[cid].expected = MSG_FIT_RESULT
-                conns[cid].send(MSG_ROUND_CONFIG, payload)
-            del payload  # free the frame while the clients train
+                conns[cid].send(MSG_ROUND_CONFIG, *parts)
             fits = _collect(results, conns, "fit", set(fit_ids), config.round_timeout_s,
                             f"round {round_idx} fit")
             for cid in fit_ids:
@@ -564,10 +636,10 @@ def server_loop(
                                         conns[cid].num_examples, train_loss)
 
         def evaluate_clients(weights, round_idx, eval_ids):
-            payload = _pack_blob(encode_weights(weights))
+            parts = _blob_message(b"", _blob_parts(weights))
             for cid in eval_ids:
                 conns[cid].expected = MSG_EVAL_RESULT
-                conns[cid].send(MSG_EVAL_REQUEST, payload)
+                conns[cid].send(MSG_EVAL_REQUEST, *parts)
             evals = _collect(results, conns, "eval", set(eval_ids), config.round_timeout_s,
                              f"round {round_idx} eval")
             for cid in eval_ids:
@@ -589,6 +661,9 @@ def server_loop(
                 conn._fail("aborted", str(exc))
         raise
     finally:
+        stop_refusing.set()
+        if refuser is not None:
+            refuser.join()
         listener.close()
         for conn in pending_conns:
             conn.close()
@@ -611,29 +686,33 @@ def client_loop(
     count, then serves ROUND_CONFIG (local fine-tune) and EVAL_REQUEST
     (local test-set evaluation) until DONE.
     """
+    caps = _frame_caps(model_config)
+    max_len = max(caps[MSG_ROUND_CONFIG], caps[MSG_HELLO])  # an ERROR may be HELLO-sized
     sock = connect_with_retry(host, port)
     rfile = sock.makefile("rb")
     rounds_done = 0
     try:
         sock.sendall(frame_encode(MSG_HELLO, encode_hello(client_id, len(train_windows))))
         while True:
-            msg_type, payload = read_frame(rfile)
+            msg_type, payload = read_frame(rfile, max_len)
             if msg_type == MSG_ROUND_CONFIG:
                 (round_idx, fold, seed, local_epochs,
                  batch_size, local_lr, blob) = decode_round_config(payload)
                 weights = decode_weights(blob, model_config)
+                del payload, blob  # the frame's buffer goes before training
                 local = FedConfig(local_epochs=local_epochs, batch_size=batch_size,
                                   local_lr=local_lr, seed=seed)
                 update = client_fit(weights, train_windows, local, client_id,
                                     fold, round_idx)
-                sock.sendall(frame_encode(MSG_FIT_RESULT, encode_fit_result(
-                    update.train_loss, encode_weights(update.weights))))
+                sock.sendall(frame_encode(MSG_FIT_RESULT, *_blob_message(
+                    struct.pack("<d", update.train_loss), _blob_parts(update.weights))))
+                del update, weights  # before the next frame is read
                 rounds_done += 1
             elif msg_type == MSG_EVAL_REQUEST:
-                cur = _Cursor(payload)
-                weights = decode_weights(_read_blob(cur), model_config)
-                cur.done()
+                weights = decode_weights(_decode_blob_message(payload, "<")[0], model_config)
+                del payload  # the frame's buffer goes before evaluating
                 report = evaluate(weights, test_windows, client_id, label_names)
+                del weights
                 sock.sendall(frame_encode(MSG_EVAL_RESULT, encode_eval_result(report)))
             elif msg_type == MSG_DONE:
                 return rounds_done

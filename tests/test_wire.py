@@ -1,6 +1,7 @@
 """Wire format: framing, weight blobs, checkpoints, and the TCP loop."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import struct
 import threading
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +75,99 @@ def test_frame_encode_validates_type():
         W.frame_encode(0)
     with pytest.raises(ProtocolError):
         W.frame_encode(256)
+
+
+class ScriptedStream:
+    """A stream over ``data`` whose ``readinto`` returns at most ``step`` bytes
+    a call and fails the test if asked for anything past ``stop``."""
+
+    def __init__(self, data, step=None, stop=None):
+        self.data, self.pos = bytes(data), 0
+        self.step = step or len(self.data)
+        self.stop = len(self.data) if stop is None else stop
+
+    def readinto(self, buf):
+        assert self.pos < self.stop, f"read past byte {self.stop}"
+        n = min(len(buf), self.step, len(self.data) - self.pos)
+        buf[:n] = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return n
+
+
+def test_read_frame_checks_max_len_before_reading_the_body():
+    header = struct.pack("<I", 101)
+    with pytest.raises(ProtocolError, match="101 exceeds the 100 bytes"):
+        W.read_frame(ScriptedStream(header + bytes(101), stop=4), max_len=100)
+    # a callable limit is asked once the header is in, not before
+    stream = ScriptedStream(header + bytes(101), stop=4)
+    asked_at = []
+    with pytest.raises(ProtocolError, match="exceeds the 100 bytes"):
+        W.read_frame(stream, max_len=lambda: asked_at.append(stream.pos) or 100)
+    assert asked_at == [4]
+    msg_type, payload = W.read_frame(ScriptedStream(header + bytes(101)), max_len=101)
+    assert (msg_type, len(payload)) == (0, 100)
+
+
+TINY = ModelConfig(n_features=2, n_labels=1, transformers_layers=1, hidden_size=4,
+                   n_positions=2, n_heads=1, seed=0)
+
+
+def counting_weights(config):
+    """Element j of tensor i is (j % 251 - 125) / 8 + i: exact in float32 under any numpy."""
+    ws = WeightSet(config)
+    for i, (name, shape) in enumerate(parameter_shapes(config)):
+        values = (np.arange(int(np.prod(shape))) % 251 - 125) / 8 + i
+        ws.tensors[name] = Tensor(values.astype(np.float32).reshape(shape))
+    return ws
+
+
+def weight_frames(ws):
+    """The three frames that carry weights, as server and client build them."""
+    parts = W._blob_parts(ws)
+    return {
+        "ROUND_CONFIG": W.frame_encode(W.MSG_ROUND_CONFIG, *W._blob_message(
+            W._ROUND_HEAD.pack(2, 1, 2 ** 40 + 3, 5, 16, 2.5e-4), parts)),
+        "EVAL_REQUEST": W.frame_encode(W.MSG_EVAL_REQUEST, *W._blob_message(b"", parts)),
+        "FIT_RESULT": W.frame_encode(W.MSG_FIT_RESULT, *W._blob_message(
+            struct.pack("<d", 0.6931), parts)),
+    }
+
+
+def test_weight_frames_golden_bytes():
+    # Whole frames, length and type byte included. Computed with the
+    # concatenating encoders (encode_round_config, encode_fit_result,
+    # _pack_blob) that the one-join builder replaced; peers depend on them.
+    frames = weight_frames(counting_weights(TINY))
+    assert {k: (len(f), hashlib.sha256(f).hexdigest()) for k, f in frames.items()} == {
+        "ROUND_CONFIG": (1663, "f5a514ac0eb95ede5559e189a2c5dbc3c8585056272a9b847b28119a816428c4"),
+        "EVAL_REQUEST": (1631, "344bc3f7ed66f9e0556bd92978325154f276cf60f91f025ce6e89350ef2511b6"),
+        "FIT_RESULT": (1639, "2fda0b2f721439cb14445316345782d2006867483a426d203ad38de7856662bd"),
+    }
+    assert frames["ROUND_CONFIG"][:55].hex() == (
+        "7b060000" "02" "02000000" "01000000" "0300000000010000" "05000000" "10000000"
+        "fca9f1d24d62303f" "52060000" "0c00" "696e7075745f70726f6a2e77")
+
+
+def test_read_frame_rebuilds_a_weight_frame_from_three_byte_reads():
+    ws = counting_weights(TINY)
+    frame = weight_frames(ws)["ROUND_CONFIG"]
+    msg_type, payload = W.read_frame(ScriptedStream(frame, step=3))
+    assert W.frame_encode(msg_type, payload) == frame
+    assert W.decode_weights(W.decode_round_config(payload)[-1], TINY).equals_bitwise(ws)
+
+
+def test_frame_caps_are_the_longest_frames_a_peer_can_send():
+    ws = random_weights(MC, seed=1)
+    caps = W._frame_caps(MC)
+    for name, frame in weight_frames(ws).items():
+        if name != "EVAL_REQUEST":
+            assert caps[getattr(W, f"MSG_{name}")] == len(frame) - 4, name
+    longest = W.frame_encode(W.MSG_HELLO, W.encode_hello("x" * 0xFFFF, 2 ** 32 - 1))
+    assert caps[W.MSG_HELLO] == len(longest) - 4
+    names = [chr(ord("a") + i) * 0xFFFF for i in range(MC.n_labels)]
+    report = ClientReport.from_counts("s1", [ConfusionCounts(1, 1, 1, 1)] * MC.n_labels, names)
+    longest = W.frame_encode(W.MSG_EVAL_RESULT, W.encode_eval_result(report))
+    assert caps[W.MSG_EVAL_RESULT] == len(longest) - 4
 
 
 # ----------------------------------------------------------- weight blobs
@@ -200,9 +295,9 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     ws = random_weights(MC, seed=3)
     path = str(tmp_path / "model.ckpt")
     W.save_checkpoint(path, ws)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[4:6] = struct.pack("<H", 99)
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(raw)
     with pytest.raises(DecodeError, match="version 99"):
         W.load_checkpoint(path)
 
@@ -211,9 +306,9 @@ def test_checkpoint_detects_corrupted_weights(tmp_path):
     ws = random_weights(MC, seed=3)
     path = str(tmp_path / "model.ckpt")
     W.save_checkpoint(path, ws)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[-6] ^= 0xFF  # inside the weight bytes, before the trailing CRC
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(raw)
     with pytest.raises(DecodeError, match="checksum mismatch"):
         W.load_checkpoint(path)
 
@@ -227,7 +322,7 @@ def test_atomic_writes_ignore_a_stale_tmp_path(tmp_path):
     W.save_checkpoint(ckpt, ws)
     atomic_write_json(report, {"fold": 0})
     assert W.load_checkpoint(ckpt).equals_bitwise(ws)
-    assert json.load(open(report)) == {"fold": 0}
+    assert json.loads(Path(report).read_text()) == {"fold": 0}
     assert sorted(os.listdir(tmp_path)) == sorted(
         ["model.ckpt", "model.ckpt.tmp", "fold0.json", "fold0.json.tmp"])
 
@@ -243,7 +338,7 @@ def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
 
 def test_checkpoint_crc_covers_blob():
     blob = b"hello weights"
-    packed = W._pack_blob(blob)
+    packed = b"".join(W._blob_message(b"", [blob[:5], blob[5:]]))
     n = struct.unpack("<I", packed[:4])[0]
     assert n == len(blob)
     assert struct.unpack("<I", packed[-4:])[0] == zlib.crc32(blob)
@@ -263,8 +358,10 @@ def test_hello_round_trip():
 
 
 def test_round_config_round_trip():
-    blob = W.encode_weights(random_weights(MC, seed=5))
-    payload = W.encode_round_config(3, 1, 12345, 20, 64, 2.5e-4, blob)
+    ws = random_weights(MC, seed=5)
+    blob = W.encode_weights(ws)
+    payload = b"".join(W._blob_message(W._ROUND_HEAD.pack(3, 1, 12345, 20, 64, 2.5e-4),
+                                       W._blob_parts(ws)))
     r, f, s, ep, bs, lr, back = W.decode_round_config(payload)
     assert (r, f, s, ep, bs) == (3, 1, 12345, 20, 64)
     assert lr == 2.5e-4
@@ -272,10 +369,11 @@ def test_round_config_round_trip():
 
 
 def test_fit_result_round_trip():
-    blob = W.encode_weights(random_weights(MC, seed=6))
-    payload = W.encode_fit_result(0.6931, blob)
+    ws = random_weights(MC, seed=6)
+    blob = W.encode_weights(ws)
+    payload = b"".join(W._blob_message(struct.pack("<d", 0.6931), W._blob_parts(ws)))
     assert payload[:8] == struct.pack("<d", 0.6931)
-    assert payload[8:] == W._pack_blob(blob)
+    assert payload[8:] == struct.pack("<I", len(blob)) + blob + struct.pack("<I", zlib.crc32(blob))
     assert W.decode_fit_result(payload) == (0.6931, blob)
 
 
@@ -541,7 +639,8 @@ def echo_fit(rogue, rfile, client_id, num_examples):
     msg_type, payload = W.read_frame(rfile)
     assert msg_type == W.MSG_ROUND_CONFIG
     blob = W.decode_round_config(payload)[-1]
-    rogue.sendall(W.frame_encode(W.MSG_FIT_RESULT, W.encode_fit_result(0.0, blob)))
+    rogue.sendall(W.frame_encode(W.MSG_FIT_RESULT,
+                                 *W._blob_message(struct.pack("<d", 0.0), [blob])))
     assert W.read_frame(rfile)[0] == W.MSG_EVAL_REQUEST
 
 
@@ -697,6 +796,97 @@ def test_late_hello_is_refused_and_the_fold_completes():
     assert [c.subject_id for c in box["result"].final_report.clients] == [cid]
     # server_loop has joined every reader thread it started
     assert [t for t in threading.enumerate() if t not in threads_before] == []
+
+
+def wait_for_hello(events):
+    deadline = time.monotonic() + 10.0
+    while not any(e["event"] == "hello" for e in events):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+
+def read_refusal(port, say_hello):
+    """Connect after registration; the ERROR must come within 1 s."""
+    with rogue_peer(port) as (rogue, rfile):
+        rogue.settimeout(1.0)
+        if say_hello:
+            rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("late", 1)))
+        msg_type, payload = W.read_frame(rfile)
+        assert msg_type == W.MSG_ERROR
+        assert W.decode_error(payload)[0] == "registration_closed"
+
+
+def test_connection_after_registration_is_refused_at_once():
+    (cid, windows), = synthetic_clients(1).items()
+    cfg = FedConfig(rounds=3, min_available_clients=1, local_epochs=100,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    threads_before = threading.active_count()
+    events = []
+    port, server, box = serve_one_client(cfg, audit=events.append)
+    worker = threading.Thread(target=W.client_loop,
+                              args=("127.0.0.1", port, cid, MC, *windows))
+    worker.start()
+    wait_for_hello(events)
+    read_refusal(port, say_hello=False)
+    read_refusal(port, say_hello=True)
+    assert server.is_alive()  # refused while the fold runs, not when it ends
+    server.join(60.0)
+    worker.join(10.0)
+    assert not server.is_alive() and not worker.is_alive()
+    assert "error" not in box
+    assert threading.active_count() == threads_before
+
+
+def test_server_raising_mid_fold_leaves_no_thread_behind():
+    cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0, round_timeout_s=1.0)
+    threads_before = threading.active_count()
+    port, server, box = serve_one_client(cfg)
+    # a rogue peer registers, then never answers its ROUND_CONFIG
+    with rogue_peer(port) as (rogue, rfile):
+        rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("rogue", 1)))
+        assert W.read_frame(rfile)[0] == W.MSG_ROUND_CONFIG
+        read_refusal(port, say_hello=True)
+        server.join(30.0)
+    assert not server.is_alive()
+    assert isinstance(box["error"], ProtocolError)
+    assert threading.active_count() == threads_before
+
+
+def test_oversized_frame_before_hello_is_refused_unread():
+    (cid, windows), = synthetic_clients(1).items()
+    cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    port, server, box = serve_one_client(cfg)
+    with rogue_peer(port) as (rogue, rfile):
+        # a 1 GiB declaration with no body: the server must answer unread
+        rogue.sendall(struct.pack("<I", W.MAX_FRAME_LEN))
+        msg_type, payload = W.read_frame(rfile)
+        assert msg_type == W.MSG_ERROR
+        code, message = W.decode_error(payload)
+        assert code == "bad_message" and "exceeds" in message
+        assert rfile.read() == b""  # and the connection is dropped
+    # the fold goes on with a real client
+    W.client_loop("127.0.0.1", port, cid, MC, *windows)
+    server.join(30.0)
+    assert not server.is_alive()
+    assert "error" not in box
+
+
+def test_fit_result_longer_than_its_exact_size_is_refused():
+    cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    port, server, box = serve_one_client(cfg)
+    with rogue_peer(port) as (rogue, rfile):
+        rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("rogue", 1)))
+        assert W.read_frame(rfile)[0] == W.MSG_ROUND_CONFIG
+        rogue.sendall(struct.pack("<I", W._frame_caps(MC)[W.MSG_FIT_RESULT] + 1))
+        msg_type, payload = W.read_frame(rfile)
+        assert msg_type == W.MSG_ERROR
+        assert W.decode_error(payload)[0] == "bad_message"
+    server.join(30.0)
+    assert not server.is_alive()
+    assert "dropped" in str(box["error"])
 
 
 def test_collection_timeout_is_one_window():
