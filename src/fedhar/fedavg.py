@@ -125,7 +125,8 @@ def aggregate(updates: list[ClientUpdate]) -> WeightSet:
 
     Accumulation is float64 and the division happens once at the end, so
     identical inputs are a fixed point and a single client round-trips
-    bitwise.
+    bitwise. A NaN or infinite update raises ``AggregationError`` naming its
+    client and parameter, rather than poisoning the global model.
     """
     if not updates:
         raise AggregationError("aggregate needs at least one client update")
@@ -152,7 +153,11 @@ def aggregate(updates: list[ClientUpdate]) -> WeightSet:
     for name in names:
         acc = np.zeros(ref.weights[name].data.shape, dtype=np.float64)
         for u in ordered:
-            acc += float(u.num_examples) * u.weights[name].data.astype(np.float64)
+            data = u.weights[name].data
+            if not np.isfinite(data).all():
+                raise AggregationError(
+                    f"client {u.client_id} parameter {name} has non-finite values")
+            acc += float(u.num_examples) * data.astype(np.float64)
         out.tensors[name] = Tensor((acc / total).astype(np.float32), requires_grad=True)
     return out
 

@@ -22,6 +22,16 @@ own node, so there is no Tensor-node reference cycle. An op whose inputs
 all lack ``requires_grad`` builds no node, so a forward over no-grad
 weights keeps no graph at all.
 
+The elementwise chains of a training step (GELU and its VJP, attention's
+scale/bias/softmax/dropout chain, the dropout draw and Adam) run over
+blocks of about ``_BLOCK`` elements, so each chain's temporaries are a few
+cache-sized blocks, not whole arrays. Every element goes through the same
+numpy operations in the same order as the whole-array expressions, so the
+bits are theirs. Recomputing a cache-resident block costs less than
+storing and reloading a whole array, so GELU keeps only x and attention
+keeps its rows' max and sum; each VJP recomputes the rest per block. Adam
+updates its moments in place.
+
 Importing this module raises glibc's malloc trim and mmap thresholds; see
 ``_keep_freed_heap`` for why.
 """
@@ -239,6 +249,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+# Elements per block of an elementwise chain: small enough that the chain's
+# block temporaries stay in cache between its passes.
+_BLOCK = 1 << 15
+
+
+def _spans(n: int, step: int = _BLOCK):
+    """``(lo, hi)`` bounds covering ``range(n)`` in steps of ``step``."""
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.data.shape, b.data.shape
 
@@ -358,37 +379,59 @@ def relu(x: Tensor) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_tanh(xb: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """tanh(c * (x + 0.044715 * x**3)) of one block, into ``out``."""
+    np.multiply(xb, 0.044715, out=out)
+    out *= xb
+    out *= xb
+    out += xb
+    out *= _GELU_C
+    return np.tanh(out, out=out)
+
+
 def gelu(x: Tensor) -> Tensor:
     """GPT-2 style tanh-approximated GELU.
 
-    0.5 * x * (1 + tanh(c * (x + 0.044715 * x**3))), evaluated in place in
-    the same operation order as that expression, so the bits match it.
+    0.5 * x * (1 + tanh(c * (x + 0.044715 * x**3))), evaluated block by block
+    in the same operation order as that expression, so the bits match it.
+    The node keeps only x; its VJP recomputes the tanh per block.
     """
     xd = x.data
-    t = np.multiply(xd, 0.044715)
-    t *= xd
-    t *= xd
-    t += xd
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    data = np.multiply(xd, 0.5)
-    data *= np.add(t, 1.0)
+    flat = xd.reshape(-1)
+    data = np.empty(xd.shape, dtype=xd.dtype)
+    out = data.reshape(-1)
+    t = np.empty(min(flat.size, _BLOCK), dtype=xd.dtype)
+    for lo, hi in _spans(flat.size):
+        xb, tb, ob = flat[lo:hi], t[:hi - lo], out[lo:hi]
+        _gelu_tanh(xb, tb)
+        np.multiply(xb, 0.5, out=ob)
+        tb += 1.0
+        ob *= tb
 
     def vjp(g):
-        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t*t) * c * (1 + 3 * 0.044715 * x*x))
-        dinner = np.multiply(xd, 3.0 * 0.044715)
-        dinner *= xd
-        dinner += 1.0
-        dinner *= _GELU_C
-        tmp = np.multiply(t, t)
-        np.subtract(1.0, tmp, out=tmp)
-        dx = np.multiply(xd, 0.5)
-        dx *= tmp
-        dx *= dinner
-        np.add(t, 1.0, out=tmp)
-        tmp *= 0.5
-        dx += tmp
-        dx *= g
+        # g * (0.5 * x * (1 - t*t) * c * (1 + 3 * 0.044715 * x*x) + 0.5 * (1 + t))
+        flat, gf = xd.reshape(-1), g.reshape(-1)
+        dx = np.empty(xd.shape, dtype=xd.dtype)
+        out = dx.reshape(-1)
+        t = np.empty(min(flat.size, _BLOCK), dtype=xd.dtype)
+        tmp = np.empty_like(t)
+        for lo, hi in _spans(flat.size):
+            xb, db = flat[lo:hi], out[lo:hi]
+            tb = _gelu_tanh(xb, t[:hi - lo])
+            sb = np.multiply(tb, tb, out=tmp[:hi - lo])
+            np.subtract(1.0, sb, out=sb)
+            np.multiply(xb, 0.5, out=db)
+            db *= sb
+            # 1 - t*t is spent: the same block holds the inner derivative
+            np.multiply(xb, 3.0 * 0.044715, out=sb)
+            sb *= xb
+            sb += 1.0
+            sb *= _GELU_C
+            db *= sb
+            tb += 1.0
+            tb *= 0.5
+            db += tb
+            db *= gf[lo:hi]
         return (dx,)
 
     return _result(data, (x,), vjp)
@@ -430,24 +473,37 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result(data, (x, gain, bias), vjp)
 
 
-def _draw_dropout(x: np.ndarray, p: float, rng: np.random.Generator):
-    """Draw and apply a dropout mask: (dropped ``x``, bool mask, 1/(1-p) scale)."""
+def _keep_rate(p: float) -> float:
+    """1 - p for a dropout rate ``p`` in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
-    keep = 1.0 - p
-    kept = rng.random(x.shape) < keep
-    scale = x.dtype.type(1.0 / keep)
-    return _masked(x, kept, scale), kept, scale
+    return 1.0 - p
 
 
-def _masked(x: np.ndarray, kept: np.ndarray, scale) -> np.ndarray:
-    """``x`` scaled by ``scale`` with the dropped entries zeroed.
+def _masked(x: np.ndarray, kept: np.ndarray, scale, out: np.ndarray | None = None) -> np.ndarray:
+    """``x`` scaled by ``scale`` with the dropped entries zeroed, into ``out``.
 
     This gives the bits of a product with the scaled float mask wherever the
     scaled value is finite.
     """
-    out = np.multiply(x, scale)
+    out = np.multiply(x, scale, out=out)
     out *= kept
+    return out
+
+
+def _drop_into(x: np.ndarray, kept: np.ndarray, out: np.ndarray, keep: float, scale,
+               rng: np.random.Generator) -> np.ndarray:
+    """Draw ``kept = rng.random(x.shape) < keep`` and write the dropped ``x`` into ``out``.
+
+    ``kept`` and ``out`` are contiguous. The uniforms are drawn one block
+    at a time, in the stream order of one whole draw, so the mask is the
+    same without a float64 array of ``x``'s size.
+    """
+    xf, kf, of = x.reshape(-1), kept.reshape(-1), out.reshape(-1)
+    u = np.empty(min(xf.size, _BLOCK))
+    for lo, hi in _spans(xf.size):
+        np.less(rng.random(out=u[:hi - lo]), keep, out=kf[lo:hi])
+        _masked(xf[lo:hi], kf[lo:hi], scale, out=of[lo:hi])
     return out
 
 
@@ -458,8 +514,19 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """
     if p <= 0.0:
         return x
-    data, kept, scale = _draw_dropout(x.data, p, rng)
+    keep = _keep_rate(p)
+    scale = x.data.dtype.type(1.0 / keep)
+    kept = np.empty(x.data.shape, dtype=bool)
+    data = _drop_into(x.data, kept, np.empty(x.data.shape, dtype=x.data.dtype), keep, scale, rng)
     return _result(data, (x,), lambda g: (_masked(g, kept, scale),))
+
+
+def _scores(q, k, bias, scale, out: np.ndarray) -> np.ndarray:
+    """Scaled and biased attention scores of a block of batch entries, into ``out``."""
+    np.matmul(q, k.swapaxes(-1, -2), out=out)
+    out *= scale
+    out += bias
+    return out
 
 
 def causal_self_attention(
@@ -482,10 +549,13 @@ def causal_self_attention(
     position or the masked softmax degenerates.
 
     The qkv and output projections are ``linear`` ops; everything between
-    them is one graph node. It keeps the qkv array, the probabilities and
-    the bool dropout mask, and its VJP recomputes the dropped probabilities.
-    The softmax denominator and quotient are float64, cast back into the
-    probabilities' buffer chunk by chunk.
+    them is one graph node. It runs block by block over batch entries, about
+    ``_BLOCK`` scores at a time, so the [B, nh, T, T] probabilities never
+    exist whole. The node keeps the qkv array, the causal/pad bias (built
+    once per call), each row's max and float64 sum, and the bool dropout
+    mask. Its VJP recomputes each block's probabilities from those with the
+    forward's operations, so they have the forward's bits. The softmax
+    denominator and quotient are float64, cast back into the block.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"attention input must be [B, T, H], got {x.shape}")
@@ -498,6 +568,7 @@ def causal_self_attention(
         raise ShapeError(f"pad_mask shape {pad_mask.shape} != ({batch}, {seq})")
     head_dim = width // n_heads
     scale = 1.0 / math.sqrt(head_dim)
+    dtype = x.data.dtype
 
     qkv = linear(x, qkv_w, qkv_b)  # [B, T, 3H]
     # q, k and v as [B, nh, T, hd] views of qkv
@@ -506,44 +577,61 @@ def causal_self_attention(
     allowed = np.tril(np.ones((seq, seq), dtype=bool))[None, None, :, :]
     if pad_mask is not None:
         allowed = allowed & pad_mask.astype(bool)[:, None, None, :]
-    probs = q @ k.transpose(0, 1, 3, 2)  # [B, nh, T, T]
-    probs *= scale
-    probs += np.where(allowed, 0.0, -1e9).astype(x.data.dtype)
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    denom = probs.sum(axis=-1, keepdims=True, dtype=np.float64)
-    np.divide(probs, denom, out=probs, dtype=np.float64)
+    bias = np.broadcast_to(np.where(allowed, 0.0, -1e9).astype(dtype), (batch, 1, seq, seq))
     kept = keep_scale = None
     if dropout_p > 0.0 and rng is not None:
-        dropped, kept, keep_scale = _draw_dropout(probs, dropout_p, rng)
-    else:
-        dropped = probs
-    ctx = (dropped @ v).transpose(0, 2, 1, 3).reshape(batch, seq, width)
-    del dropped
+        keep = _keep_rate(dropout_p)
+        kept = np.empty((batch, n_heads, seq, seq), dtype=bool)
+        keep_scale = dtype.type(1.0 / keep)
+    # whole batch entries per block; an entry larger than a block is one block
+    per_block = max(1, _BLOCK // (n_heads * seq * seq))
+    spans = list(_spans(batch, per_block))
+    block_shape = (min(per_block, batch), n_heads, seq, seq)
+    row_max = np.empty((batch, n_heads, seq, 1), dtype=dtype)
+    row_sum = np.empty((batch, n_heads, seq, 1), dtype=np.float64)
+    ctx = np.empty((batch, seq, n_heads, head_dim), dtype=dtype)
+    probs_buf = np.empty(block_shape, dtype=dtype)
+    dropped_buf = None if kept is None else np.empty(block_shape, dtype=dtype)
+    for lo, hi in spans:
+        probs = _scores(q[lo:hi], k[lo:hi], bias[lo:hi], scale, probs_buf[:hi - lo])
+        probs -= np.max(probs, axis=-1, keepdims=True, out=row_max[lo:hi])
+        np.exp(probs, out=probs)
+        denom = np.sum(probs, axis=-1, keepdims=True, dtype=np.float64, out=row_sum[lo:hi])
+        np.divide(probs, denom, out=probs, dtype=np.float64)
+        if kept is not None:
+            probs = _drop_into(probs, kept[lo:hi], dropped_buf[:hi - lo], keep, keep_scale, rng)
+        ctx[lo:hi] = (probs @ v[lo:hi]).transpose(0, 2, 1, 3)
 
     def vjp(g):
         g = g.reshape(batch, seq, n_heads, head_dim).transpose(0, 2, 1, 3)
-        dropped = probs if kept is None else _masked(probs, kept, keep_scale)
-        gv = dropped.swapaxes(-1, -2) @ g
-        del dropped
-        gp = g @ v.swapaxes(-1, -2)
-        if kept is not None:
-            gp = _masked(gp, kept, keep_scale)
-        # softmax VJP: probs * (gp - rowsum(gp * probs)), then the score scale
-        gs = np.multiply(gp, probs)
-        dot = gs.sum(axis=-1, keepdims=True)
-        np.subtract(gp, dot, out=gs)
-        del gp
-        gs *= probs
-        gs *= scale
-        gq = gs @ k
-        gk = (q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
-        gqkv = np.zeros((batch, seq, 3, n_heads, head_dim), dtype=gs.dtype)
-        for i, gi in enumerate((gq, gk, gv)):
-            gqkv[:, :, i] += gi.transpose(0, 2, 1, 3)
+        gqkv = np.zeros((batch, seq, 3, n_heads, head_dim), dtype=g.dtype)
+        probs_buf = np.empty(block_shape, dtype=dtype)
+        gp_buf = np.empty(block_shape, dtype=g.dtype)
+        prod_buf = np.empty(block_shape, dtype=g.dtype)
+        for lo, hi in spans:
+            n, gb = hi - lo, g[lo:hi]
+            probs = _scores(q[lo:hi], k[lo:hi], bias[lo:hi], scale, probs_buf[:n])
+            probs -= row_max[lo:hi]
+            np.exp(probs, out=probs)
+            np.divide(probs, row_sum[lo:hi], out=probs, dtype=np.float64)
+            dropped = probs if kept is None else _masked(probs, kept[lo:hi], keep_scale,
+                                                         out=gp_buf[:n])
+            gqkv[lo:hi, :, 2] += (dropped.swapaxes(-1, -2) @ gb).transpose(0, 2, 1, 3)
+            gp = np.matmul(gb, v[lo:hi].swapaxes(-1, -2), out=gp_buf[:n])
+            if kept is not None:
+                _masked(gp, kept[lo:hi], keep_scale, out=gp)
+            # softmax VJP: probs * (gp - rowsum(gp * probs)), then the score
+            # scale, written over gp
+            gs = gp
+            gs -= np.multiply(gp, probs, out=prod_buf[:n]).sum(axis=-1, keepdims=True)
+            gs *= probs
+            gs *= scale
+            gqkv[lo:hi, :, 0] += (gs @ k[lo:hi]).transpose(0, 2, 1, 3)
+            gk = (q[lo:hi].swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+            gqkv[lo:hi, :, 1] += gk.transpose(0, 2, 1, 3)
         return (gqkv.reshape(batch, seq, 3 * width),)
 
-    return linear(_result(ctx, (qkv,), vjp), out_w, out_b)
+    return linear(_result(ctx.reshape(batch, seq, width), (qkv,), vjp), out_w, out_b)
 
 
 ADAM_BETA1 = 0.9
@@ -562,7 +650,13 @@ class Adam:
         self.states: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
 
     def step(self, params: dict[str, Tensor], lr: float) -> None:
-        """Update every parameter in place from its ``grad`` (None counts as zeros)."""
+        """Update every parameter from its ``grad`` (None counts as zeros).
+
+        The moments are updated in place, block by block, in the operation
+        order of the textbook expressions. Each new parameter is written
+        into a fresh array that ``p.data`` is then rebound to: the old array
+        is never written, since views of it may be held elsewhere.
+        """
         if lr <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -571,16 +665,35 @@ class Adam:
             if g.shape != p.data.shape:
                 raise ShapeError(
                     f"Adam {name}: grad shape {g.shape} != param shape {p.data.shape}")
-            # popped, so the old moments are freed as the new ones replace them
-            m, v, t = (self.states.pop(name, None)
-                       or (np.zeros_like(p.data), np.zeros_like(p.data), 0))
+            m, v, t = self.states.get(name) or (np.zeros(p.data.shape, dtype=p.data.dtype),
+                                                np.zeros(p.data.shape, dtype=p.data.dtype), 0)
             if m.shape != p.data.shape:
                 raise ShapeError(
                     f"Adam {name}: state shape {m.shape} != param shape {p.data.shape}")
             t += 1
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
-            mhat = m / (1.0 - b1 ** t)
-            vhat = v / (1.0 - b2 ** t)
-            p.data = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            new = np.empty(p.data.shape, dtype=p.data.dtype)
+            pf, gf, mf, vf, nf = (a.reshape(-1) for a in (p.data, g, m, v, new))
+            step_buf = np.empty(min(pf.size, _BLOCK), dtype=p.data.dtype)
+            denom_buf = np.empty_like(step_buf)
+            for lo, hi in _spans(pf.size):
+                gb, mb, vb = gf[lo:hi], mf[lo:hi], vf[lo:hi]
+                # m = b1 * m + (1 - b1) * g
+                step = np.multiply(gb, 1.0 - b1, out=step_buf[:hi - lo])
+                mb *= b1
+                mb += step
+                # v = b2 * v + (1 - b2) * (g * g)
+                np.multiply(gb, gb, out=step)
+                step *= 1.0 - b2
+                vb *= b2
+                vb += step
+                # p - lr * (m / c1) / (sqrt(v / c2) + eps)
+                np.divide(mb, c1, out=step)
+                step *= lr
+                denom = np.divide(vb, c2, out=denom_buf[:hi - lo])
+                np.sqrt(denom, out=denom)
+                denom += ADAM_EPS
+                step /= denom
+                np.subtract(pf[lo:hi], step, out=nf[lo:hi])
+            p.data = new
             self.states[name] = (m, v, t)

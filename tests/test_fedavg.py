@@ -5,7 +5,7 @@ import pytest
 
 import fedhar.data as D
 from fedhar.errors import (AggregationError, AvailabilityError, ConfigError)
-from fedhar.fedavg import (ClientUpdate, FedConfig, aggregate, client_fit,
+from fedhar.fedavg import (ClientUpdate, FedConfig, aggregate, client_fit, drive_fold,
                            run_fold, select_clients)
 from fedhar.model import ModelConfig, WeightSet, init_model, parameter_shapes
 from fedhar.tensor import Tensor
@@ -106,6 +106,27 @@ def test_aggregate_rejects_shape_mismatch():
     with pytest.raises(AggregationError, match="client z parameter"):
         aggregate([update("a", 1.0, 1),
                    ClientUpdate("z", weight_set(1.0, small), 1, 0.0)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_round_with_a_non_finite_update_fails_naming_client_and_parameter(bad):
+    """The round driver stops at a NaN or infinite update instead of averaging
+    it into the global model; nothing is aggregated."""
+    cfg = FedConfig(rounds=2, min_available_clients=1, local_epochs=1, seed=0)
+    name = parameter_shapes(MC)[3][0]
+
+    def fit(weights, round_idx, ids):
+        for cid in ids:
+            u = update(cid, 0.5, 2)
+            if cid == "b":
+                u.weights[name].data.reshape(-1)[1] = bad
+            yield cid, u
+
+    events = []
+    with pytest.raises(AggregationError, match=f"client b parameter {name} "):
+        drive_fold(0, {"a": 2, "b": 2, "c": 2}, fit, lambda *a: iter(()),
+                   init_model(MC), cfg, audit=events.append, eval_base=False)
+    assert [e["event"] for e in events] == ["broadcast"] + ["fit_result"] * 3
 
 
 # -------------------------------------------------------------- select

@@ -132,6 +132,39 @@ def test_graph_nodes_hold_arrays_not_tensors():
     assert leaves <= seen  # every weight is reached
 
 
+def test_attention_and_gelu_nodes_keep_no_derived_activations():
+    """Attention keeps row statistics, not its [B, nh, T, T] probabilities
+    (only the bool dropout mask is that size), and GELU keeps only x: both
+    VJPs recompute the rest."""
+    from fedhar.model import ModelConfig, forward, init_model
+    cfg = ModelConfig(n_features=3, n_labels=2, transformers_layers=2,
+                      hidden_size=8, n_positions=6, n_heads=2, dropout=0.1, seed=0)
+    B, nh, S = 3, cfg.n_heads, cfg.n_positions
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((B, S, 3)).astype(np.float32)
+    pad = np.ones((B, S), dtype=np.float32)
+    pad[1, 4:] = 0
+    y = forward(init_model(cfg), x, pad, train_mode=True, rng=rng)
+    seen, stack, kinds = set(), [y._node], {"attention": 0, "gelu": 0}
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or isinstance(node, Tensor):
+            continue
+        seen.add(id(node))
+        stack.extend(p for p in node.parents if p is not None)
+        name = node.vjp.__qualname__
+        arrays = [c.cell_contents for c in node.vjp.__closure__ or ()
+                  if isinstance(c.cell_contents, np.ndarray)]
+        if name.startswith("causal_self_attention."):
+            kinds["attention"] += 1
+            big = [a for a in arrays if a.shape == (B, nh, S, S)]
+            assert [a.dtype for a in big] == [np.bool_], name
+        elif name.startswith("gelu."):
+            kinds["gelu"] += 1
+            assert len(arrays) == 1 and arrays[0].shape == (B, S, 4 * cfg.hidden_size)
+    assert kinds == {"attention": 2, "gelu": 2}
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeError):
@@ -321,9 +354,22 @@ def _grad_of(op, x, g):
     return y.data, leaf.grad
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gelu_bitwise_equals_reference_expression(dtype):
-    xd, g = _probe_inputs(dtype, (4, 6, 33))
+def _dtypes_by_blocks(*one_block, three_blocks):
+    """float32 and float64 cases of one shape that fits one block (ids
+    "float32", "float64") and of one that spans three ("...-three-blocks")."""
+    return [pytest.param(dtype, *case, id=dtype.__name__ + suffix)
+            for case, suffix in ((one_block, ""), (three_blocks, "-three-blocks"))
+            for dtype in (np.float32, np.float64)]
+
+
+# 3 * 97 * 257 elements fill two elementwise blocks and part of a third
+ELEMENTWISE_CASES = _dtypes_by_blocks((4, 6, 33), three_blocks=((3, 97, 257),))
+
+
+@pytest.mark.parametrize("dtype, shape", ELEMENTWISE_CASES)
+def test_gelu_bitwise_equals_reference_expression(dtype, shape):
+    assert np.prod(shape) < T._BLOCK or np.prod(shape) > 2 * T._BLOCK
+    xd, g = _probe_inputs(dtype, shape)
     # the one-line forms gelu had before it was rewritten with in-place ufuncs
     c = math.sqrt(2.0 / math.pi)
     t = np.tanh(c * (xd + 0.044715 * xd * xd * xd))
@@ -336,9 +382,9 @@ def test_gelu_bitwise_equals_reference_expression(dtype):
     assert got_dx.tobytes() == want_dx.tobytes()
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_dropout_bitwise_equals_scaled_float_mask(dtype):
-    xd, g = _probe_inputs(dtype, (4, 6, 33))
+@pytest.mark.parametrize("dtype, shape", ELEMENTWISE_CASES)
+def test_dropout_bitwise_equals_scaled_float_mask(dtype, shape):
+    xd, g = _probe_inputs(dtype, shape)
     keep = 0.9
     kept = np.random.default_rng(5).random(xd.shape) < keep
     # the scaled float mask dropout kept before it stored a bool one
@@ -391,10 +437,13 @@ def _attention_reference(x, qkv_w, qkv_b, out_w, out_b, nh, pad, p, seed, gy):
             ctx.reshape(-1, H).T @ g2, gy.sum(axis=0).sum(axis=0))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_attention_bitwise_equals_reference_expression(dtype):
+# with S=40 and nh=2 a block holds 10 batch entries, so B=23 runs three
+# blocks, the last one short
+@pytest.mark.parametrize("dtype, B, S, H, nh",
+                         _dtypes_by_blocks(3, 7, 12, 3, three_blocks=(23, 40, 8, 2)))
+def test_attention_bitwise_equals_reference_expression(dtype, B, S, H, nh):
     rng = np.random.default_rng(17)
-    B, S, H, nh, p = 3, 7, 12, 3, 0.3
+    p = 0.3
     arrays = [rng.standard_normal(shape).astype(dtype)
               for shape in [(B, S, H), (H, 3 * H), (3 * H,), (H, H), (H,)]]
     gy = rng.standard_normal((B, S, H)).astype(dtype)
@@ -526,6 +575,35 @@ def test_adam_two_steps_match_reference_recurrence():
         v = 0.999 * v + 0.001 * g * g
         x = x - 0.01 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
     assert np.allclose(p.data, x, atol=1e-12)
+
+
+def test_adam_blocked_steps_equal_the_one_line_expressions_bitwise():
+    """Three steps on a parameter of three blocks; ``p.data`` is rebound to a
+    new array each step and the array it held is never written."""
+    rng = np.random.default_rng(18)
+    shape = (300, 257)
+    assert np.prod(shape) > 2 * T._BLOCK
+    x = rng.standard_normal(shape).astype(np.float32)
+    p = Tensor(x.copy(), requires_grad=True)
+    opt = T.Adam()
+    m = v = np.zeros(shape, dtype=np.float32)
+    for t in (1, 2, 3):
+        g = (rng.standard_normal(shape) * 10.0 ** (t - 2)).astype(np.float32)
+        g[0, :4] = [0.0, -0.0, 1e-30, 1e18]
+        old, old_bytes = p.data, p.data.tobytes()
+        p.grad = g
+        opt.step({"p": p}, lr=1e-3)
+        assert p.data is not old and old.tobytes() == old_bytes
+        # the expressions Adam.step evaluated before it was blocked
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * (g * g)
+        mhat = m / (1.0 - 0.9 ** t)
+        vhat = v / (1.0 - 0.999 ** t)
+        x = x - 1e-3 * mhat / (np.sqrt(vhat) + 1e-8)
+        assert p.data.dtype == np.float32
+        assert p.data.tobytes() == x.tobytes(), t
+        om, ov, ot = opt.states["p"]
+        assert ot == t and om.tobytes() == m.tobytes() and ov.tobytes() == v.tobytes()
 
 
 def test_adam_rejects_bad_lr_and_shape():

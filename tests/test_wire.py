@@ -17,7 +17,7 @@ import pytest
 
 import fedhar.data as D
 import fedhar.wire as W
-from fedhar.errors import (AvailabilityError, DecodeError, ProtocolError,
+from fedhar.errors import (AggregationError, AvailabilityError, DecodeError, ProtocolError,
                            ShapeError)
 from fedhar.fedavg import FedConfig, run_fold
 from fedhar.metrics import ClientReport, ConfusionCounts
@@ -699,6 +699,30 @@ def test_fit_result_is_weighted_by_the_hello_count():
     assert "error" not in box
     fits = [e for e in events if e["event"] == "fit_result"]
     assert [(e["client_id"], e["num_examples"]) for e in fits] == [("rogue", 7)]
+
+
+def test_nan_fit_result_aborts_the_fold_naming_client_and_parameter():
+    cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    port, server, box = serve_one_client(cfg)
+    name = parameter_shapes(MC)[-1][0]
+    with rogue_peer(port) as (rogue, rfile):
+        rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("rogue", 1)))
+        msg_type, payload = W.read_frame(rfile)
+        assert msg_type == W.MSG_ROUND_CONFIG
+        weights = W.decode_weights(W.decode_round_config(payload)[-1], MC)
+        weights[name].data[0] = np.nan
+        blob = W.encode_weights(weights)
+        rogue.sendall(W.frame_encode(W.MSG_FIT_RESULT,
+                                     *W._blob_message(struct.pack("<d", 0.0), [blob])))
+        msg_type, payload = W.read_frame(rfile)
+        assert msg_type == W.MSG_ERROR
+        code, message = W.decode_error(payload)
+        assert code == "aborted" and f"client rogue parameter {name} " in message
+    server.join(30.0)
+    assert not server.is_alive()
+    assert isinstance(box["error"], AggregationError)
+    assert f"client rogue parameter {name} " in str(box["error"])
 
 
 def test_duplicate_hello_leaves_the_registered_client_in_place():
