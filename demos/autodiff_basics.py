@@ -5,15 +5,24 @@ import numpy as np
 import fedhar.tensor as T
 from fedhar.tensor import Tensor, backward
 
-# a small expression: z = sum(tanh(x @ w + b) * y)
+# a tiny tanh classifier on two samples, scored by the training loss: the
+# weighted cross-entropy on p = (1 + tanh(x @ w + b)) / 2, one graph node.
+# Sample 0 is a positive with weight 2, sample 1 a negative with weight 1.
 x = Tensor(np.array([[1.0, -2.0], [0.5, 0.25]]), requires_grad=True)
 w = Tensor(np.array([[0.3], [-0.7]]), requires_grad=True)
 b = Tensor(np.array([0.1]), requires_grad=True)
-y = Tensor(np.array([[2.0], [-1.0]]))
+coef_pos = np.array([[2.0], [0.0]])
+coef_neg = np.array([[0.0], [1.0]])
 
-z = T.sum64(T.mul(T.tanh(T.linear(x, w, b)), y))
+
+def loss() -> Tensor:
+    y = T.tanh(T.linear(x, w, b))
+    return T.weighted_bce(y, coef_pos, coef_neg, 3.0, 1e-7)
+
+
+z = loss()
 backward(z)
-print("z          =", z.data.item())
+print("z          =", z.item())
 print("dz/dw      =", w.grad.ravel())
 print("dz/db      =", b.grad.ravel())
 
@@ -22,19 +31,18 @@ h = 1e-6
 fd = []
 for i in range(2):
     w.data[i, 0] += h
-    up = T.sum64(T.mul(T.tanh(T.linear(x, w, b)), y)).data.item()
+    up = loss().item()
     w.data[i, 0] -= 2 * h
-    down = T.sum64(T.mul(T.tanh(T.linear(x, w, b)), y)).data.item()
+    down = loss().item()
     w.data[i, 0] += h
     fd.append((up - down) / (2 * h))
 print("dz/dw (fd) =", np.array(fd))
 
 # gradients accumulate until cleared: two backward passes double them
 x.grad = None
-z2 = T.sum64(T.mul(x, x))
-backward(z2)
+backward(z)
 once = x.grad.copy()
-backward(z2)
+backward(z)
 print("accumulation: second backward doubles the gradient:",
       np.allclose(x.grad, 2 * once))
 

@@ -263,7 +263,8 @@ def masked_weighted_loss(y: Tensor, targets, label_mask, pos_weight) -> Tensor:
          / sum(mask * (pos_weight*t + (1-t)))
 
     p is clamped to [1e-7, 1 - 1e-7]. targets/mask are {0,1} constants of
-    y's shape; pos_weight is a per-label vector broadcast over [B, T, L].
+    y's shape; pos_weight is a per-label vector of finite positive weights
+    broadcast over [B, T, L]. The loss is one graph node, ``T.weighted_bce``.
     """
     t = np.asarray(targets, dtype=np.float64)
     m = np.asarray(label_mask, dtype=np.float64)
@@ -274,6 +275,8 @@ def masked_weighted_loss(y: Tensor, targets, label_mask, pos_weight) -> Tensor:
     if pw.shape != (y.data.shape[-1],):
         raise ShapeError(
             f"pos_weight shape {pw.shape} != ({y.data.shape[-1]},)")
+    if not (np.isfinite(pw).all() and (pw > 0.0).all()):
+        raise ConfigError(f"pos_weight entries must be finite and > 0, got {pw}")
     if not m.any():
         raise DegenerateBatchError("loss over a fully masked batch is undefined")
 
@@ -281,8 +284,4 @@ def masked_weighted_loss(y: Tensor, targets, label_mask, pos_weight) -> Tensor:
     coef_neg = ((1.0 - t) * m).astype(y.data.dtype)
     denom = float((m * (pw * t + (1.0 - t))).sum())
 
-    p = T.clamp(T.mul_scalar(T.add_scalar(y, 1.0), 0.5), P_CLAMP, 1.0 - P_CLAMP)
-    one_minus_p = T.add_scalar(T.neg(p), 1.0)
-    total = T.add(T.sum64(T.mul_const(T.log(p), coef_pos)),
-                  T.sum64(T.mul_const(T.log(one_minus_p), coef_neg)))
-    return T.mul_scalar(total, -1.0 / denom)
+    return T.weighted_bce(y, coef_pos, coef_neg, denom, P_CLAMP)

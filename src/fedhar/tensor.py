@@ -3,15 +3,16 @@
 numpy-backed, CPU only. Parameters and activations are float32, but every
 op is dtype-generic: feeding float64 leaves runs the identical graph in
 64-bit, which is the evaluation path the finite-difference checks use.
-Loss-level reductions (``sum64``) accumulate in float64 regardless of the
-graph dtype so repeated runs compare stably.
 
 ``linear`` is the op for weight projections (``x @ w + b`` with a 2-D
 weight): it runs each of the forward product and both gradients as one 2-D
-GEMM over the flattened rows of ``x``. Between its two ``linear``
-projections, ``causal_self_attention`` is one node with a hand-written VJP:
-the score and context products, the masked softmax and the attention
-dropout.
+GEMM over the flattened rows of ``x``. Two ops are whole sub-graphs in one
+node with a hand-written VJP. Between its two ``linear`` projections,
+``causal_self_attention`` does the score and context products, the masked
+softmax and the attention dropout. ``weighted_bce`` is the training loss on
+the tanh head: the clip, both logs, the two weighted sums and the
+normalisation. Its sums accumulate in float64 regardless of the graph
+dtype, so repeated runs compare stably.
 
 The backward graph holds only the arrays its VJPs read. An op output that
 a gradient can reach points to a ``_Node``: its inputs' nodes plus a VJP
@@ -50,23 +51,17 @@ __all__ = [
     "Tensor",
     "backward",
     "add",
-    "add_scalar",
     "sub",
-    "neg",
     "mul",
-    "mul_scalar",
-    "mul_const",
     "linear",
     "narrow0",
-    "sum64",
-    "log",
     "tanh",
     "gelu",
-    "clamp",
     "relu",
     "layer_norm",
     "dropout",
     "causal_self_attention",
+    "weighted_bce",
     "Adam",
 ]
 
@@ -158,23 +153,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
-
-    # operator sugar; scalars go through the *_scalar ops
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else add_scalar(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else mul_scalar(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else add_scalar(self, -other)
 
 
 def _graph_ref(t: Tensor):
@@ -278,10 +256,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data - b.data, (a, b), vjp)
 
 
-def neg(x: Tensor) -> Tensor:
-    return _result(-x.data, (x,), lambda g: (-g,))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
@@ -289,26 +263,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return _result(ad * bd, (a, b), vjp)
-
-
-def add_scalar(x: Tensor, s: float) -> Tensor:
-    return _result(x.data + float(s), (x,), lambda g: (g,))
-
-
-def mul_scalar(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-    return _result(x.data * s, (x,), lambda g: (g * s,))
-
-
-def mul_const(x: Tensor, c: np.ndarray) -> Tensor:
-    """Multiply by a constant array (no gradient through ``c``)."""
-    c = np.asarray(c, dtype=x.data.dtype)
-    shape = x.data.shape
-
-    def vjp(g):
-        return (_unbroadcast(g * c, shape),)
-
-    return _result(x.data * c, (x,), vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -349,21 +303,6 @@ def narrow0(x: Tensor, size: int) -> Tensor:
         return (full,)
 
     return _result(x.data[:size], (x,), vjp)
-
-
-def sum64(x: Tensor) -> Tensor:
-    """Sum every element, accumulating in float64. Result is a float64 scalar."""
-    shape, dtype = x.data.shape, x.data.dtype
-
-    def vjp(g):
-        return (np.full(shape, float(g), dtype=dtype),)
-
-    return _result(np.asarray(x.data.sum(dtype=np.float64)), (x,), vjp)
-
-
-def log(x: Tensor) -> Tensor:
-    xd = x.data
-    return _result(np.log(xd), (x,), lambda g: (g / xd,))
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -437,12 +376,6 @@ def gelu(x: Tensor) -> Tensor:
     return _result(data, (x,), vjp)
 
 
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip to [lo, hi]; gradient flows only strictly inside the range."""
-    inside = (x.data > lo) & (x.data < hi)
-    return _result(np.clip(x.data, lo, hi), (x,), lambda g: (g * inside,))
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     width = x.data.shape[-1]
@@ -473,10 +406,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result(data, (x, gain, bias), vjp)
 
 
-def _keep_rate(p: float) -> float:
-    """1 - p for a dropout rate ``p`` in (0, 1)."""
+def _keep_rate(p: float, rng) -> float:
+    """1 - p for a dropout rate ``p`` in (0, 1); the mask needs an ``rng``."""
     if not 0.0 < p < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
+    if rng is None:
+        raise ConfigError(f"dropout at rate {p} needs an rng")
     return 1.0 - p
 
 
@@ -514,7 +449,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """
     if p <= 0.0:
         return x
-    keep = _keep_rate(p)
+    keep = _keep_rate(p, rng)
     scale = x.data.dtype.type(1.0 / keep)
     kept = np.empty(x.data.shape, dtype=bool)
     data = _drop_into(x.data, kept, np.empty(x.data.shape, dtype=x.data.dtype), keep, scale, rng)
@@ -546,7 +481,7 @@ def causal_self_attention(
     ``pad_mask`` is a constant {0,1} array of shape [B, T]; padded positions
     receive zero attention weight from every query. Scores are scaled by
     sqrt(H / n_heads). Every sequence must contain at least one real
-    position or the masked softmax degenerates.
+    position or the masked softmax degenerates. ``dropout_p`` > 0 needs ``rng``.
 
     The qkv and output projections are ``linear`` ops; everything between
     them is one graph node. It runs block by block over batch entries, about
@@ -579,8 +514,8 @@ def causal_self_attention(
         allowed = allowed & pad_mask.astype(bool)[:, None, None, :]
     bias = np.broadcast_to(np.where(allowed, 0.0, -1e9).astype(dtype), (batch, 1, seq, seq))
     kept = keep_scale = None
-    if dropout_p > 0.0 and rng is not None:
-        keep = _keep_rate(dropout_p)
+    if dropout_p > 0.0:
+        keep = _keep_rate(dropout_p, rng)
         kept = np.empty((batch, n_heads, seq, seq), dtype=bool)
         keep_scale = dtype.type(1.0 / keep)
     # whole batch entries per block; an entry larger than a block is one block
@@ -632,6 +567,36 @@ def causal_self_attention(
         return (gqkv.reshape(batch, seq, 3 * width),)
 
     return linear(_result(ctx.reshape(batch, seq, width), (qkv,), vjp), out_w, out_b)
+
+
+def weighted_bce(y: Tensor, coef_pos: np.ndarray, coef_neg: np.ndarray, denom: float,
+                 p_clamp: float) -> Tensor:
+    """-(sum(coef_pos * log p) + sum(coef_neg * log(1 - p))) / denom as one node.
+
+    p is (y + 1) / 2 clipped to [p_clamp, 1 - p_clamp]; y gets no gradient
+    where the clip is active. The coefficients are constants of y's shape.
+    Both sums accumulate in float64, so the loss is a float64 scalar. The
+    node keeps y, which the tanh node that makes it keeps too; its VJP
+    recomputes p, 1 - p and the inside-clip mask from y.
+    """
+    yd, dtype = y.data, y.data.dtype
+    coef_pos, coef_neg = (np.asarray(c, dtype=dtype) for c in (coef_pos, coef_neg))
+    if coef_pos.shape != yd.shape or coef_neg.shape != yd.shape:
+        raise ShapeError(f"weighted_bce: coefficients {coef_pos.shape}, {coef_neg.shape} "
+                         f"!= y {yd.shape}")
+    lo, hi, scale = p_clamp, 1.0 - p_clamp, -1.0 / denom
+    p = np.clip((yd + 1.0) * 0.5, lo, hi)
+    total = (np.log(p) * coef_pos).sum(dtype=np.float64) \
+        + (np.log(-p + 1.0) * coef_neg).sum(dtype=np.float64)
+
+    def vjp(g):
+        half = (yd + 1.0) * 0.5
+        p = np.clip(half, lo, hi)
+        g = np.full(yd.shape, float(g * scale), dtype=dtype)
+        gp = g * coef_pos / p + -(g * coef_neg / (-p + 1.0))
+        return (gp * ((half > lo) & (half < hi)) * 0.5,)
+
+    return _result(np.asarray(total * scale), (y,), vjp)
 
 
 ADAM_BETA1 = 0.9

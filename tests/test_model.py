@@ -237,6 +237,16 @@ def test_loss_shape_validation():
                              _ones_pw(3))
 
 
+@pytest.mark.parametrize("pos_weight", [[0.0, 0.0], [-1.0, 1.0], [np.nan, 1.0],
+                                        [1.0, np.inf], [1.0, -np.inf]],
+                         ids=["zero", "negative", "nan", "inf", "-inf"])
+def test_loss_rejects_pos_weight_not_finite_and_positive(pos_weight):
+    # with all-positive targets [0, 0] and [-1, 1] make the denominator 0
+    y = Tensor(np.zeros((1, 2, 2)))
+    with pytest.raises(ConfigError, match="pos_weight"):
+        masked_weighted_loss(y, np.ones((1, 2, 2)), np.ones((1, 2, 2)), np.array(pos_weight))
+
+
 def test_loss_gradient_direction():
     # positive target, y slightly negative: gradient must push y up
     y = Tensor(np.array([[[-0.2]]]), requires_grad=True)

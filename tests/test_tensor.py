@@ -45,12 +45,27 @@ def check_grad(build, shapes, seed, h=1e-6, tol=1e-7):
         assert err < tol, f"leaf {i}: rel err {err}"
 
 
+def probe(x, weight=None):
+    """sum(x), or sum(weight * x) for a constant ``weight`` of x's shape, as
+    a float64 scalar with a gradient: the scalar these tests backpropagate
+    from. Built on ``T._result`` like the library's ops; its VJP puts the
+    upstream gradient (times ``weight``) at every element of x."""
+    xd = x.data
+    w = None if weight is None else np.asarray(weight, dtype=xd.dtype)
+
+    def vjp(g):
+        full = np.full(xd.shape, float(g), dtype=xd.dtype)
+        return (full if w is None else full * w,)
+
+    return T._result(np.asarray((xd if w is None else xd * w).sum(dtype=np.float64)), (x,), vjp)
+
+
 # --------------------------------------------------------------- basics
 
 def test_add_broadcast_gradient_sums_over_batch():
     a = Tensor(np.ones((3, 2)), requires_grad=True)
     b = Tensor(np.zeros(2), requires_grad=True)
-    backward(T.sum64(T.add(a, b)))
+    backward(probe(T.add(a, b)))
     assert np.array_equal(a.grad, np.ones((3, 2)))
     assert np.array_equal(b.grad, [3.0, 3.0])  # broadcast axis reduced
 
@@ -66,10 +81,10 @@ def test_chain_gradients_accumulate():
 
 def test_backward_twice_doubles_leaf_grads():
     x = Tensor(np.array([2.0]), requires_grad=True)
-    loss = T.sum64(T.mul(x, x))
+    loss = probe(T.mul(x, x))
     backward(loss)
     first = x.grad.copy()
-    loss2 = T.sum64(T.mul(x, x))
+    loss2 = probe(T.mul(x, x))
     backward(loss2)
     assert np.allclose(x.grad, 2 * first)
 
@@ -80,7 +95,7 @@ def test_backward_twice_on_one_graph_doubles_leaf_grads():
     x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
     w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
-    loss = T.sum64(T.tanh(T.linear(x, w, b)))
+    loss = probe(T.tanh(T.linear(x, w, b)))
     backward(loss)
     first = [t.grad.copy() for t in (x, w, b)]
     backward(loss)
@@ -92,10 +107,11 @@ def test_op_on_no_grad_inputs_builds_no_node():
     a = Tensor(np.ones((2, 3)))
     w = Tensor(np.ones((3, 2)))
     for out in (T.add(a, a), T.linear(a, w, Tensor(np.zeros(2))),
-                T.dropout(a, 0.5, np.random.default_rng(0)), T.sum64(a)):
+                T.dropout(a, 0.5, np.random.default_rng(0)),
+                T.weighted_bce(T.tanh(a), a.data, a.data, 1.0, 1e-7)):
         assert not out.requires_grad
         assert out._node is None
-    backward(T.sum64(a))  # nothing to push into
+    backward(T.weighted_bce(a, a.data, a.data, 1.0, 1e-7))  # nothing to push into
     assert a.grad is None
 
 
@@ -128,7 +144,7 @@ def test_graph_nodes_hold_arrays_not_tensors():
         for cell in node.vjp.__closure__ or ():
             assert not isinstance(cell.cell_contents, Tensor), node.vjp.__qualname__
         stack.extend(p for p in node.parents if p is not None)
-    assert nodes == 43  # 11 per block, 8 around the blocks, 13 in the loss
+    assert nodes == 31  # 11 per block, 8 around the blocks, 1 in the loss
     assert leaves <= seen  # every weight is reached
 
 
@@ -174,31 +190,26 @@ def test_backward_requires_scalar():
 def test_no_requires_grad_means_no_grad():
     x = Tensor(np.ones(2))
     y = Tensor(np.ones(2), requires_grad=True)
-    backward(T.sum64(T.mul(x, y)))
+    backward(probe(T.mul(x, y)))
     assert x.grad is None
     assert np.array_equal(y.grad, [1.0, 1.0])
 
 
-def test_sum64_accumulates_in_float64():
-    # one huge term + many small ones: a float32 running sum drops them all
-    x = np.ones(1025, dtype=np.float32)
-    x[0] = 2.0 ** 24
-    total = T.sum64(Tensor(x))
-    assert total.data.dtype == np.float64
-    assert total.item() == 2.0 ** 24 + 1024.0
+def test_loss_accumulates_in_float64():
+    # one huge term + many small ones: a float32 running sum drops them all.
+    # At y = 0 every cell's term is coef * log(0.5), with log(0.5) in float32;
+    # every partial sum of these is exact in float64.
+    y = np.zeros(1025, dtype=np.float32)
+    coef = np.ones(1025, dtype=np.float32)
+    coef[0] = 2.0 ** 25
+    loss = T.weighted_bce(Tensor(y), coef, np.zeros_like(coef), 1.0, 1e-7)
+    log_half = np.log(np.float32(0.5))
+    assert loss.data.dtype == np.float64
+    assert loss.item() == -(2.0 ** 25 + 1024.0) * float(log_half)
     running = np.float32(0.0)
-    for v in x:
-        running += v
-    assert running == 2.0 ** 24  # the naive f32 path really does lose them
-
-
-def test_operator_sugar_matches_functions():
-    a = Tensor(np.array([1.0, -2.0]))
-    b = Tensor(np.array([3.0, 5.0]))
-    assert np.array_equal((a + b).data, T.add(a, b).data)
-    assert np.array_equal((a - b).data, T.sub(a, b).data)
-    assert np.array_equal((a * b).data, T.mul(a, b).data)
-    assert np.array_equal((-a).data, T.neg(a).data)
+    for c in coef:
+        running += c * log_half
+    assert running == 2.0 ** 25 * log_half  # the naive f32 path really does lose them
 
 
 # ------------------------------------------------------- known values
@@ -222,9 +233,20 @@ def test_layer_norm_gain_bias_applied():
 
 def test_tanh_log_clamp_values():
     assert np.allclose(T.tanh(Tensor(np.array([0.0]))).data, [0.0])
-    assert np.allclose(T.log(Tensor(np.array([np.e]))).data, [1.0])
-    c = T.clamp(Tensor(np.array([-2.0, 0.5, 2.0])), 0.0, 1.0)
-    assert np.array_equal(c.data, [0.0, 0.5, 1.0])
+
+    def loss(y, coef_pos, coef_neg, denom=1.0):
+        return T.weighted_bce(Tensor(np.array(y)), np.array(coef_pos),
+                              np.array(coef_neg), denom, 1e-7).item()
+    # p = 1/2 on either side: ln 2 per unit of weight
+    assert loss([0.0], [1.0], [0.0]) == pytest.approx(math.log(2.0), rel=1e-15)
+    assert loss([0.0, 0.0], [3.0, 0.0], [0.0, 1.0], 4.0) == pytest.approx(math.log(2.0),
+                                                                        rel=1e-15)
+    # p = 0.9 and 1 - p = 0.8, the logs of the clipped p and 1 - p
+    assert loss([0.8, -0.6], [2.0, 0.0], [0.0, 1.0], 3.0) == pytest.approx(
+        (2.0 * -math.log(0.9) - math.log(0.8)) / 3.0, rel=1e-14)
+    # saturated outputs clip to p_clamp and 1 - p_clamp instead of log(0)
+    assert loss([-1.0, 1.0, -2.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0], 3.0) == pytest.approx(
+        -math.log(1e-7), rel=1e-9)
 
 
 def test_gelu_matches_reference_formula():
@@ -236,14 +258,16 @@ def test_gelu_matches_reference_formula():
 
 def test_relu_zero_gradient_in_negative_half():
     x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
-    backward(T.sum64(T.relu(x)))
+    backward(probe(T.relu(x)))
     assert np.array_equal(x.grad, [0.0, 1.0])
 
 
 def test_clamp_gradient_zero_outside_range():
-    x = Tensor(np.array([-2.0, 0.5, 2.0]), requires_grad=True)
-    backward(T.sum64(T.clamp(x, 0.0, 1.0)))
-    assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
+    """Saturated cells, where the loss clips p, get exactly zero gradient;
+    the others get d/dy of -(log p) / denom = -1 / (2 p denom)."""
+    y = Tensor(np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), requires_grad=True)
+    backward(T.weighted_bce(y, np.ones(5), np.zeros(5), 1.0, 0.1))
+    assert np.array_equal(y.grad, [0.0, 0.0, -1.0, 0.0, 0.0])
 
 
 # ------------------------------------------------- finite differences
@@ -252,33 +276,34 @@ def test_clamp_gradient_zero_outside_range():
 def test_grad_linear(x_shape):
     def build(x, w, b):
         y = T.linear(x, w, b)
-        return T.sum64(T.mul(y, y))
+        return probe(T.mul(y, y))
     check_grad(build, [x_shape, (4, 5), (5,)], seed=len(x_shape))
 
 
 def test_grad_mul_add_neg():
-    check_grad(lambda a, b: T.sum64(T.mul(T.add(a, T.neg(b)), a)),
+    check_grad(lambda a, b: probe(T.mul(T.sub(a, b), a)),
                [(5,), (5,)], seed=2)
 
 
 def test_grad_tanh():
-    check_grad(lambda x: T.sum64(T.tanh(x)), [(7,)], seed=3)
+    check_grad(lambda x: probe(T.tanh(x)), [(7,)], seed=3)
 
 
 def test_grad_gelu():
-    check_grad(lambda x: T.sum64(T.gelu(x)), [(9,)], seed=4)
+    check_grad(lambda x: probe(T.gelu(x)), [(9,)], seed=4)
 
 
-def test_grad_log():
+def test_grad_weighted_bce():
+    """The loss node through tanh, against finite differences in float64."""
     rng = np.random.default_rng(5)
-    a = rng.uniform(0.5, 2.0, 6)
-    x = Tensor(a.copy(), requires_grad=True)
-    backward(T.sum64(T.log(x)))
-    assert np.allclose(x.grad, 1.0 / a, atol=1e-12)
+    coef_pos = rng.uniform(0.0, 3.0, (2, 3, 4)) * (rng.random((2, 3, 4)) < 0.5)
+    coef_neg = (coef_pos == 0) * rng.uniform(0.0, 1.0, (2, 3, 4))
+    check_grad(lambda z: T.weighted_bce(T.tanh(z), coef_pos, coef_neg, 7.5, 1e-7),
+               [(2, 3, 4)], seed=5)
 
 
 def test_grad_layer_norm():
-    check_grad(lambda x, g, b: T.sum64(T.mul(T.layer_norm(x, g, b), x)),
+    check_grad(lambda x, g, b: probe(T.mul(T.layer_norm(x, g, b), x)),
                [(3, 6), (6,), (6,)], seed=7, tol=1e-6)
 
 
@@ -294,7 +319,7 @@ def test_grad_attention_full_stack(padded, dropout_p):
         y = T.causal_self_attention(x, qkv_w, qkv_b, out_w, out_b, n_heads=nh,
                                     pad_mask=pad, dropout_p=dropout_p,
                                     rng=np.random.default_rng(9))
-        return T.sum64(T.mul(y, y))
+        return probe(T.mul(y, y))
     check_grad(build, [(2, 4, H), (H, 3 * H), (3 * H,), (H, H), (H,)],
                seed=9, tol=1e-5)
 
@@ -318,7 +343,7 @@ def test_linear_input_without_requires_grad_gets_no_gradient():
     x = Tensor(rng.standard_normal((2, 3, 4)))
     w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     b = Tensor(rng.standard_normal(2), requires_grad=True)
-    backward(T.sum64(T.linear(x, w, b)))
+    backward(probe(T.linear(x, w, b)))
     assert x.grad is None
     assert np.allclose(w.grad, x.data.reshape(-1, 4).sum(axis=0)[:, None] * np.ones(2))
     assert np.array_equal(b.grad, [6.0, 6.0])
@@ -350,7 +375,7 @@ def _grad_of(op, x, g):
     """d/dx sum(g * op(x)), which is op's VJP applied to g."""
     leaf = Tensor(x.copy(), requires_grad=True)
     y = op(leaf)
-    backward(T.sum64(T.mul_const(y, g)))
+    backward(probe(y, g))
     return y.data, leaf.grad
 
 
@@ -453,12 +478,70 @@ def test_attention_bitwise_equals_reference_expression(dtype, B, S, H, nh):
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     y = T.causal_self_attention(*leaves, n_heads=nh, pad_mask=pad, dropout_p=p,
                                 rng=np.random.default_rng(5))
-    backward(T.sum64(T.mul_const(y, gy)))
+    backward(probe(y, gy))
     want = _attention_reference(*arrays, nh, pad, p, 5, gy)
     got = [y.data] + [leaf.grad for leaf in leaves]
     for name, g, w in zip(["y", "x", "qkv_w", "qkv_b", "out_w", "out_b"], got, want):
         assert g.dtype == w.dtype == dtype, name
         assert g.tobytes() == w.tobytes(), name
+
+
+def _loss_reference(z, targets, mask, pos_weight):
+    """masked_weighted_loss of tanh(z) and its gradient into z, as the 13
+    scalar ops the loss used to be built from (add_scalar, mul_scalar,
+    clamp, neg, add_scalar, two log, two mul_const, two sum64, add,
+    mul_scalar) written out in numpy: forward, then backward from 1."""
+    dtype = z.dtype
+    t, m, pw = (np.asarray(a, dtype=np.float64) for a in (targets, mask, pos_weight))
+    coef_pos = (pw * t * m).astype(dtype)
+    coef_neg = ((1.0 - t) * m).astype(dtype)
+    s = -1.0 / float((m * (pw * t + (1.0 - t))).sum())
+    lo, hi = 1e-7, 1.0 - 1e-7
+    y = np.tanh(z)
+    half = (y + 1.0) * 0.5
+    p = np.clip(half, lo, hi)
+    q = -p + 1.0
+    total = (np.asarray((np.log(p) * coef_pos).sum(dtype=np.float64))
+             + np.asarray((np.log(q) * coef_neg).sum(dtype=np.float64)))
+    loss = np.asarray(total * s)
+
+    g = np.full(z.shape, float(np.ones_like(loss) * s), dtype=dtype)  # mul_scalar, add, sum64
+    gp = (g * coef_pos) / p          # mul_const, log
+    gq = -((g * coef_neg) / q)       # mul_const, log, add_scalar, neg
+    ghalf = (gp + gq) * ((half > lo) & (half < hi))  # both reach p; clamp
+    gy = ghalf * 0.5                 # mul_scalar, add_scalar
+    return loss, gy * (1.0 - y * y)  # tanh
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("shape", [(4, 6, 3), (16, 128, 51), (3, 7, 1)],
+                         ids=["small", "full-scale", "one-label"])
+def test_loss_bitwise_equals_reference_chain(dtype, shape):
+    """The loss node through tanh, on saturated outputs (z = +-50 gives
+    y = +-1 exactly) and masked cells, equals the old chain bit for bit."""
+    from fedhar.model import masked_weighted_loss
+    rng = np.random.default_rng(19)
+    z = (rng.standard_normal(shape) * 4).astype(dtype)
+    z.reshape(-1)[:4] = [50.0, -50.0, 1e-30, -1e-30]
+    targets = (rng.random(shape) < 0.3).astype(np.float32)
+    targets.reshape(-1)[:2] = [0.0, 1.0]  # the worst target for each saturated cell
+    mask = (rng.random(shape) < 0.8).astype(np.float32)
+    mask.reshape(-1)[:2] = 1.0
+    pos_weight = rng.uniform(0.1, 100.0, shape[-1])
+    leaf = Tensor(z.copy(), requires_grad=True)
+    loss = masked_weighted_loss(T.tanh(leaf), targets, mask, pos_weight)
+    backward(loss)
+    want_loss, want_grad = _loss_reference(z, targets, mask, pos_weight)
+    assert loss.data.dtype == np.float64 and leaf.grad.dtype == dtype
+    assert loss.data.tobytes() == want_loss.tobytes()
+    assert leaf.grad.tobytes() == want_grad.tobytes()
+    assert np.all(leaf.grad.reshape(-1)[:2] == 0.0)  # clipped: no gradient
+
+
+def test_loss_rejects_coefficients_of_another_shape():
+    y = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match="coefficients"):
+        T.weighted_bce(y, np.ones(3), np.ones((2, 3)), 1.0, 1e-7)
 
 
 def test_attention_is_causal():
@@ -541,10 +624,22 @@ def test_dropout_deterministic_under_seed():
     assert np.array_equal(a, b)
 
 
+def test_dropout_without_rng_raises():
+    with pytest.raises(ConfigError, match="rng"):
+        T.dropout(Tensor(np.ones(4)), 0.5, None)
+
+
+def test_attention_dropout_without_rng_raises():
+    x = Tensor(np.zeros((1, 2, 4)))
+    ws = [Tensor(np.zeros(s)) for s in [(4, 12), (12,), (4, 4), (4,)]]
+    with pytest.raises(ConfigError, match="rng"):
+        T.causal_self_attention(x, *ws, n_heads=2, dropout_p=0.5, rng=None)
+
+
 def test_dropout_gradient_uses_same_mask():
     x = Tensor(np.ones(100), requires_grad=True)
     y = T.dropout(x, 0.5, np.random.default_rng(7))
-    backward(T.sum64(y))
+    backward(probe(y))
     assert np.array_equal(x.grad, (y.data > 0) * 2.0)
 
 
