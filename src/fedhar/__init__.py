@@ -25,7 +25,7 @@ from .metrics import (ClientReport, ConfusionCounts, FoldReport,
 from .training import (SearchSpace, TrainConfig, Trial, compute_pos_weight,
                        evaluate, random_search, train)
 from .fedavg import (ClientUpdate, FedConfig, FoldResult, aggregate,
-                     client_fit, drive_fold, run_fold, select_clients)
+                     client_fit, drive_fold, run_fold)
 from .wire import (client_loop, decode_weights, encode_weights,
                    load_checkpoint, save_checkpoint, server_loop,
                    standardizer_path)
@@ -55,8 +55,8 @@ __all__ = [
     "TrainConfig", "compute_pos_weight", "train", "evaluate", "SearchSpace",
     "Trial", "random_search",
     # fedavg
-    "FedConfig", "ClientUpdate", "FoldResult", "select_clients", "aggregate",
-    "client_fit", "drive_fold", "run_fold",
+    "FedConfig", "ClientUpdate", "FoldResult", "aggregate", "client_fit",
+    "drive_fold", "run_fold",
     # wire
     "encode_weights", "decode_weights", "save_checkpoint", "load_checkpoint",
     "standardizer_path", "server_loop", "client_loop",

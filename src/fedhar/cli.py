@@ -226,7 +226,7 @@ def cmd_simulate(args):
             raise FedharError(f"missing base checkpoint {ckpt}")
         base_weights[k], standardizers[k] = _checkpoint(ckpt, None)
 
-    config = _fed_config(args, args.min_clients or min(len(plan.folds[k]) for k in folds))
+    config = _fed_config(args, min(len(plan.folds[k]) for k in folds))
     os.makedirs(args.out, exist_ok=True)
 
     def data_for_fold(k: int):
@@ -397,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--local-epochs", type=_positive(int), default=DESK_LOCAL_EPOCHS)
     p.add_argument("--local-lr", type=_positive(float), default=1e-3)
     p.add_argument("--batch-size", type=_positive(int), default=64)
-    p.add_argument("--min-clients", type=_positive(int))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 

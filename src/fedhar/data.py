@@ -47,6 +47,7 @@ EXTRASENSORY_LABELS = 51
 
 GAP_FACTOR = 5.0
 STD_FLOOR = 1e-6
+_INT64 = np.iinfo(np.int64)
 
 
 class SplitWarning(UserWarning):
@@ -133,9 +134,12 @@ def parse_extrasensory_csv(
         if len(row) != len(header):
             raise FormatError(f"row {row_no}: {len(row)} cells, header has {len(header)}")
         try:
-            times.append(int(float(row[0])))
-        except ValueError:
+            t = int(float(row[0]))  # OverflowError for +-inf
+            if not _INT64.min <= t <= _INT64.max:
+                raise OverflowError
+        except (ValueError, OverflowError):
             raise FormatError(f"row {row_no}: bad timestamp {row[0]!r}") from None
+        times.append(t)
         frow = np.empty(len(feature_idx), dtype=np.float32)
         for j, col in enumerate(feature_idx):
             cell = row[col]
@@ -212,6 +216,25 @@ def load_subject_dir(path: str) -> list[SubjectRecord]:
         for name in names[1:]]
 
 
+def _fields(d, keys, what: str) -> list:
+    """The values of ``keys`` in the JSON object ``d``; a FormatError if one is missing."""
+    if not isinstance(d, dict):
+        raise FormatError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in d:
+            raise FormatError(f"{what} has no {key!r} key")
+    return [d[key] for key in keys]
+
+
+def _read_json(path: str, from_json_dict):
+    """``from_json_dict`` of a JSON file; any fault in it is a FormatError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return from_json_dict(json.load(fh))
+        except (ValueError, FormatError) as exc:  # JSONDecodeError is a ValueError
+            raise FormatError(f"{path}: {exc}") from None
+
+
 @dataclass
 class FoldPlan:
     """Disjoint client folds plus, per fold, the complement base subjects."""
@@ -227,15 +250,23 @@ class FoldPlan:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FoldPlan":
-        return cls(d["n_folds"], d["seed"], d["folds"], d["base_subjects"])
+        n_folds, seed, folds, base = _fields(
+            d, ("n_folds", "seed", "folds", "base_subjects"), "fold plan")
+        if not (isinstance(folds, list) and isinstance(base, list)
+                and n_folds == len(folds) == len(base)):
+            raise FormatError(f"fold plan has n_folds {n_folds!r} but does not list "
+                              "that many folds and base-subject lists")
+        if not all(isinstance(ids, list) and all(isinstance(s, str) for s in ids)
+                   for ids in folds + base):
+            raise FormatError("fold plan folds and base_subjects must be lists of subject ids")
+        return cls(n_folds, seed, folds, base)
 
     def save(self, path: str) -> None:
         atomic_write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str) -> "FoldPlan":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return _read_json(path, cls.from_json_dict)
 
 
 def build_fold_plan(subject_ids, seed: int, n_folds: int = 5) -> FoldPlan:
@@ -269,16 +300,25 @@ class Standardizer:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Standardizer":
-        return cls(np.asarray(d["mean"], dtype=np.float64),
-                   np.asarray(d["std"], dtype=np.float64))
+        mean, std = _fields(d, ("mean", "std"), "standardizer")
+        try:
+            mean = np.asarray(mean, dtype=np.float64)
+            std = np.asarray(std, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise FormatError("standardizer mean and std must be lists of numbers") from None
+        if mean.ndim != 1 or std.shape != mean.shape:
+            raise FormatError("standardizer mean and std must be 1-D and of equal length, "
+                              f"got shapes {mean.shape} and {std.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise FormatError("standardizer mean and std must be finite, with every std > 0")
+        return cls(mean, std)
 
     def save(self, path: str) -> None:
         atomic_write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str) -> "Standardizer":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return _read_json(path, cls.from_json_dict)
 
 
 def fit_standardizer(records: list[SubjectRecord]) -> Standardizer:

@@ -1,7 +1,8 @@
-"""FedAvg: client selection, example-weighted aggregation, round driving.
+"""FedAvg: example-weighted aggregation and round driving.
 
 The base model is pretrained centrally elsewhere; this module runs the
-federated fine-tuning phase. One round driver, ``drive_fold``, serves both
+federated fine-tuning phase, in which every client of a fold fits and is
+scored in every round. One round driver, ``drive_fold``, serves both
 transports: ``run_fold`` trains and evaluates the clients in process, and
 ``wire.server_loop`` asks them over TCP. Clients train with ``client_fit``
 on either transport. Aggregation walks clients in canonical client-id order
@@ -28,7 +29,6 @@ __all__ = [
     "FedConfig",
     "ClientUpdate",
     "FoldResult",
-    "select_clients",
     "aggregate",
     "client_fit",
     "drive_fold",
@@ -40,16 +40,15 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class FedConfig:
-    """Round count, client selection and local-training settings of a fold.
+    """Round count, client minimum and local-training settings of a fold.
 
+    ``min_available_clients`` is the fewest clients a fold may start with.
     ``round_timeout_s`` (TCP only; None waits forever) bounds each fit
     collection and each eval collection once: the server raises
-    ``ProtocolError`` when a selected client has not answered in time.
+    ``ProtocolError`` when a client has not answered in time.
     """
 
     rounds: int = 4
-    fit_fraction: float = 1.0
-    eval_fraction: float = 1.0
     min_available_clients: int = 12
     local_epochs: int = 2000
     batch_size: int = 64
@@ -60,10 +59,6 @@ class FedConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        for name in ("fit_fraction", "eval_fraction"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ConfigError(f"{name} must be in (0, 1], got {v}")
         if self.min_available_clients < 1:
             raise ConfigError(
                 f"min_available_clients must be >= 1, got {self.min_available_clients}")
@@ -101,23 +96,6 @@ class FoldResult:
             "rounds": [r.to_json_dict() for r in self.round_reports],
             "final": self.final_report.to_json_dict(),
         }
-
-
-def select_clients(available, fraction: float, min_available: int,
-                   seed: int, round_idx: int) -> list[str]:
-    """Seeded shuffle, take ceil(fraction * n), return in client-id order."""
-    ids = sorted(available)
-    if len(ids) != len(set(ids)):
-        raise ConfigError("duplicate client ids")
-    if len(ids) < min_available:
-        raise AvailabilityError(
-            f"{len(ids)} clients available, {min_available} required")
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"selection fraction must be in (0, 1], got {fraction}")
-    k = int(np.ceil(fraction * len(ids)))
-    rng = np.random.default_rng(derive_seed(seed, "select", round_idx))
-    perm = rng.permutation(len(ids))
-    return sorted(ids[i] for i in perm[:k])
 
 
 def aggregate(updates: list[ClientUpdate]) -> WeightSet:
@@ -200,21 +178,25 @@ def drive_fold(fold: int, num_examples: dict, fit, evaluate_clients,
                eval_base: bool = True) -> FoldResult:
     """Drive all rounds of one fold over any transport.
 
-    ``num_examples`` maps each client id to its training-window count.
-    ``fit(weights, round_idx, ids)`` and ``evaluate_clients(weights,
-    round_idx, ids)`` yield ``(client_id, result)`` in the order of ``ids``:
-    a ClientUpdate and a ClientReport. Selection, aggregation, fold summaries
-    and audit events happen here. A selected client with no training windows
-    is skipped (a ``skip`` event right after ``broadcast``) and never reaches
-    ``fit``; every client is evaluated. ``eval_base`` first evaluates the
-    base weights as round 0.
+    ``num_examples`` maps each client id to its training-window count; fewer
+    than ``config.min_available_clients`` clients raise ``AvailabilityError``
+    before any client is asked anything. Each round, ``fit(weights,
+    round_idx, ids)`` and then ``evaluate_clients(weights, round_idx, ids)``
+    yield ``(client_id, result)``, a ClientUpdate and a ClientReport, in
+    client-id order. Aggregation, fold summaries and audit events happen
+    here. A client with no training windows is skipped (a ``skip`` event
+    right after ``broadcast``) and never reaches ``fit``; every client is
+    evaluated. ``eval_base`` first evaluates the base weights as round 0.
     """
     ids = sorted(num_examples)
+    if len(ids) < config.min_available_clients:
+        raise AvailabilityError(
+            f"{len(ids)} clients available, {config.min_available_clients} required")
     result = FoldResult(fold=fold, base_report=None)
 
-    def eval_phase(weights, round_idx, eval_ids):
+    def eval_phase(weights, round_idx):
         reports = []
-        for cid, rep in evaluate_clients(weights, round_idx, eval_ids):
+        for cid, rep in evaluate_clients(weights, round_idx, ids):
             _audit(audit, fold=fold, round=round_idx, event="eval_result",
                    client_id=cid, mean_ba=rep.mean_ba)
             reports.append(rep)
@@ -222,21 +204,16 @@ def drive_fold(fold: int, num_examples: dict, fit, evaluate_clients,
 
     weights = base_weights.copy()
     if eval_base:
-        result.base_report = eval_phase(weights, 0, ids)
+        result.base_report = eval_phase(weights, 0)
 
     for round_idx in range(1, config.rounds + 1):
-        selected = select_clients(ids, config.fit_fraction,
-                                  config.min_available_clients, config.seed, round_idx)
-        _audit(audit, fold=fold, round=round_idx, event="broadcast",
-               n_clients=len(selected))
-        fit_ids = []
-        for cid in selected:
+        _audit(audit, fold=fold, round=round_idx, event="broadcast", n_clients=len(ids))
+        for cid in ids:
             if num_examples[cid] < 1:
                 log.warning("fold %d round %d: client %s has no data, skipped",
                             fold, round_idx, cid)
                 _audit(audit, fold=fold, round=round_idx, event="skip", client_id=cid)
-            else:
-                fit_ids.append(cid)
+        fit_ids = [cid for cid in ids if num_examples[cid] >= 1]
         updates = []
         for cid, update in fit(weights, round_idx, fit_ids):
             _audit(audit, fold=fold, round=round_idx, event="fit_result",
@@ -245,11 +222,7 @@ def drive_fold(fold: int, num_examples: dict, fit, evaluate_clients,
         weights = aggregate(updates)
         _audit(audit, fold=fold, round=round_idx, event="aggregate",
                n_updates=len(updates))
-
-        eval_ids = select_clients(ids, config.eval_fraction,
-                                  config.min_available_clients,
-                                  derive_seed(config.seed, "eval"), round_idx)
-        result.round_reports.append(eval_phase(weights, round_idx, eval_ids))
+        result.round_reports.append(eval_phase(weights, round_idx))
 
     result.final_weights = weights
     return result

@@ -31,7 +31,7 @@ its declared length. Decoders slice memoryviews of it, and each tensor is
 copied out of it once. A sent frame is one ``b"".join`` of its header, the
 message head and the tensors' own memoryviews, so weights are copied once,
 into the frame; the blob's CRC32 is folded over the same views. The server
-builds a round's parts once and joins one frame per selected client.
+builds a round's parts once and joins one frame per client.
 
 Caps: a reader checks each declared length before it allocates the frame,
 against the longest frame the peer may send in its state. On the server
@@ -562,7 +562,7 @@ def server_loop(
     with ERROR ``registration_closed`` from a thread it stops and joins
     before it returns or raises. It runs the same round driver as the simulation,
     ``fedavg.drive_fold``, with a TCP transport: a fit sends ROUND_CONFIG to
-    the selected clients and collects their FIT_RESULTs, an eval sends
+    the clients with data and collects their FIT_RESULTs, an eval sends
     EVAL_REQUEST and collects EVAL_RESULTs. The base weights are not
     evaluated (``"base": null``). Ends every client with DONE; if the fold
     fails with a ``FedharError`` instead, every client still connected gets
@@ -621,7 +621,7 @@ def server_loop(
         refuser.start()
 
         def fit(weights, round_idx, fit_ids):
-            # built once; each selected client's frame is one join of these parts
+            # built once; each client's frame is one join of these parts
             parts = _blob_message(_ROUND_HEAD.pack(round_idx, fold, config.seed,
                                                    config.local_epochs, config.batch_size,
                                                    config.local_lr), _blob_parts(weights))

@@ -101,6 +101,9 @@ def test_usage_errors_exit_2(capsys):
         # a repeated fold would run twice and count its clients twice
         (["simulate", "--folds", "0,0"], "fold listed twice"),
         (["simulate", "--folds", "0,1,0"], "fold listed twice"),
+        # every client of a fold takes part, so there is no client minimum to set
+        (["simulate", "--data", "d", "--fold-plan", "p", "--base-ckpt-dir", "c",
+          "--out", "o", "--min-clients", "3"], "unrecognized arguments: --min-clients"),
         # no fold plan to check these against, but a fold label is never negative
         (["fed-server", "--fold", "-1"], "must be >= 0"),
         (["evaluate", "--fold", "-1"], "must be >= 0"),
@@ -279,6 +282,42 @@ def test_fold_outside_the_plan_exits_1(workspace, tmp_path, capsys, argv):
     assert code == 1
     assert "out of range: the plan has folds 0..2" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+PLAN_9_OF_5 = ('{"n_folds": 9, "seed": 0, "folds": [[], [], [], [], []], '
+               '"base_subjects": [[], [], [], [], []]}')
+
+
+@pytest.mark.parametrize("command, text", [
+    ("evaluate", "{not json"),
+    ("evaluate", '{"mean": [0.0, 0.0]}'),
+    ("evaluate", '{"mean": [0.0, 0.0], "std": [1.0]}'),
+    ("evaluate", '{"mean": [[0.0], [0.0]], "std": [[1.0], [1.0]]}'),
+    ("evaluate", '{"mean": [0.0, NaN], "std": [1.0, 1.0]}'),
+    ("evaluate", '{"mean": [0.0, 0.0], "std": [1.0, 0.0]}'),
+    ("pretrain", "[1, 2"),
+    ("pretrain", '{"n_folds": 1, "seed": 0, "folds": [[]]}'),
+    ("pretrain", PLAN_9_OF_5),
+    ("pretrain", '{"n_folds": 1, "seed": 0, "folds": ["abc"], "base_subjects": [7]}'),
+], ids=["stdz_bad_json", "stdz_no_std", "stdz_short_std", "stdz_2d", "stdz_nan",
+        "stdz_zero_std", "plan_bad_json", "plan_no_base_subjects", "plan_9_of_5",
+        "plan_ids_not_lists"])
+def test_malformed_standardizer_or_fold_plan_exits_1(workspace, tmp_path, capsys,
+                                                     command, text):
+    """A broken sidecar or fold plan is a FormatError, not a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    if command == "evaluate":
+        argv = ["evaluate", "--ckpt", str(workspace["base"]), "--standardizer", str(bad)]
+    else:
+        argv = ["pretrain", "--fold-plan", str(bad), "--fold", "7"]
+    code = main(argv + ["--data", str(workspace["corpus"]), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and str(bad) in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------- evaluate

@@ -59,8 +59,10 @@ def test_parse_rejects_ragged_row():
 
 
 def test_parse_rejects_bad_cells():
-    with pytest.raises(FormatError, match="bad timestamp"):
-        parse("timestamp,a,label:X\nxyz,1.0,1\n")
+    # not a number, not finite, or outside int64
+    for stamp in ["xyz", "nan", "inf", "-inf", "1e30", "-1e30", "9.3e18"]:
+        with pytest.raises(FormatError, match=f"row 2: bad timestamp '{stamp}'"):
+            parse(f"timestamp,a,label:X\n{stamp},1.0,1\n")
     with pytest.raises(FormatError, match="bad value"):
         parse("timestamp,a,label:X\n1000,oops,1\n")
     with pytest.raises(FormatError, match="label must be 0/1"):

@@ -1,12 +1,13 @@
-"""FedAvg: aggregation math, client selection, and the round driver."""
+"""FedAvg: aggregation math, local client fits, and the round driver."""
 
 import numpy as np
 import pytest
 
 import fedhar.data as D
+import fedhar.fedavg as fedavg
 from fedhar.errors import (AggregationError, AvailabilityError, ConfigError)
 from fedhar.fedavg import (ClientUpdate, FedConfig, aggregate, client_fit, drive_fold,
-                           run_fold, select_clients)
+                           run_fold)
 from fedhar.model import ModelConfig, WeightSet, init_model, parameter_shapes
 from fedhar.tensor import Tensor
 from fedhar.training import TrainConfig, train
@@ -129,33 +130,6 @@ def test_round_with_a_non_finite_update_fails_naming_client_and_parameter(bad):
     assert [e["event"] for e in events] == ["broadcast"] + ["fit_result"] * 3
 
 
-# -------------------------------------------------------------- select
-
-def test_select_full_fraction_returns_everyone_sorted():
-    got = select_clients(["c", "a", "b"], 1.0, 3, seed=0, round_idx=1)
-    assert got == ["a", "b", "c"]
-
-
-def test_select_fraction_rounds_up_and_is_deterministic():
-    ids = [f"c{i}" for i in range(10)]
-    a = select_clients(ids, 0.25, 1, seed=5, round_idx=2)
-    b = select_clients(ids, 0.25, 1, seed=5, round_idx=2)
-    assert a == b
-    assert len(a) == 3  # ceil(2.5)
-    assert a == sorted(a)
-    c = select_clients(ids, 0.25, 1, seed=5, round_idx=3)
-    assert a != c  # round index moves the draw
-
-
-def test_select_enforces_minimum_and_validates():
-    with pytest.raises(AvailabilityError):
-        select_clients(["a", "b"], 1.0, 12, seed=0, round_idx=1)
-    with pytest.raises(ConfigError):
-        select_clients(["a", "a"], 1.0, 1, seed=0, round_idx=1)
-    with pytest.raises(ConfigError):
-        select_clients(["a"], 0.0, 1, seed=0, round_idx=1)
-
-
 # ------------------------------------------------------------- clients
 
 def test_client_fit_deterministic_per_identity():
@@ -212,6 +186,25 @@ def test_run_fold_reports_and_audit_trail():
     assert kinds.count("fit_result") == 8    # 4 clients x 2 rounds
     assert kinds.count("eval_result") == 12  # base eval + 2 rounds
     assert all("ts" in e for e in events)
+    # every client fits and is scored in every round, in client-id order
+    for r in (1, 2):
+        for kind in ("fit_result", "eval_result"):
+            assert [e["client_id"] for e in events
+                    if e["event"] == kind and e["round"] == r] == sorted(clients)
+
+
+def test_run_fold_below_min_available_clients_fails_before_any_client(monkeypatch):
+    """The client count is checked once, before the base eval or any fit."""
+    def asked(*args, **kwargs):
+        raise AssertionError("a client was asked before the client count was checked")
+
+    monkeypatch.setattr(fedavg, "client_fit", asked)
+    monkeypatch.setattr(fedavg, "evaluate", asked)
+    cfg = FedConfig(rounds=1, min_available_clients=3, local_epochs=1, seed=0)
+    events = []
+    with pytest.raises(AvailabilityError, match="2 clients available, 3 required"):
+        run_fold(0, client_data(n_subjects=2), init_model(MC), cfg, audit=events.append)
+    assert events == []
 
 
 def test_run_fold_deterministic_end_to_end():
@@ -254,7 +247,5 @@ def test_run_fold_skips_empty_clients_in_training():
 def test_fed_config_validation():
     with pytest.raises(ConfigError):
         FedConfig(rounds=0)
-    with pytest.raises(ConfigError):
-        FedConfig(fit_fraction=1.5)
     with pytest.raises(ConfigError):
         FedConfig(local_lr=0.0)
