@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import logging
+import math
 import os
 import shutil
 import sys
@@ -40,8 +41,8 @@ DESK_LOCAL_EPOCHS = 20
 def _positive(kind):
     def parse(text):
         value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
         return value
     return parse
 

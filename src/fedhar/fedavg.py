@@ -13,6 +13,7 @@ and a lone client (or all-identical updates) comes back bitwise unchanged.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import AggregationError, AvailabilityError, ConfigError
 from .metrics import FoldReport, fold_summary
 from .model import WeightSet
-from .tensor import Tensor
+from .tensor import _BLOCK, Tensor, _spans
 from .training import TrainConfig, evaluate, train
 from .util import derive_seed
 
@@ -64,8 +65,11 @@ class FedConfig:
                 f"min_available_clients must be >= 1, got {self.min_available_clients}")
         if self.local_epochs < 1:
             raise ConfigError(f"local_epochs must be >= 1, got {self.local_epochs}")
-        if self.local_lr <= 0.0:
-            raise ConfigError(f"local_lr must be positive, got {self.local_lr}")
+        if not 0.0 < self.local_lr < math.inf:
+            raise ConfigError(f"local_lr must be positive and finite, got {self.local_lr}")
+        if self.round_timeout_s is not None and not 0.0 < self.round_timeout_s < math.inf:
+            raise ConfigError(
+                f"round_timeout_s must be positive and finite, got {self.round_timeout_s}")
 
 
 @dataclass
@@ -103,8 +107,10 @@ def aggregate(updates: list[ClientUpdate]) -> WeightSet:
 
     Accumulation is float64 and the division happens once at the end, so
     identical inputs are a fixed point and a single client round-trips
-    bitwise. A NaN or infinite update raises ``AggregationError`` naming its
-    client and parameter, rather than poisoning the global model.
+    bitwise. Each parameter is summed in one pass over blocks of ``_BLOCK``
+    elements, with the bits of the whole-array expression. A NaN or infinite
+    update raises ``AggregationError`` naming its client and parameter (the
+    first of each, in order), rather than poisoning the global model.
     """
     if not updates:
         raise AggregationError("aggregate needs at least one client update")
@@ -128,16 +134,36 @@ def aggregate(updates: list[ClientUpdate]) -> WeightSet:
 
     total = float(sum(u.num_examples for u in ordered))
     out = WeightSet(ref.weights.config)
-    for name in names:
-        acc = np.zeros(ref.weights[name].data.shape, dtype=np.float64)
-        for u in ordered:
-            data = u.weights[name].data
-            if not np.isfinite(data).all():
-                raise AggregationError(
-                    f"client {u.client_id} parameter {name} has non-finite values")
-            acc += float(u.num_examples) * data.astype(np.float64)
-        out.tensors[name] = Tensor((acc / total).astype(np.float32), requires_grad=True)
+    with np.errstate(invalid="ignore"):  # inf + -inf, which is reported below
+        for name in names:
+            flats = [u.weights[name].data.reshape(-1) for u in ordered]
+            mean = np.empty(ref.weights[name].data.shape, dtype=np.float32)
+            acc = np.empty(min(mean.size, _BLOCK))
+            term = np.empty_like(acc)
+            for lo, hi in _spans(mean.size):
+                # 0 + n0 * x0 + n1 * x1 + ..., rounded as the whole-array float64
+                # expression is: +0 turns a leading -0.0 product into +0.0
+                a = np.multiply(flats[0][lo:hi], float(ref.num_examples), out=acc[:hi - lo],
+                                dtype=np.float64)
+                a += 0.0
+                for u, flat in zip(ordered[1:], flats[1:]):
+                    a += np.multiply(flat[lo:hi], float(u.num_examples), out=term[:hi - lo],
+                                     dtype=np.float64)
+                # products of float32 values cannot overflow a float64 sum, so the
+                # block is finite exactly when every client's block is
+                if not np.isfinite(a).all():
+                    _raise_non_finite(ordered, name)
+                a /= total
+                mean.reshape(-1)[lo:hi] = a
+            out.tensors[name] = Tensor(mean, requires_grad=True)
     return out
+
+
+def _raise_non_finite(ordered: list[ClientUpdate], name: str) -> None:
+    for u in ordered:
+        if not np.isfinite(u.weights[name].data).all():
+            raise AggregationError(
+                f"client {u.client_id} parameter {name} has non-finite values")
 
 
 def client_fit(

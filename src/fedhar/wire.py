@@ -16,22 +16,31 @@ EVAL_REQUEST -> EVAL_RESULT, finally DONE. HELLO carries the client id and
 its training-window count, and is a connection's only identity: the server
 weights every update from that connection by the HELLO count and files its
 reports under the HELLO id. A client with count 0 is never sent a
-ROUND_CONFIG, only EVAL_REQUESTs. Once the expected clients have registered,
-every other connection gets ERROR ``registration_closed``. Peers send
+ROUND_CONFIG, only EVAL_REQUESTs. A ROUND_CONFIG whose blob is empty (length
+0) means "train from the weights of the EVAL_REQUEST you answered last": the
+server sends it whenever a round starts from the weights its last eval phase
+sent, which is every round after the first. A client holds those weights
+only until the next ROUND_CONFIG; an empty blob with nothing held is a
+ProtocolError. Peers that predate the empty form fail on it, so old and new
+peers do not interoperate from round 2 on. Once the expected clients have
+registered, every other connection gets ERROR ``registration_closed``. Peers send
 measurements only. A FIT_RESULT is the f64 train loss + the trained
 WeightBlob. An EVAL_RESULT is a u16 label count, then per label its name and
 u32 tp/tn/fp/fn; the server scores it with ``ClientReport.from_counts``, as
 the simulation does. A message out of order gets an ERROR frame with code
 ``out_of_order``, a malformed one ``bad_message``, and the connection is
 dropped. When the server ends a fold with an error, every client still
-connected gets an ERROR frame with code ``aborted`` first.
+connected gets an ERROR frame with code ``aborted`` first; a write that
+fails, because the peer vanished, is such an error, naming that client.
 
 Buffers: a received frame is read with ``readinto`` into one bytearray of
 its declared length. Decoders slice memoryviews of it, and each tensor is
 copied out of it once. A sent frame is one ``b"".join`` of its header, the
 message head and the tensors' own memoryviews, so weights are copied once,
 into the frame; the blob's CRC32 is folded over the same views. The server
-builds a round's parts once and joins one frame per client.
+encodes each ROUND_CONFIG and EVAL_REQUEST frame once per broadcast and
+writes that one frame to all its targets at once: the first from the
+calling thread, each other one from a thread joined before the phase goes on.
 
 Caps: a reader checks each declared length before it allocates the frame,
 against the longest frame the peer may send in its state. On the server
@@ -439,9 +448,9 @@ class _ClientConn:
     def start(self) -> None:
         self.thread.start()
 
-    def send(self, msg_type: int, *payload) -> None:
+    def send(self, frame: bytes) -> None:
         with self.send_lock:
-            self.sock.sendall(frame_encode(msg_type, *payload))
+            self.sock.sendall(frame)
 
     def close(self) -> None:
         if not self.closed:
@@ -454,7 +463,7 @@ class _ClientConn:
 
     def _fail(self, code: str, message: str) -> None:
         try:
-            self.send(MSG_ERROR, encode_error(code, message))
+            self.send(frame_encode(MSG_ERROR, encode_error(code, message)))
         except OSError:
             pass
         self.close()
@@ -495,6 +504,38 @@ class _ClientConn:
             self._fail("bad_message", str(exc))
         except Exception as exc:  # decoding bugs should not hang the server
             self._fail("internal", str(exc))
+
+
+def _broadcast(targets: list[_ClientConn], reply: int, frame: bytes) -> None:
+    """Set every target to expect ``reply``, then write ``frame`` to all at once.
+
+    The first target is written from the calling thread and each other one
+    from its own thread; all are joined before this returns or raises. A
+    failed write is a ProtocolError naming the first such client by id.
+    """
+    for conn in targets:
+        conn.expected = reply
+    failed = {}
+
+    def write(conn):
+        try:
+            conn.send(frame)
+        except OSError as exc:
+            failed[conn.client_id] = exc
+
+    started = []
+    try:
+        for conn in targets[1:]:
+            started.append(threading.Thread(target=write, args=(conn,)))
+            started[-1].start()
+        if targets:
+            write(targets[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if failed:
+        cid = min(failed)
+        raise ProtocolError(f"sending to client {cid} failed: {failed[cid]}")
 
 
 def _collect(results: queue.Queue, conns: dict, kind: str, pending: set,
@@ -562,11 +603,13 @@ def server_loop(
     with ERROR ``registration_closed`` from a thread it stops and joins
     before it returns or raises. It runs the same round driver as the simulation,
     ``fedavg.drive_fold``, with a TCP transport: a fit sends ROUND_CONFIG to
-    the clients with data and collects their FIT_RESULTs, an eval sends
-    EVAL_REQUEST and collects EVAL_RESULTs. The base weights are not
+    the clients with data (without weights when they hold the round's
+    weights from the last eval) and collects their FIT_RESULTs, an eval
+    sends EVAL_REQUEST and collects EVAL_RESULTs. The base weights are not
     evaluated (``"base": null``). Ends every client with DONE; if the fold
-    fails with a ``FedharError`` instead, every client still connected gets
-    an ERROR frame carrying its message before the error is re-raised.
+    fails with a ``FedharError`` instead, a failed write to a client
+    included, every client still connected gets an ERROR frame carrying its
+    message before the error is re-raised.
     """
     expected = expected_clients if expected_clients is not None else config.min_available_clients
     results: queue.Queue = queue.Queue()
@@ -620,14 +663,18 @@ def server_loop(
                                    args=(listener, stop_refusing, closed_message))
         refuser.start()
 
+        last_eval = None  # the weights the last eval phase sent, until the next fit
+
         def fit(weights, round_idx, fit_ids):
-            # built once; each client's frame is one join of these parts
-            parts = _blob_message(_ROUND_HEAD.pack(round_idx, fold, config.seed,
-                                                   config.local_epochs, config.batch_size,
-                                                   config.local_lr), _blob_parts(weights))
-            for cid in fit_ids:
-                conns[cid].expected = MSG_FIT_RESULT
-                conns[cid].send(MSG_ROUND_CONFIG, *parts)
+            nonlocal last_eval
+            # every client answered the last EVAL_REQUEST, so if these are its
+            # weights the clients hold them already: send no blob
+            blob = [] if weights is last_eval else _blob_parts(weights)
+            last_eval = None
+            _broadcast([conns[cid] for cid in fit_ids], MSG_FIT_RESULT, frame_encode(
+                MSG_ROUND_CONFIG, *_blob_message(_ROUND_HEAD.pack(
+                    round_idx, fold, config.seed, config.local_epochs, config.batch_size,
+                    config.local_lr), blob)))
             fits = _collect(results, conns, "fit", set(fit_ids), config.round_timeout_s,
                             f"round {round_idx} fit")
             for cid in fit_ids:
@@ -636,10 +683,10 @@ def server_loop(
                                         conns[cid].num_examples, train_loss)
 
         def evaluate_clients(weights, round_idx, eval_ids):
-            parts = _blob_message(b"", _blob_parts(weights))
-            for cid in eval_ids:
-                conns[cid].expected = MSG_EVAL_RESULT
-                conns[cid].send(MSG_EVAL_REQUEST, *parts)
+            nonlocal last_eval
+            _broadcast([conns[cid] for cid in eval_ids], MSG_EVAL_RESULT, frame_encode(
+                MSG_EVAL_REQUEST, *_blob_message(b"", _blob_parts(weights))))
+            last_eval = weights
             evals = _collect(results, conns, "eval", set(eval_ids), config.round_timeout_s,
                              f"round {round_idx} eval")
             for cid in eval_ids:
@@ -650,7 +697,7 @@ def server_loop(
                             audit=audit, eval_base=False)
         for cid in sorted(conns):
             try:
-                conns[cid].send(MSG_DONE)
+                conns[cid].send(frame_encode(MSG_DONE))
                 emit(round=config.rounds, event="done", client_id=cid)
             except OSError:
                 log.warning("client %s vanished before DONE", cid)
@@ -684,13 +731,16 @@ def client_loop(
 
     Connects with exponential backoff, HELLOs with the local training window
     count, then serves ROUND_CONFIG (local fine-tune) and EVAL_REQUEST
-    (local test-set evaluation) until DONE.
+    (local test-set evaluation) until DONE. A ROUND_CONFIG without weights
+    trains from the weights of the last EVAL_REQUEST. An ERROR frame, a
+    lost connection or a frame out of protocol raises ``ProtocolError``.
     """
     caps = _frame_caps(model_config)
     max_len = max(caps[MSG_ROUND_CONFIG], caps[MSG_HELLO])  # an ERROR may be HELLO-sized
     sock = connect_with_retry(host, port)
     rfile = sock.makefile("rb")
     rounds_done = 0
+    held = None  # the last EVAL_REQUEST's weights, until the next ROUND_CONFIG
     try:
         sock.sendall(frame_encode(MSG_HELLO, encode_hello(client_id, len(train_windows))))
         while True:
@@ -698,7 +748,14 @@ def client_loop(
             if msg_type == MSG_ROUND_CONFIG:
                 (round_idx, fold, seed, local_epochs,
                  batch_size, local_lr, blob) = decode_round_config(payload)
-                weights = decode_weights(blob, model_config)
+                if len(blob):
+                    weights = decode_weights(blob, model_config)
+                elif held is not None:
+                    weights = held
+                else:
+                    raise ProtocolError(
+                        "ROUND_CONFIG without weights, but no EVAL_REQUEST's weights are held")
+                held = None
                 del payload, blob  # the frame's buffer goes before training
                 local = FedConfig(local_epochs=local_epochs, batch_size=batch_size,
                                   local_lr=local_lr, seed=seed)
@@ -709,10 +766,10 @@ def client_loop(
                 del update, weights  # before the next frame is read
                 rounds_done += 1
             elif msg_type == MSG_EVAL_REQUEST:
-                weights = decode_weights(_decode_blob_message(payload, "<")[0], model_config)
+                held = None  # the old weights go before the new ones are decoded
+                held = decode_weights(_decode_blob_message(payload, "<")[0], model_config)
                 del payload  # the frame's buffer goes before evaluating
-                report = evaluate(weights, test_windows, client_id, label_names)
-                del weights
+                report = evaluate(held, test_windows, client_id, label_names)
                 sock.sendall(frame_encode(MSG_EVAL_RESULT, encode_eval_result(report)))
             elif msg_type == MSG_DONE:
                 return rounds_done
@@ -721,6 +778,8 @@ def client_loop(
                 raise ProtocolError(f"server error {code}: {message}")
             else:
                 raise ProtocolError(f"unexpected message type {msg_type}")
+    except OSError as exc:  # only the socket calls raise it here
+        raise ProtocolError(f"lost the server at {host}:{port}: {exc}") from None
     finally:
         rfile.close()
         try:

@@ -111,6 +111,10 @@ def test_usage_errors_exit_2(capsys):
         (["fed-server", "--port", "0"], "must be a port in 1..65535"),
         (["fed-client", "--port", "70000"], "must be a port in 1..65535"),
         (["fed-client", "--port", "-1"], "must be a port in 1..65535"),
+        # a NaN or infinite rate would train NaN weights; a NaN timeout never fires
+        (["pretrain", "--lr", "nan"], "must be positive and finite, got nan"),
+        (["simulate", "--local-lr", "inf"], "must be positive and finite, got inf"),
+        (["fed-server", "--timeout", "nan"], "must be positive and finite, got nan"),
     ]:
         with pytest.raises(SystemExit) as err:
             main(argv)

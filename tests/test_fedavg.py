@@ -94,6 +94,67 @@ def test_aggregate_matches_float64_oracle():
             assert np.max(np.abs(got[name].data - want)) <= 1e-6
 
 
+# mlp.fc.w and mlp.proj.w hold 36864 elements: one full block and part of a second
+WIDE = ModelConfig(n_features=6, n_labels=3, transformers_layers=1, hidden_size=96,
+                   n_positions=8, seed=0)
+
+
+def random_updates(counts, config=WIDE, seed=3):
+    rng = np.random.default_rng(seed)
+    ups = []
+    for cid, n in counts.items():
+        ws = WeightSet(config)
+        for name, shape in parameter_shapes(config):
+            ws.tensors[name] = Tensor(rng.standard_normal(shape).astype(np.float32))
+        ups.append(ClientUpdate(cid, ws, n, 0.0))
+    return ups
+
+
+def test_aggregate_bitwise_equals_the_whole_array_expression():
+    ups = random_updates({"c": 7, "a": 1, "b": 250})
+    fc = ups[0].weights["block0.mlp.fc.w"].data.reshape(-1)
+    assert fc.size > fedavg._BLOCK
+    for i, u in enumerate(ups):
+        flat = u.weights["block0.mlp.fc.w"].data.reshape(-1)
+        flat[::5] = -0.0  # every client: the sum is +0.0 there
+        flat[i::7] = -0.0
+        flat[fedavg._BLOCK - 1:fedavg._BLOCK + 1] = -0.0
+    got = aggregate(ups)
+    ordered = sorted(ups, key=lambda u: u.client_id)
+    total = float(sum(u.num_examples for u in ordered))
+    for name in got.names():
+        acc = np.zeros(ordered[0].weights[name].data.shape, dtype=np.float64)
+        for u in ordered:
+            acc += float(u.num_examples) * u.weights[name].data.astype(np.float64)
+        want = (acc / total).astype(np.float32)
+        assert got[name].data.tobytes() == want.tobytes(), name
+    assert not np.signbit(got["block0.mlp.fc.w"].data.reshape(-1)[::5]).any()
+
+
+@pytest.mark.parametrize("poison, culprit", [
+    # b's inf (second block of fc.w) comes before a's NaN (first block of
+    # proj.w) in parameter order
+    ([("b", "block0.mlp.fc.w", 35000, np.inf), ("a", "block0.mlp.proj.w", 5, np.nan)],
+     ("b", "block0.mlp.fc.w")),
+    # within one parameter the first client in id order is named, though
+    # c's NaN sits in an earlier block than a's -inf
+    ([("c", "block0.mlp.fc.w", 0, np.nan), ("a", "block0.mlp.fc.w", 36000, -np.inf)],
+     ("a", "block0.mlp.fc.w")),
+    # opposite infinities sum to NaN, silently
+    ([("c", "block0.mlp.fc.w", 9, -np.inf), ("b", "block0.mlp.fc.w", 9, np.inf)],
+     ("b", "block0.mlp.fc.w")),
+])
+def test_aggregate_names_the_first_non_finite_parameter_and_client(poison, culprit):
+    ups = random_updates({"a": 3, "b": 2, "c": 9})
+    by_id = {u.client_id: u for u in ups}
+    for cid, name, index, value in poison:
+        by_id[cid].weights[name].data.reshape(-1)[index] = value
+    cid, name = culprit
+    with pytest.raises(AggregationError,
+                       match=f"^client {cid} parameter {name} has non-finite values$"):
+        aggregate(ups)
+
+
 def test_aggregate_rejects_empty_and_zero_examples():
     with pytest.raises(AggregationError):
         aggregate([])
@@ -249,3 +310,10 @@ def test_fed_config_validation():
         FedConfig(rounds=0)
     with pytest.raises(ConfigError):
         FedConfig(local_lr=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="local_lr must be positive and finite"):
+            FedConfig(local_lr=bad)
+        with pytest.raises(ConfigError, match="round_timeout_s must be positive and finite"):
+            FedConfig(round_timeout_s=bad)
+        with pytest.raises(ConfigError, match="learning_rate must be positive and finite"):
+            TrainConfig(epochs=1, learning_rate=bad)

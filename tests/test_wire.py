@@ -17,8 +17,8 @@ import pytest
 
 import fedhar.data as D
 import fedhar.wire as W
-from fedhar.errors import (AggregationError, AvailabilityError, DecodeError, ProtocolError,
-                           ShapeError)
+from fedhar.errors import (AggregationError, AvailabilityError, ConfigError, DecodeError,
+                           ProtocolError, ShapeError)
 from fedhar.fedavg import FedConfig, run_fold
 from fedhar.metrics import ClientReport, ConfusionCounts
 from fedhar.model import ModelConfig, WeightSet, init_model, parameter_shapes
@@ -146,6 +146,21 @@ def test_weight_frames_golden_bytes():
     assert frames["ROUND_CONFIG"][:55].hex() == (
         "7b060000" "02" "02000000" "01000000" "0300000000010000" "05000000" "10000000"
         "fca9f1d24d62303f" "52060000" "0c00" "696e7075745f70726f6a2e77")
+
+
+def test_weightless_round_config_golden_bytes():
+    # the ROUND_CONFIG of every round after the first: the head, a blob
+    # length of 0 and the CRC32 of no bytes
+    frame = W.frame_encode(W.MSG_ROUND_CONFIG, *W._blob_message(
+        W._ROUND_HEAD.pack(2, 1, 2 ** 40 + 3, 5, 16, 2.5e-4), []))
+    assert frame.hex() == (
+        "29000000" "02" "02000000" "01000000" "0300000000010000" "05000000" "10000000"
+        "fca9f1d24d62303f" "00000000" "00000000")
+    assert len(frame) - 4 <= W._frame_caps(TINY)[W.MSG_ROUND_CONFIG]
+    msg_type, payload = W.read_frame(io.BytesIO(frame))
+    *head, blob = W.decode_round_config(payload)
+    assert (msg_type, head, len(blob)) == (W.MSG_ROUND_CONFIG, [2, 1, 2 ** 40 + 3, 5, 16,
+                                                                 2.5e-4], 0)
 
 
 def test_read_frame_rebuilds_a_weight_frame_from_three_byte_reads():
@@ -464,6 +479,33 @@ def test_tcp_matches_in_process_simulation_bitwise():
         assert tcp_rep.summary == sim_rep.summary
         assert [c.counts for c in tcp_rep.clients] == [c.counts for c in sim_rep.clients]
     assert tcp_result.to_json_dict() == sim_result.to_json_dict()
+
+
+def test_tcp_fold_sends_each_round_weights_once_per_client(monkeypatch):
+    encoded, frame_encode = [], W.frame_encode
+
+    def recording_frame_encode(msg_type, *payload):
+        frame = frame_encode(msg_type, *payload)
+        encoded.append(frame)
+        return frame
+
+    monkeypatch.setattr(W, "frame_encode", recording_frame_encode)
+    clients = synthetic_clients(2)
+    cfg = FedConfig(rounds=3, min_available_clients=2, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    tcp_result, base = run_tcp_federation(clients, cfg)
+    sim_result = run_fold(0, clients, base, cfg, eval_base=False)
+    assert tcp_result.final_weights.equals_bitwise(sim_result.final_weights)
+    assert tcp_result.to_json_dict() == sim_result.to_json_dict()
+
+    def decoded(msg_type):
+        return [W.read_frame(io.BytesIO(f))[1] for f in encoded if f[4] == msg_type]
+
+    # one ROUND_CONFIG per round, for both clients; only round 1's has weights
+    configs = [W.decode_round_config(p) for p in decoded(W.MSG_ROUND_CONFIG)]
+    assert [(c[0], len(c[-1]) > 0) for c in configs] == [(1, True), (2, False), (3, False)]
+    assert len(decoded(W.MSG_EVAL_REQUEST)) == 3
+    assert len(decoded(W.MSG_FIT_RESULT)) == len(decoded(W.MSG_EVAL_RESULT)) == 6
 
 
 def test_tcp_audit_trail_matches_simulation_event_for_event():
@@ -938,3 +980,115 @@ def test_collection_timeout_is_one_window():
     assert not server.is_alive()
     assert isinstance(box["error"], ProtocolError)
     assert "timed out" in str(box["error"])
+
+
+def fake_server(handler):
+    """A listening socket whose one connection ``handler(sock, rfile)`` serves
+    from a thread; returns (port, thread)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def serve():
+        with listener:
+            sock, _addr = listener.accept()
+        with sock, sock.makefile("rb") as rfile:
+            handler(sock, rfile)
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    return port, thread
+
+
+def round_config(weights, local_lr=1e-2):
+    return W.frame_encode(W.MSG_ROUND_CONFIG, *W._blob_message(
+        W._ROUND_HEAD.pack(1, 0, 0, 1, 8, local_lr),
+        [] if weights is None else W._blob_parts(weights)))
+
+
+@pytest.mark.parametrize("weights, local_lr, error, match", [
+    pytest.param(None, 1e-2, ProtocolError, "without weights", id="weightless-first"),
+    pytest.param(init_model(MC), float("nan"), ConfigError, "local_lr", id="lr-nan"),
+    pytest.param(init_model(MC), float("inf"), ConfigError, "local_lr", id="lr-inf"),
+])
+def test_client_refuses_a_round_config_it_cannot_train_from(weights, local_lr, error, match):
+    (cid, windows), = synthetic_clients(1).items()
+
+    def handler(sock, rfile):
+        assert W.read_frame(rfile)[0] == W.MSG_HELLO
+        sock.sendall(round_config(weights, local_lr))
+        sock.settimeout(10.0)  # a client that trains answers, then waits for us
+        with contextlib.suppress(TimeoutError):
+            rfile.read()  # until the client hangs up
+
+    port, server = fake_server(handler)
+    with pytest.raises(error, match=match):
+        W.client_loop("127.0.0.1", port, cid, MC, *windows)
+    server.join(10.0)
+    assert not server.is_alive()
+
+
+# 14.8 MB weight frames: more than a loopback connection's send buffer plus
+# the receive buffer below hold, so no write of one completes unread
+BIG = ModelConfig(n_features=6, n_labels=3, transformers_layers=2, hidden_size=384,
+                  n_positions=8, seed=0)
+
+
+def test_a_peer_that_vanishes_mid_send_aborts_the_fold_for_the_others():
+    cfg = FedConfig(rounds=1, min_available_clients=2, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    threads_before = threading.active_count()
+    port = free_port()
+    ready = threading.Event()
+    events, box = [], {}
+
+    def serve():
+        try:
+            W.server_loop("127.0.0.1", port, init_model(BIG), cfg, expected_clients=2,
+                          accept_timeout=30.0, audit=events.append, ready_event=ready)
+        except Exception as exc:
+            box["error"] = exc
+
+    server = threading.Thread(target=serve)
+    server.start()
+    assert ready.wait(10.0)
+    with rogue_peer(port) as (survivor, rfile):
+        survivor.settimeout(30.0)
+        survivor.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("b", 1)))
+        wait_for_hello(events)
+        vanisher = socket.socket()
+        vanisher.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+        vanisher.connect(("127.0.0.1", port))
+        vanisher.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("a", 1)))
+        deadline = time.monotonic() + 10.0
+        while sum(e["event"] == "hello" for e in events) < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        # a reset, not a FIN: the server's write to "a" fails
+        vanisher.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        vanisher.close()
+        assert W.read_frame(rfile, W._frame_caps(BIG)[W.MSG_ROUND_CONFIG])[0] == \
+            W.MSG_ROUND_CONFIG
+        msg_type, payload = W.read_frame(rfile)
+        assert msg_type == W.MSG_ERROR
+        code, message = W.decode_error(payload)
+        assert code == "aborted" and "client a" in message
+    server.join(30.0)
+    assert not server.is_alive()
+    assert isinstance(box["error"], ProtocolError)
+    assert "sending to client a failed" in str(box["error"])
+    assert threading.active_count() == threads_before  # the send threads were joined
+
+
+def test_client_send_to_a_vanished_server_is_a_protocol_error():
+    (cid, windows), = synthetic_clients(1).items()
+
+    def handler(sock, rfile):
+        # hand out one round, then hang up before the FIT_RESULT
+        assert W.read_frame(rfile)[0] == W.MSG_HELLO
+        sock.sendall(round_config(init_model(BIG)))
+
+    port, server = fake_server(handler)
+    with pytest.raises(ProtocolError, match="lost the server"):
+        W.client_loop("127.0.0.1", port, cid, BIG, *windows)
+    server.join(10.0)
+    assert not server.is_alive()
