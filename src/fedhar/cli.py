@@ -21,6 +21,7 @@ import time
 
 from . import __version__
 from . import data as D
+from . import tensor
 from .errors import FedharError
 from .fedavg import FedConfig, run_fold
 from .metrics import fold_summary
@@ -467,6 +468,8 @@ def main(argv=None) -> int:
                 "started_at": started_at,
                 "wall_ms": (time.monotonic() - started) * 1e3,
                 "package_version": __version__,
+                "blas": {"library": tensor._openblas[0] if tensor._openblas else None,
+                         "threads": tensor._blas_start},
             })
     except (FedharError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,14 +34,18 @@ keeps its rows' max and sum; each VJP recomputes the rest per block. Adam
 updates its moments in place.
 
 Importing this module raises glibc's malloc trim and mmap thresholds; see
-``_keep_freed_heap`` for why.
+``_keep_freed_heap`` for why. It also looks up the thread-count functions
+of the OpenBLAS numpy's wheel bundles, so that trainings running at once
+share its thread pool; see ``_BlasShare``.
 """
 
 from __future__ import annotations
 
 import ctypes
+import glob
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -94,6 +98,79 @@ def _keep_freed_heap() -> None:
 
 
 _keep_freed_heap()
+
+# (getter, setter) names: numpy 2.x wheels bundle scipy-openblas, numpy
+# 1.2x wheels an OpenBLAS with a 64-bit-integer interface.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+def _find_openblas():
+    """(library file name, getter, setter) of numpy's bundled OpenBLAS.
+
+    None when numpy links another BLAS (MKL, Accelerate, a system build) or
+    its library exports no thread-count functions.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return os.path.basename(path), get, set_
+    return None
+
+
+_openblas = _find_openblas()
+# the thread count the process started with (OPENBLAS_NUM_THREADS or cores)
+_blas_start = _openblas[1]() if _openblas is not None else None
+
+
+class _BlasShare:
+    """Split the BLAS thread pool between the trainings running at once.
+
+    Clients that share a process (TCP client threads) would otherwise each
+    run their GEMMs on the whole pool and oversubscribe the cores. Entry
+    and exit count the calls in flight and set the pool to
+    ``max(1, start // active)``, with ``start`` the count at import, only
+    when that value changes: a lone training never calls the setter, and a
+    process started at 1 thread stays there. The lock covers the counter
+    and the setter, never the training. OpenBLAS splits a GEMM over output
+    rows and columns, not the summed axis, so the bits do not depend on the
+    count. Without numpy's OpenBLAS this does nothing. Separate processes
+    are not coordinated: each should set ``OPENBLAS_NUM_THREADS`` itself.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._active = 0
+        self._threads = _blas_start
+
+    def _change(self, delta: int) -> None:
+        if _openblas is None:
+            return
+        with self._lock:
+            self._active += delta
+            threads = max(1, _blas_start // max(1, self._active))
+            if threads != self._threads:
+                _openblas[2](threads)
+                self._threads = threads
+
+    def __enter__(self):
+        self._change(1)
+
+    def __exit__(self, *exc):
+        self._change(-1)
+
+
+_blas_share = _BlasShare()
 
 
 class _Node:
@@ -622,8 +699,8 @@ class Adam:
         into a fresh array that ``p.data`` is then rebound to: the old array
         is never written, since views of it may be held elsewhere.
         """
-        if lr <= 0.0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
+        if not 0.0 < lr < math.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {lr}")
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, p in params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)

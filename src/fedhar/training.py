@@ -14,7 +14,7 @@ from .errors import ConfigError, DegenerateReportError
 from .metrics import ClientReport, ConfusionCounts
 from .model import (ModelConfig, WeightSet, forward, init_model,
                     masked_weighted_loss, predict)
-from .tensor import Adam, Tensor, backward
+from .tensor import Adam, Tensor, _blas_share, backward
 from .util import derive_seed
 
 log = logging.getLogger(__name__)
@@ -86,36 +86,42 @@ def train(
 
     Pure in (initial weights, windows, config): the input WeightSet is left
     untouched, shuffling and dropout draw from generators derived from
-    config.seed, and history holds one mean batch loss per epoch.
+    config.seed, and history holds one mean batch loss per epoch. The copy
+    carries no gradients. Trainings and evaluations running at once in one
+    process share the BLAS threads (``tensor._BlasShare``), with the same
+    bits as one at a time.
     """
     if not windows:
         raise ConfigError("training needs at least one window")
-    w = weights.copy()
-    pos_weight = compute_pos_weight(windows)
-    x_all, pad_all, tgt_all, mask_all = batch_arrays(windows)
-    if x_all.shape[-1] != w.config.n_features:
-        raise ConfigError(
-            f"windows have {x_all.shape[-1]} features, model expects {w.config.n_features}")
+    with _blas_share:
+        w = weights.copy()
+        pos_weight = compute_pos_weight(windows)
+        x_all, pad_all, tgt_all, mask_all = batch_arrays(windows)
+        if x_all.shape[-1] != w.config.n_features:
+            raise ConfigError(
+                f"windows have {x_all.shape[-1]} features, model expects {w.config.n_features}")
 
-    shuffle_rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
-    drop_rng = np.random.default_rng(derive_seed(config.seed, "dropout"))
-    opt = Adam()
-    n = len(windows)
-    history: list[float] = []
-    for _ in range(config.epochs):
-        order = shuffle_rng.permutation(n)
-        losses = []
-        for idx in _batches(n, config.batch_size, order):
-            y = forward(w, x_all[idx], pad_all[idx], train_mode=True, rng=drop_rng)
-            loss = masked_weighted_loss(y, tgt_all[idx], mask_all[idx], pos_weight)
-            w.zero_grads()
-            backward(loss)
-            losses.append(loss.item())
-            # the graph dies here, not while the next forward builds another
-            del y, loss
-            opt.step(w.tensors, config.learning_rate)
-        history.append(float(np.mean(losses)))
-    return w, history
+        shuffle_rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
+        drop_rng = np.random.default_rng(derive_seed(config.seed, "dropout"))
+        opt = Adam()
+        n = len(windows)
+        history: list[float] = []
+        for _ in range(config.epochs):
+            order = shuffle_rng.permutation(n)
+            losses = []
+            for idx in _batches(n, config.batch_size, order):
+                y = forward(w, x_all[idx], pad_all[idx], train_mode=True, rng=drop_rng)
+                loss = masked_weighted_loss(y, tgt_all[idx], mask_all[idx], pos_weight)
+                w.zero_grads()
+                backward(loss)
+                losses.append(loss.item())
+                # the graph dies here, not while the next forward builds another
+                del y, loss
+                opt.step(w.tensors, config.learning_rate)
+            history.append(float(np.mean(losses)))
+        # the last step's gradients would double what the trained copy holds
+        w.zero_grads()
+        return w, history
 
 
 def evaluate(
@@ -138,16 +144,17 @@ def evaluate(
     tn = np.zeros(n_labels, dtype=np.int64)
     fp = np.zeros(n_labels, dtype=np.int64)
     fn = np.zeros(n_labels, dtype=np.int64)
-    for start in range(0, len(test_windows), EVAL_BATCH):
-        sl = slice(start, start + EVAL_BATCH)
-        y = forward(frozen, x_all[sl], pad_all[sl], train_mode=False)
-        p = predict(y).astype(bool)
-        t = tgt_all[sl] > 0
-        m = mask_all[sl] > 0
-        tp += (p & t & m).sum(axis=(0, 1))
-        tn += (~p & ~t & m).sum(axis=(0, 1))
-        fp += (p & ~t & m).sum(axis=(0, 1))
-        fn += (~p & t & m).sum(axis=(0, 1))
+    with _blas_share:
+        for start in range(0, len(test_windows), EVAL_BATCH):
+            sl = slice(start, start + EVAL_BATCH)
+            y = forward(frozen, x_all[sl], pad_all[sl], train_mode=False)
+            p = predict(y).astype(bool)
+            t = tgt_all[sl] > 0
+            m = mask_all[sl] > 0
+            tp += (p & t & m).sum(axis=(0, 1))
+            tn += (~p & ~t & m).sum(axis=(0, 1))
+            fp += (p & ~t & m).sum(axis=(0, 1))
+            fn += (~p & t & m).sum(axis=(0, 1))
     counts = [ConfusionCounts(int(tp[l]), int(tn[l]), int(fp[l]), int(fn[l]))
               for l in range(n_labels)]
     return ClientReport.from_counts(subject_id, counts, label_names)

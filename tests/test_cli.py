@@ -43,7 +43,7 @@ def read_json(path):
 
 
 MANIFEST_KEYS = ["command", "argv", "config", "seed", "inputs", "outputs",
-                 "started_at", "wall_ms", "package_version"]
+                 "started_at", "wall_ms", "package_version", "blas"]
 
 
 def read_manifest(path, command):
@@ -52,6 +52,14 @@ def read_manifest(path, command):
     assert list(manifest) == MANIFEST_KEYS
     assert manifest["command"] == command
     assert manifest["wall_ms"] >= 0.0
+    blas = manifest["blas"]
+    assert list(blas) == ["library", "threads"]
+    # numpy's bundled OpenBLAS and the thread count the process started
+    # with, or null for both under another BLAS
+    if blas["library"] is None:
+        assert blas["threads"] is None
+    else:
+        assert "openblas" in blas["library"] and blas["threads"] >= 1
     return manifest
 
 

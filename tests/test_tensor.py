@@ -715,6 +715,16 @@ def test_adam_rejects_bad_lr_and_shape():
         opt.step({"p": Tensor(np.zeros(3), requires_grad=True)}, lr=0.1)
 
 
+@pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+def test_adam_rejects_a_rate_that_is_not_positive_and_finite(lr):
+    p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    p.grad = np.ones(3, dtype=np.float32)
+    opt = T.Adam()
+    with pytest.raises(ConfigError, match="positive and finite"):
+        opt.step({"p": p}, lr=lr)
+    assert p.data.tobytes() == np.ones(3, dtype=np.float32).tobytes() and not opt.states
+
+
 def test_adam_named_family_none_grad_still_steps_moments():
     params = {"a": Tensor(np.ones(2, dtype=np.float32), requires_grad=True)}
     opt = T.Adam()

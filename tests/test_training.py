@@ -1,7 +1,11 @@
 """Local training loop, evaluation, and the random hyperparameter search."""
 
+import json
 import os
 import resource
+import subprocess
+import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -9,15 +13,18 @@ import numpy as np
 import pytest
 
 import fedhar.data as D
+import fedhar.tensor as T
 import fedhar.training as TR
 from fedhar.errors import ConfigError, DegenerateReportError
+from fedhar.fedavg import FedConfig, client_fit
 from fedhar.metrics import ClientReport, confusion_from_arrays
 from fedhar.model import (ModelConfig, forward, init_model, masked_weighted_loss,
                           parameter_shapes, predict)
-from fedhar.tensor import Tensor
+from fedhar.tensor import Adam, Tensor, backward
 from fedhar.training import (SearchSpace, TrainConfig, compute_pos_weight,
                              evaluate, random_search, train)
 from fedhar.model import WeightSet
+from fedhar.util import derive_seed
 
 MC = ModelConfig(n_features=6, n_labels=3, transformers_layers=1,
                  hidden_size=8, n_positions=8, dropout=0.1, seed=0)
@@ -142,6 +149,187 @@ def test_repeated_train_reuses_freed_memory():
     train(weights, ws, tc)
     faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
     assert faults < 1000, faults
+
+
+def test_train_returns_weights_without_grads_and_the_same_bits():
+    ws = all_windows(corpus())
+    trained, _ = train(init_model(MC), ws, TrainConfig(epochs=2, learning_rate=1e-2,
+                                                       batch_size=8, seed=0))
+    assert all(t.grad is None for t in trained.tensors.values())
+    # the loop train runs, replayed by hand: it ends holding the last grads
+    w = init_model(MC)
+    pos_weight = compute_pos_weight(ws)
+    x, pad, tgt, mask = D.batch_arrays(ws)
+    shuffle_rng = np.random.default_rng(derive_seed(0, "shuffle"))
+    drop_rng = np.random.default_rng(derive_seed(0, "dropout"))
+    opt = Adam()
+    for _ in range(2):
+        order = shuffle_rng.permutation(len(ws))
+        for start in range(0, len(ws), 8):
+            idx = order[start:start + 8]
+            y = forward(w, x[idx], pad[idx], train_mode=True, rng=drop_rng)
+            w.zero_grads()
+            backward(masked_weighted_loss(y, tgt[idx], mask[idx], pos_weight))
+            opt.step(w.tensors, 1e-2)
+    assert all(t.grad is not None for t in w.tensors.values())
+    for name, t in trained.items():
+        assert t.data.tobytes() == w[name].data.tobytes(), name
+
+
+# ------------------------------------------------ BLAS threads per training
+
+needs_openblas = pytest.mark.skipif(
+    T._openblas is None, reason="numpy's OpenBLAS thread-count functions not found")
+
+
+def synthetic_windows(n_features, n_labels, minutes, n_positions, seed=0):
+    spec = D.SyntheticSpec(n_subjects=1, minutes_per_subject=minutes,
+                           n_features=n_features, n_labels=n_labels, alpha=0.5, seed=seed)
+    rec = D.gen_synthetic(spec)[0]
+    rec = D.apply_standardizer(rec, D.fit_standardizer([rec]))
+    return D.make_windows(rec, n_positions)
+
+
+@needs_openblas
+def test_train_bits_do_not_depend_on_the_blas_thread_count():
+    cfg = ModelConfig(n_features=225, n_labels=51, transformers_layers=4,
+                      hidden_size=384, n_positions=32, dropout=0.1, seed=0)
+    ws = synthetic_windows(225, 51, minutes=128, n_positions=32)
+    weights = init_model(cfg)
+    tc = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=len(ws), seed=0)
+    _, get, set_threads = T._openblas
+    out = {}
+    try:
+        for n in (1, 2):
+            set_threads(n)
+            assert get() == n
+            trained, _ = train(weights, ws, tc)
+            out[n] = [t.data.tobytes() for t in trained.tensors.values()]
+    finally:
+        set_threads(T._blas_start)
+    assert out[1] == out[2]
+
+
+@needs_openblas
+@pytest.mark.parametrize("second", ["trains", "raises"])
+def test_concurrent_client_fits_share_the_blas_pool_with_the_same_bits(monkeypatch, second):
+    base = init_model(ModelConfig(n_features=24, n_labels=8, transformers_layers=2,
+                                  hidden_size=96, n_positions=32, dropout=0.1, seed=0))
+    cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=2, batch_size=16,
+                    local_lr=1e-3, seed=3)
+    data = {"a": synthetic_windows(24, 8, 256, 32, seed=1),
+            "b": synthetic_windows(24, 8, 256, 32, seed=2)}
+    if second == "raises":
+        data["b"] = all_windows(corpus(), n_positions=32)  # 6 features, not 24
+    fitted = ["a"] if second == "raises" else ["a", "b"]
+    alone = {cid: client_fit(base, data[cid], cfg, cid, 0, 1) for cid in fitted}
+
+    name, get, set_threads = T._openblas
+    calls = []
+    monkeypatch.setattr(T, "_openblas",
+                        (name, get, lambda n: (calls.append(n), set_threads(n))))
+    # both trainings meet at a barrier inside train, so both are in flight
+    barrier = threading.Barrier(2, timeout=60)
+    real = TR.compute_pos_weight
+    monkeypatch.setattr(TR, "compute_pos_weight",
+                        lambda windows: (barrier.wait(), real(windows))[1])
+    results = {}
+
+    def fit(cid):
+        try:
+            results[cid] = client_fit(base, data[cid], cfg, cid, 0, 1)
+        except ConfigError as exc:
+            results[cid] = exc
+    threads = [threading.Thread(target=fit, args=(cid,)) for cid in data]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+
+    for cid, update in alone.items():
+        assert update.weights.equals_bitwise(results[cid].weights), cid
+    if second == "raises":
+        assert isinstance(results["b"], ConfigError)
+    start = T._blas_start
+    # halved while both ran, then back to where the process started
+    assert calls == ([max(1, start // 2), start] if start > 1 else [])
+    assert get() == start and T._blas_share._active == 0
+
+
+def test_blas_share_counts_every_entry_and_exit_under_contention(monkeypatch):
+    """A lost update to the in-flight count would leave the pool shrunk."""
+    pool = [4]
+    monkeypatch.setattr(T, "_openblas", ("fake", lambda: pool[0],
+                                         lambda n: pool.__setitem__(0, n)))
+    monkeypatch.setattr(T, "_blas_start", 4)
+    share = T._BlasShare()
+    seen = set()
+
+    def enter_and_exit():
+        for _ in range(500):
+            with share:
+                seen.add(pool[0])
+    threads = [threading.Thread(target=enter_and_exit) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert share._active == 0 and pool[0] == 4
+    assert seen <= {4, 2, 1}
+
+
+# Two trainings in a process started at one BLAS thread: a barrier inside
+# each holds both in flight while the main thread polls the pool size.
+TWO_TRAININGS = """
+import json, threading, time
+import fedhar.data as D
+import fedhar.tensor as T
+import fedhar.training as TR
+from fedhar.model import ModelConfig, init_model
+from fedhar.training import TrainConfig, train
+
+calls = []
+name, get, set_threads = T._openblas
+T._openblas = (name, get, lambda n: (calls.append(n), set_threads(n)))
+barrier = threading.Barrier(2, timeout=60)
+real = TR.compute_pos_weight
+TR.compute_pos_weight = lambda windows: (barrier.wait(), real(windows))[1]
+spec = D.SyntheticSpec(n_subjects=1, minutes_per_subject=256, n_features=24,
+                       n_labels=8, alpha=0.5, seed=0)
+ws = D.make_windows(D.gen_synthetic(spec)[0], 32)
+cfg = ModelConfig(n_features=24, n_labels=8, transformers_layers=2,
+                  hidden_size=96, n_positions=32, dropout=0.1, seed=0)
+tc = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=16, seed=0)
+threads = [threading.Thread(target=train, args=(init_model(cfg), ws, tc))
+           for _ in range(2)]
+seen = [get()]
+for t in threads:
+    t.start()
+while any(t.is_alive() for t in threads):
+    seen.append(get())
+    time.sleep(0.001)
+for t in threads:
+    t.join()
+seen.append(get())
+print(json.dumps({"start": T._blas_start, "max": max(seen), "calls": calls}))
+"""
+
+
+@needs_openblas
+def test_a_process_started_at_one_blas_thread_stays_there():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", TWO_TRAININGS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"start": 1, "max": 1, "calls": []}
 
 
 def test_pos_weight_ratio_and_clamp():
