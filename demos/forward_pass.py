@@ -8,7 +8,7 @@ from fedhar.model import (ModelConfig, forward, init_model,
 cfg = ModelConfig(n_features=5, n_labels=3, transformers_layers=2,
                   hidden_size=16, n_positions=12, dropout=0.1, seed=42)
 weights = init_model(cfg)
-print("config:", cfg.to_dict())
+print("config:", cfg.__dict__)
 print("parameters:", weights.num_params())
 
 rng = np.random.default_rng(0)

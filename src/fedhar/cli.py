@@ -185,7 +185,7 @@ def cmd_pretrain(args):
     atomic_write_json(history_path, {"loss": history})
     print(f"checkpoint written to {args.out} (final loss {history[-1]:.4f})")
     return (f"{args.out}.manifest.json",
-            {"model": mc.to_dict(), "train": tc.__dict__},
+            {"model": mc.__dict__, "train": tc.__dict__},
             [args.data] + ([args.fold_plan] if args.fold_plan else []),
             [args.out, standardizer_path(args.out), history_path])
 

@@ -45,8 +45,9 @@ class FedConfig:
 
     ``min_available_clients`` is the fewest clients a fold may start with.
     ``round_timeout_s`` (TCP only; None waits forever) bounds each fit
-    collection and each eval collection once: the server raises
-    ``ProtocolError`` when a client has not answered in time.
+    collection and each eval collection once, and each server write that
+    makes no progress: the server raises ``ProtocolError`` when a client has
+    not answered, or has stopped reading, for that long.
     """
 
     rounds: int = 4
@@ -243,7 +244,8 @@ def drive_fold(fold: int, num_examples: dict, fit, evaluate_clients,
         updates = []
         for cid, update in fit(weights, round_idx, fit_ids):
             _audit(audit, fold=fold, round=round_idx, event="fit_result",
-                   client_id=cid, num_examples=update.num_examples)
+                   client_id=cid, num_examples=update.num_examples,
+                   train_loss=update.train_loss)
             updates.append(update)
         weights = aggregate(updates)
         _audit(audit, fold=fold, round=round_idx, event="aggregate",

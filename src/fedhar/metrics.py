@@ -42,38 +42,37 @@ class ConfusionCounts:
                                self.fp + other.fp, self.fn + other.fn)
 
 
+def _count(pred, target, mask) -> list[ConfusionCounts]:
+    """Per-label counts over same-shaped [..., L] arrays: the one confusion count."""
+    p, t, m = (np.asarray(a, dtype=bool) for a in (pred, target, mask))
+    if p.shape != t.shape or p.shape != m.shape:
+        raise ShapeError(f"pred {p.shape}, target {t.shape}, mask {m.shape} must agree")
+    axes = tuple(range(p.ndim - 1))
+    tp = (p & t & m).sum(axis=axes)
+    tn = (~p & ~t & m).sum(axis=axes)
+    fp = (p & ~t & m).sum(axis=axes)
+    fn = (~p & t & m).sum(axis=axes)
+    return [ConfusionCounts(int(tp[l]), int(tn[l]), int(fp[l]), int(fn[l]))
+            for l in range(p.shape[-1])]
+
+
 def accumulate_confusion(pred, target, mask, counts: ConfusionCounts) -> ConfusionCounts:
     """Add masked {0,1} predictions against targets into counts (in place).
 
     Accepts scalars or same-shaped arrays; masked-out elements contribute
     nothing.
     """
-    p = np.asarray(pred, dtype=bool)
-    t = np.asarray(target, dtype=bool)
-    m = np.asarray(mask, dtype=bool)
-    if p.shape != t.shape or p.shape != m.shape:
-        raise ShapeError(f"pred {p.shape}, target {t.shape}, mask {m.shape} must agree")
-    counts.tp += int((p & t & m).sum())
-    counts.tn += int((~p & ~t & m).sum())
-    counts.fp += int((p & ~t & m).sum())
-    counts.fn += int((~p & t & m).sum())
+    (c,) = _count(*(np.expand_dims(a, -1) for a in (pred, target, mask)))
+    counts.tp += c.tp
+    counts.tn += c.tn
+    counts.fp += c.fp
+    counts.fn += c.fn
     return counts
 
 
-def confusion_from_arrays(pred: np.ndarray, target: np.ndarray,
-                          mask: np.ndarray) -> list[ConfusionCounts]:
-    """Vectorized per-label counts from [..., L] prediction/target/mask arrays."""
-    p = np.asarray(pred, dtype=bool).reshape(-1, pred.shape[-1])
-    t = np.asarray(target, dtype=bool).reshape(-1, target.shape[-1])
-    m = np.asarray(mask, dtype=bool).reshape(-1, mask.shape[-1])
-    if p.shape != t.shape or p.shape != m.shape:
-        raise ShapeError(f"pred {p.shape}, target {t.shape}, mask {m.shape} must agree")
-    tp = (p & t & m).sum(axis=0)
-    tn = (~p & ~t & m).sum(axis=0)
-    fp = (p & ~t & m).sum(axis=0)
-    fn = (~p & t & m).sum(axis=0)
-    return [ConfusionCounts(int(tp[l]), int(tn[l]), int(fp[l]), int(fn[l]))
-            for l in range(p.shape[-1])]
+def confusion_from_arrays(pred, target, mask) -> list[ConfusionCounts]:
+    """Per-label counts from [..., L] prediction/target/mask arrays."""
+    return _count(pred, target, mask)
 
 
 def balanced_accuracy(counts: ConfusionCounts) -> float | None:

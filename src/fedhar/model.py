@@ -65,22 +65,6 @@ class ModelConfig:
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_features": self.n_features,
-            "n_labels": self.n_labels,
-            "transformers_layers": self.transformers_layers,
-            "hidden_size": self.hidden_size,
-            "n_positions": self.n_positions,
-            "n_heads": self.n_heads,
-            "dropout": self.dropout,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
-
 
 def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, shape) list; serialization and init both follow it."""

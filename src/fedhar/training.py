@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import Window, batch_arrays, carve_validation, make_windows, split_train_test
 from .errors import ConfigError, DegenerateReportError
-from .metrics import ClientReport, ConfusionCounts
+from .metrics import ClientReport, _count
 from .model import (ModelConfig, WeightSet, forward, init_model,
                     masked_weighted_loss, predict)
 from .tensor import Adam, Tensor, _blas_share, backward
@@ -139,24 +139,12 @@ def evaluate(
     x_all, pad_all, tgt_all, mask_all = batch_arrays(test_windows)
     # no-grad tensors over the same arrays: the forward builds no graph
     frozen = WeightSet(weights.config, {n: Tensor(t.data) for n, t in weights.items()})
-    n_labels = tgt_all.shape[-1]
-    tp = np.zeros(n_labels, dtype=np.int64)
-    tn = np.zeros(n_labels, dtype=np.int64)
-    fp = np.zeros(n_labels, dtype=np.int64)
-    fn = np.zeros(n_labels, dtype=np.int64)
+    pred = np.empty(tgt_all.shape, dtype=bool)
     with _blas_share:
         for start in range(0, len(test_windows), EVAL_BATCH):
             sl = slice(start, start + EVAL_BATCH)
-            y = forward(frozen, x_all[sl], pad_all[sl], train_mode=False)
-            p = predict(y).astype(bool)
-            t = tgt_all[sl] > 0
-            m = mask_all[sl] > 0
-            tp += (p & t & m).sum(axis=(0, 1))
-            tn += (~p & ~t & m).sum(axis=(0, 1))
-            fp += (p & ~t & m).sum(axis=(0, 1))
-            fn += (~p & t & m).sum(axis=(0, 1))
-    counts = [ConfusionCounts(int(tp[l]), int(tn[l]), int(fp[l]), int(fn[l]))
-              for l in range(n_labels)]
+            pred[sl] = predict(forward(frozen, x_all[sl], pad_all[sl], train_mode=False))
+    counts = _count(pred, tgt_all > 0, mask_all > 0)
     return ClientReport.from_counts(subject_id, counts, label_names)
 
 

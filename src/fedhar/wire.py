@@ -31,7 +31,10 @@ the simulation does. A message out of order gets an ERROR frame with code
 ``out_of_order``, a malformed one ``bad_message``, and the connection is
 dropped. When the server ends a fold with an error, every client still
 connected gets an ERROR frame with code ``aborted`` first; a write that
-fails, because the peer vanished, is such an error, naming that client.
+fails, because the peer vanished, is such an error, naming that client. So
+is a write that makes no progress for ``round_timeout_s``, when that is set,
+because the peer stopped reading; a peer that reads slowly but steadily is
+not cut off.
 
 Buffers: a received frame is read with ``readinto`` into one bytearray of
 its declared length. Decoders slice memoryviews of it, and each tensor is
@@ -67,7 +70,7 @@ import numpy as np
 
 from .errors import (AvailabilityError, DecodeError, DegenerateReportError, FedharError,
                      ProtocolError, ShapeError)
-from .fedavg import ClientUpdate, FedConfig, FoldResult, client_fit, drive_fold
+from .fedavg import ClientUpdate, FedConfig, FoldResult, _audit, client_fit, drive_fold
 from .metrics import ClientReport, ConfusionCounts
 from .model import ModelConfig, WeightSet, parameter_shapes
 from .tensor import Tensor
@@ -433,8 +436,15 @@ def connect_with_retry(host: str, port: int, attempts: int = CONNECT_ATTEMPTS,
 class _ClientConn:
     """Server-side connection state; a reader thread enforces ordering and caps."""
 
-    def __init__(self, sock: socket.socket, results: queue.Queue, caps: dict[int, int]):
+    def __init__(self, sock: socket.socket, results: queue.Queue, caps: dict[int, int],
+                 send_timeout: float | None):
         self.sock = sock
+        self.send_timeout = send_timeout
+        # the kernel fails a write that makes no progress for send_timeout, taken
+        # as at least 1 us (0 would mean never) and at most what a C long holds
+        if send_timeout is not None:
+            sec, usec = divmod(min(max(1, round(send_timeout * 1e6)), 1 << 62), 1_000_000)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, struct.pack("ll", sec, usec))
         self.rfile = sock.makefile("rb")
         self.results = results
         self.caps = caps
@@ -450,7 +460,10 @@ class _ClientConn:
 
     def send(self, frame: bytes) -> None:
         with self.send_lock:
-            self.sock.sendall(frame)
+            try:
+                self.sock.sendall(frame)
+            except BlockingIOError:  # SO_SNDTIMEO ran out
+                raise OSError(f"no progress for {self.send_timeout} s") from None
 
     def close(self) -> None:
         if not self.closed:
@@ -615,10 +628,6 @@ def server_loop(
     results: queue.Queue = queue.Queue()
     conns: dict[str, _ClientConn] = {}
 
-    def emit(**event):
-        if audit is not None:
-            audit({"ts": time.time(), "fold": fold, **event})
-
     caps = _frame_caps(base_weights.config)
     pending_conns: list[_ClientConn] = []
     closed_message = f"registration is closed: {expected} clients registered"
@@ -636,7 +645,7 @@ def server_loop(
                     f"only {len(conns)} of {expected} clients registered before timeout")
             try:
                 sock, _addr = listener.accept()
-                conn = _ClientConn(sock, results, caps)
+                conn = _ClientConn(sock, results, caps, config.round_timeout_s)
                 pending_conns.append(conn)
                 conn.start()
             except socket.timeout:
@@ -652,8 +661,8 @@ def server_loop(
                         conn._fail("duplicate_id", f"client id {cid} already registered")
                         continue
                     conns[cid] = conn
-                    emit(round=0, event="hello", client_id=cid,
-                         num_examples=conn.num_examples)
+                    _audit(audit, fold=fold, round=0, event="hello", client_id=cid,
+                           num_examples=conn.num_examples)
                 elif conns.get(cid) is conn:  # a registered client failed or left
                     del conns[cid]
         for conn in pending_conns:
@@ -698,7 +707,7 @@ def server_loop(
         for cid in sorted(conns):
             try:
                 conns[cid].send(frame_encode(MSG_DONE))
-                emit(round=config.rounds, event="done", client_id=cid)
+                _audit(audit, fold=fold, round=config.rounds, event="done", client_id=cid)
             except OSError:
                 log.warning("client %s vanished before DONE", cid)
         return result

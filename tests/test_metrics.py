@@ -91,6 +91,10 @@ def test_accumulate_is_additive():
 def test_accumulate_shape_mismatch():
     with pytest.raises(ShapeError):
         accumulate_confusion(np.ones(3), np.ones(4), np.ones(3), ConfusionCounts())
+    # the same size in another shape is a mismatch too
+    with pytest.raises(ShapeError):
+        accumulate_confusion(np.ones((2, 3)), np.ones((3, 2)), np.ones((2, 3)),
+                             ConfusionCounts())
 
 
 def test_confusion_from_arrays_matches_per_label_loop():

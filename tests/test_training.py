@@ -384,18 +384,27 @@ def test_evaluate_perfect_oracle_weights():
 
 
 def test_evaluate_counts_match_manual_confusion():
-    recs = corpus()
-    ws = all_windows(recs)
     w = init_model(MC)
-    rep = evaluate(w, ws, "pooled", recs[0].label_names)
-    from fedhar.metrics import confusion_from_arrays
-    from fedhar.model import forward, predict
-    x, pad, tgt, mask = D.batch_arrays(ws)
-    pred = predict(forward(w, x, pad))
-    counts = confusion_from_arrays(pred, tgt > 0, mask > 0)
-    assert [((c.tp, c.tn, c.fp, c.fn)) for c in rep.counts] == \
-           [((c.tp, c.tn, c.fp, c.fn)) for c in counts]
-    assert rep.n_eval_instances == int((mask > 0).sum())
+    small = corpus()
+    # 75 windows cross EVAL_BATCH's boundary; about 20% of the label cells
+    # are masked out as missing
+    big = corpus(n_subjects=3, minutes=200, seed=4)
+    big_windows = all_windows(big)
+    rng = np.random.default_rng(5)
+    for win in big_windows:
+        win.label_mask = win.label_mask * (rng.random(win.label_mask.shape) >= 0.2)
+    assert len(big_windows) > TR.EVAL_BATCH
+    for recs, ws in ((small, all_windows(small)), (big, big_windows)):
+        rep = evaluate(w, ws, "pooled", recs[0].label_names)
+        x, pad, tgt, mask = D.batch_arrays(ws)
+        pred = predict(forward(w, x, pad)) > 0
+        want = []
+        for l in range(tgt.shape[-1]):  # one label at a time, counted by case
+            p, t, m = pred[..., l], tgt[..., l] > 0, mask[..., l] > 0
+            want.append((int((p & t)[m].sum()), int((~p & ~t)[m].sum()),
+                         int((p & ~t)[m].sum()), int((~p & t)[m].sum())))
+        assert [(c.tp, c.tn, c.fp, c.fn) for c in rep.counts] == want
+        assert rep.n_eval_instances == int((mask > 0).sum())
 
 
 def test_evaluate_builds_no_graph_and_matches_grad_forward(monkeypatch):

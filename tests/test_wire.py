@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import queue
 import socket
 import struct
 import threading
@@ -251,7 +252,7 @@ def test_checkpoint_round_trip(tmp_path):
     W.save_checkpoint(path, ws)
     back = W.load_checkpoint(path)
     assert back.equals_bitwise(ws)
-    assert back.config.to_dict() == MC.to_dict()
+    assert back.config == MC
 
 
 # every field set away from its default; the seed sets the top bit of its u64
@@ -636,8 +637,12 @@ def test_server_error_reaches_every_client():
         assert "aborted" in str(exc) and "3 required" in str(exc)
 
 
-def serve_one_client(cfg, audit=None, expected_clients=1):
-    """A server thread; returns (port, thread, box) with box "result" or "error"."""
+def serve_one_client(cfg, audit=None, expected_clients=1, model=MC):
+    """A server thread; returns (port, thread, box) with box "result" or "error".
+
+    The thread is a daemon, so a server that never returns fails its test's
+    join instead of hanging the run.
+    """
     port = free_port()
     ready = threading.Event()
     box = {}
@@ -645,12 +650,12 @@ def serve_one_client(cfg, audit=None, expected_clients=1):
     def serve():
         try:
             box["result"] = W.server_loop(
-                "127.0.0.1", port, init_model(MC), cfg, expected_clients=expected_clients,
+                "127.0.0.1", port, init_model(model), cfg, expected_clients=expected_clients,
                 accept_timeout=30.0, audit=audit, ready_event=ready)
         except Exception as exc:
             box["error"] = exc
 
-    server = threading.Thread(target=serve)
+    server = threading.Thread(target=serve, daemon=True)
     server.start()
     assert ready.wait(10.0)
     return port, server, box
@@ -740,7 +745,9 @@ def test_fit_result_is_weighted_by_the_hello_count():
     assert not server.is_alive()
     assert "error" not in box
     fits = [e for e in events if e["event"] == "fit_result"]
-    assert [(e["client_id"], e["num_examples"]) for e in fits] == [("rogue", 7)]
+    # and the audit logs the train loss the FIT_RESULT carried
+    assert [(e["client_id"], e["num_examples"], e["train_loss"]) for e in fits] == \
+        [("rogue", 7, 0.0)]
 
 
 def test_nan_fit_result_aborts_the_fold_naming_client_and_parameter():
@@ -1077,6 +1084,48 @@ def test_a_peer_that_vanishes_mid_send_aborts_the_fold_for_the_others():
     assert isinstance(box["error"], ProtocolError)
     assert "sending to client a failed" in str(box["error"])
     assert threading.active_count() == threads_before  # the send threads were joined
+
+
+def test_a_peer_that_stops_reading_fails_the_send_after_the_round_timeout():
+    cfg = FedConfig(rounds=1, min_available_clients=2, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0, round_timeout_s=1.0)
+    events = []
+    port, server, box = serve_one_client(cfg, audit=events.append, expected_clients=2,
+                                         model=BIG)
+    mute = socket.socket()
+    try:
+        with rogue_peer(port) as (survivor, rfile):
+            survivor.settimeout(15.0)
+            survivor.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("b", 1)))
+            wait_for_hello(events)
+            # "a" registers and never reads: its buffers fill and the write stalls
+            mute.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+            mute.connect(("127.0.0.1", port))
+            mute.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("a", 1)))
+            assert W.read_frame(rfile, W._frame_caps(BIG)[W.MSG_ROUND_CONFIG])[0] == \
+                W.MSG_ROUND_CONFIG
+            msg_type, payload = W.read_frame(rfile)
+            assert msg_type == W.MSG_ERROR
+            code, message = W.decode_error(payload)
+            assert code == "aborted" and "client a" in message
+        server.join(15.0)
+        assert not server.is_alive()
+    finally:
+        mute.close()
+    assert isinstance(box["error"], ProtocolError)
+    assert "sending to client a failed: no progress for 1.0 s" in str(box["error"])
+
+
+@pytest.mark.parametrize("timeout", [1e-9, 1.5, 1e30])
+def test_every_positive_round_timeout_becomes_a_finite_send_timeout(timeout):
+    # a kernel timeout of 0 s 0 us would mean "wait forever"
+    server, peer = socket.socketpair()
+    with server, peer, W._ClientConn(server, queue.Queue(), {}, timeout).rfile:
+        sec, usec = struct.unpack("ll", server.getsockopt(socket.SOL_SOCKET,
+                                                          socket.SO_SNDTIMEO, 16))
+        assert (sec, usec) != (0, 0)
+        if timeout == 1.5:
+            assert sec == 1 and usec > 0
 
 
 def test_client_send_to_a_vanished_server_is_a_protocol_error():
