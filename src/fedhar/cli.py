@@ -415,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--local-lr", type=_positive(float), default=1e-3)
     p.add_argument("--batch-size", type=_positive(int), default=64)
     p.add_argument("--timeout", type=_positive(float),
-                   help="seconds to wait for each fit and each eval collection")
+                   help="seconds each broadcast may take, its writes and replies included")
     p.add_argument("--accept-timeout", type=_positive(float), default=120.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fed_server)

@@ -44,10 +44,11 @@ class FedConfig:
     """Round count, client minimum and local-training settings of a fold.
 
     ``min_available_clients`` is the fewest clients a fold may start with.
-    ``round_timeout_s`` (TCP only; None waits forever) bounds each fit
-    collection and each eval collection once, and each server write that
-    makes no progress: the server raises ``ProtocolError`` when a client has
-    not answered, or has stopped reading, for that long.
+    ``round_timeout_s`` (TCP only; None waits forever) is one deadline per
+    exchange: the server raises ``ProtocolError`` when a broadcast frame is
+    not written whole to every client, or not every reply is in, that long
+    after the broadcast began. ``seed``, ``local_epochs`` and ``batch_size``
+    must fit the u64 and u32 fields of a ROUND_CONFIG.
     """
 
     rounds: int = 4
@@ -64,8 +65,12 @@ class FedConfig:
         if self.min_available_clients < 1:
             raise ConfigError(
                 f"min_available_clients must be >= 1, got {self.min_available_clients}")
-        if self.local_epochs < 1:
-            raise ConfigError(f"local_epochs must be >= 1, got {self.local_epochs}")
+        if not 1 <= self.local_epochs < 2 ** 32:
+            raise ConfigError(f"local_epochs must be in [1, 2**32), got {self.local_epochs}")
+        if not 1 <= self.batch_size < 2 ** 32:
+            raise ConfigError(f"batch_size must be in [1, 2**32), got {self.batch_size}")
+        if not 0 <= int(self.seed) < 2 ** 64:
+            raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
         if not 0.0 < self.local_lr < math.inf:
             raise ConfigError(f"local_lr must be positive and finite, got {self.local_lr}")
         if self.round_timeout_s is not None and not 0.0 < self.round_timeout_s < math.inf:

@@ -32,18 +32,20 @@ the simulation does. A message out of order gets an ERROR frame with code
 dropped. When the server ends a fold with an error, every client still
 connected gets an ERROR frame with code ``aborted`` first; a write that
 fails, because the peer vanished, is such an error, naming that client. So
-is a write that makes no progress for ``round_timeout_s``, when that is set,
-because the peer stopped reading; a peer that reads slowly but steadily is
-not cut off.
+is a frame not written whole within ``round_timeout_s``, when that is set:
+one deadline per exchange covers the writes of its frame and the replies,
+so a peer that stops reading, or reads too slowly, is cut off. A peer whose
+frame is half-written is closed without an ERROR, as it could not read one.
 
-Buffers: a received frame is read with ``readinto`` into one bytearray of
-its declared length. Decoders slice memoryviews of it, and each tensor is
-copied out of it once. A sent frame is one ``b"".join`` of its header, the
-message head and the tensors' own memoryviews, so weights are copied once,
-into the frame; the blob's CRC32 is folded over the same views. The server
-encodes each ROUND_CONFIG and EVAL_REQUEST frame once per broadcast and
-writes that one frame to all its targets at once: the first from the
-calling thread, each other one from a thread joined before the phase goes on.
+Buffers: a received frame is read into one bytearray of its declared
+length, allocated once the header is in. Decoders slice memoryviews of it,
+and each tensor is copied out of it once. A sent frame is one ``b"".join``
+of its header, the message head and the tensors' own memoryviews, so
+weights are copied once, into the frame; the blob's CRC32 is folded over the
+same views. The server serves every socket from the calling thread through
+one selector, non-blocking: it encodes each ROUND_CONFIG and EVAL_REQUEST
+frame once per broadcast and writes that one frame to all its targets at
+once, holding only each target's unsent rest as a view of it.
 
 Caps: a reader checks each declared length before it allocates the frame,
 against the longest frame the peer may send in its state. On the server
@@ -57,9 +59,10 @@ config, or a HELLO's bound for an ERROR. A longer declaration gets ERROR
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
-import queue
+import selectors
 import socket
 import struct
 import threading
@@ -107,7 +110,6 @@ MAX_FRAME_LEN = 1 << 30  # 1 GiB, type byte + payload
 DEFAULT_PORT = 8099
 CONNECT_ATTEMPTS = 5
 CONNECT_BASE_DELAY = 0.2
-ACCEPT_POLL_S = 0.05  # how often a blocked accept looks at the clock and stop flag
 
 CHECKPOINT_MAGIC = b"FHG1"
 CHECKPOINT_VERSION = 1
@@ -141,23 +143,26 @@ def read_exact(stream, n: int) -> bytearray:
     return buf
 
 
-def read_frame(stream, max_len=MAX_FRAME_LEN) -> tuple[int, memoryview]:
-    """The type byte and a view of the payload, read into one buffer.
-
-    The declared length is checked against 1 GiB and ``max_len`` before the
-    buffer is allocated. ``max_len`` may be a callable, asked once the
-    header is in, for a reader whose state changes while it waits.
-    """
-    (length,) = struct.unpack("<I", read_exact(stream, 4))
+def _checked_length(header, limit: int) -> int:
+    """The length a 4-byte frame header declares, checked against 1 GiB and ``limit``."""
+    (length,) = struct.unpack("<I", header)
     if length < 1:
         raise ProtocolError("frame length 0 leaves no room for a message type")
     if length > MAX_FRAME_LEN:
         raise ProtocolError(f"declared frame length {length} exceeds the 1 GiB limit")
-    limit = max_len() if callable(max_len) else max_len
     if length > limit:
         raise ProtocolError(
             f"declared frame length {length} exceeds the {limit} bytes allowed here")
-    body = read_exact(stream, length)
+    return length
+
+
+def read_frame(stream, max_len: int = MAX_FRAME_LEN) -> tuple[int, memoryview]:
+    """The type byte and a view of the payload, read into one buffer.
+
+    The declared length is checked against 1 GiB and ``max_len`` before the
+    buffer is allocated.
+    """
+    body = read_exact(stream, _checked_length(read_exact(stream, 4), max_len))
     return body[0], memoryview(body)[1:]
 
 
@@ -433,169 +438,96 @@ def connect_with_retry(host: str, port: int, attempts: int = CONNECT_ATTEMPTS,
     raise ProtocolError(f"could not reach {host}:{port} after {attempts} attempts: {last}")
 
 
-class _ClientConn:
-    """Server-side connection state; a reader thread enforces ordering and caps."""
+class _Conn:
+    """A non-blocking server-side connection, registered with the server's selector.
 
-    def __init__(self, sock: socket.socket, results: queue.Queue, caps: dict[int, int],
-                 send_timeout: float | None):
-        self.sock = sock
-        self.send_timeout = send_timeout
-        # the kernel fails a write that makes no progress for send_timeout, taken
-        # as at least 1 us (0 would mean never) and at most what a C long holds
-        if send_timeout is not None:
-            sec, usec = divmod(min(max(1, round(send_timeout * 1e6)), 1 << 62), 1_000_000)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, struct.pack("ll", sec, usec))
-        self.rfile = sock.makefile("rb")
-        self.results = results
-        self.caps = caps
+    It reads a frame in pieces, checking the declared length against the
+    peer's state before it allocates the body, and holds the unsent rest of one frame.
+    """
+
+    def __init__(self, sock: socket.socket, sel: selectors.BaseSelector):
+        sock.setblocking(False)
+        self.sock, self.sel = sock, sel
         self.client_id: str | None = None
         self.num_examples = 0
         self.expected: int | None = MSG_HELLO
-        self.send_lock = threading.Lock()
+        self.head, self.body, self.got = bytearray(4), None, 0
+        self.out = b""  # the unsent rest of the frame being written; kept if closed
         self.closed = False
-        self.thread = threading.Thread(target=self._reader, daemon=True)
-
-    def start(self) -> None:
-        self.thread.start()
+        sel.register(sock, selectors.EVENT_READ, self)
 
     def send(self, frame: bytes) -> None:
-        with self.send_lock:
-            try:
-                self.sock.sendall(frame)
-            except BlockingIOError:  # SO_SNDTIMEO ran out
-                raise OSError(f"no progress for {self.send_timeout} s") from None
+        self.out = memoryview(frame)
+        self.sel.modify(self.sock, selectors.EVENT_READ | selectors.EVENT_WRITE, self)
+
+    def flush(self) -> None:
+        """Write what the socket takes of the unsent rest; a failed write raises OSError."""
+        with contextlib.suppress(BlockingIOError):
+            self.out = self.out[self.sock.send(self.out):]
+        if not self.out:
+            self.out = b""  # let go of the frame
+            self.sel.modify(self.sock, selectors.EVENT_READ, self)
 
     def close(self) -> None:
         if not self.closed:
-            self.closed = True
-            try:
+            self.closed, self.body = True, None
+            self.sel.unregister(self.sock)
+            with contextlib.suppress(OSError):
                 self.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
             self.sock.close()
 
-    def _fail(self, code: str, message: str) -> None:
-        try:
-            self.send(frame_encode(MSG_ERROR, encode_error(code, message)))
-        except OSError:
-            pass
+    def fail(self, code: str, message: str) -> tuple:
+        """ERROR ``code``, unless a frame to the peer is half-sent, then close."""
+        if not self.out:
+            with contextlib.suppress(OSError):
+                self.sock.send(frame_encode(MSG_ERROR, encode_error(code, message)))
         self.close()
-        self.results.put(("error", self, f"{code}: {message}"))
+        return "lost", f"{code}: {message}"
 
-    def _max_len(self) -> int:
-        """The longest frame the peer may send in the state it is in now."""
-        return self.caps.get(self.expected, self.caps[MSG_HELLO])
+    def _read(self, limit: int):
+        """Read what the socket holds; a whole frame as (type, payload view), else None."""
+        buf = self.head if self.body is None else self.body
+        with contextlib.suppress(BlockingIOError):
+            n = self.sock.recv_into(memoryview(buf)[self.got:])
+            if not n:
+                raise EOFError
+            self.got += n
+        if self.got < len(buf):
+            return None
+        self.got = 0
+        if self.body is None:
+            self.body = bytearray(_checked_length(self.head, limit))
+            return None
+        self.body = None
+        return buf[0], memoryview(buf)[1:]
 
-    def _reader(self) -> None:
+    def receive(self, caps: dict[int, int]):
+        """(kind, value) once the owed frame is in: "hello", "fit" (train loss,
+        blob view) or "eval" (report); or "lost" and the reason, after an ERROR
+        if the frame was out of order or malformed.
+        """
         try:
-            while True:
-                try:
-                    msg_type, payload = read_frame(self.rfile, self._max_len)
-                except (DecodeError, OSError, ValueError):
-                    if not self.closed:
-                        self.results.put(("gone", self, "connection lost"))
-                    return
-                want = self.expected
-                if want is None or msg_type != want:
-                    self._fail("out_of_order",
-                               f"got {_MSG_NAMES.get(msg_type, msg_type)} while "
-                               f"expecting {_MSG_NAMES.get(want, 'nothing')}")
-                    return
-                self.expected = None
-                if msg_type == MSG_HELLO:
-                    self.client_id, self.num_examples = decode_hello(payload)
-                    self.results.put(("hello", self, None))
-                elif msg_type == MSG_FIT_RESULT:
-                    self.results.put(("fit", self, decode_fit_result(payload)))
-                elif msg_type == MSG_EVAL_RESULT:
-                    self.results.put(("eval", self, decode_eval_result(payload,
-                                                                       self.client_id)))
-                # a FIT_RESULT payload is weight-sized; do not hold it while
-                # blocking on the next frame
-                del payload
+            frame = self._read(caps.get(self.expected, caps[MSG_HELLO]))
+            if frame is None:
+                return None
+            msg_type, payload = frame
+            if msg_type != self.expected:
+                return self.fail("out_of_order", f"got {_MSG_NAMES.get(msg_type, msg_type)} "
+                                 f"while expecting {_MSG_NAMES.get(self.expected, 'nothing')}")
+            self.expected = None
+            if msg_type == MSG_HELLO:
+                self.client_id, self.num_examples = decode_hello(payload)
+                return "hello", None
+            if msg_type == MSG_FIT_RESULT:
+                return "fit", decode_fit_result(payload)
+            return "eval", decode_eval_result(payload, self.client_id)
+        except (EOFError, OSError):
+            self.close()
+            return "lost", "connection lost"
         except ProtocolError as exc:  # the peer sent a malformed or oversized frame
-            self._fail("bad_message", str(exc))
+            return self.fail("bad_message", str(exc))
         except Exception as exc:  # decoding bugs should not hang the server
-            self._fail("internal", str(exc))
-
-
-def _broadcast(targets: list[_ClientConn], reply: int, frame: bytes) -> None:
-    """Set every target to expect ``reply``, then write ``frame`` to all at once.
-
-    The first target is written from the calling thread and each other one
-    from its own thread; all are joined before this returns or raises. A
-    failed write is a ProtocolError naming the first such client by id.
-    """
-    for conn in targets:
-        conn.expected = reply
-    failed = {}
-
-    def write(conn):
-        try:
-            conn.send(frame)
-        except OSError as exc:
-            failed[conn.client_id] = exc
-
-    started = []
-    try:
-        for conn in targets[1:]:
-            started.append(threading.Thread(target=write, args=(conn,)))
-            started[-1].start()
-        if targets:
-            write(targets[0])
-    finally:
-        for thread in started:
-            thread.join()
-    if failed:
-        cid = min(failed)
-        raise ProtocolError(f"sending to client {cid} failed: {failed[cid]}")
-
-
-def _collect(results: queue.Queue, conns: dict, kind: str, pending: set,
-             timeout: float | None, what: str):
-    """Drain one expected result per pending client within ``timeout`` seconds.
-
-    Events from a connection not registered under its id are ignored.
-    """
-    out = {}
-    deadline = None if timeout is None else time.monotonic() + timeout
-    while pending:
-        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-        try:
-            tag, conn, value = results.get(timeout=remaining)
-        except queue.Empty:
-            raise ProtocolError(
-                f"{what} timed out waiting for clients {sorted(pending)}") from None
-        cid = conn.client_id
-        if conns.get(cid) is not conn:
-            continue
-        if tag == "error" or tag == "gone":
-            raise ProtocolError(f"client {cid} dropped during {what}: {value}")
-        if tag != kind or cid not in pending:
-            raise ProtocolError(f"unexpected {tag} from {cid} during {what}")
-        out[cid] = value
-        pending.discard(cid)
-    return out
-
-
-def _refuse_late(listener: socket.socket, stop: threading.Event, message: str) -> None:
-    """Answer each connection with ERROR ``registration_closed`` until ``stop``."""
-    while not stop.is_set():
-        try:
-            sock, _addr = listener.accept()
-        except socket.timeout:
-            continue
-        except OSError:  # out of file descriptors, say: the peer waits in the backlog
-            stop.wait(ACCEPT_POLL_S)
-            continue
-        with sock:
-            try:
-                sock.settimeout(1.0)
-                sock.sendall(frame_encode(MSG_ERROR, encode_error("registration_closed",
-                                                                  message)))
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+            return self.fail("internal", str(exc))
 
 
 def server_loop(
@@ -611,66 +543,123 @@ def server_loop(
 ) -> FoldResult:
     """Accept clients, drive all federated rounds over TCP, return the result.
 
-    Blocks until ``expected_clients`` (default min_available_clients) have
-    sent HELLO, then refuses every other connection, and every later one,
-    with ERROR ``registration_closed`` from a thread it stops and joins
-    before it returns or raises. It runs the same round driver as the simulation,
-    ``fedavg.drive_fold``, with a TCP transport: a fit sends ROUND_CONFIG to
-    the clients with data (without weights when they hold the round's
-    weights from the last eval) and collects their FIT_RESULTs, an eval
-    sends EVAL_REQUEST and collects EVAL_RESULTs. The base weights are not
-    evaluated (``"base": null``). Ends every client with DONE; if the fold
-    fails with a ``FedharError`` instead, a failed write to a client
-    included, every client still connected gets an ERROR frame carrying its
-    message before the error is re-raised.
+    Serves every socket from the calling thread through one selector, and
+    starts no thread. Blocks until ``expected_clients`` (default
+    min_available_clients) have sent HELLO, then refuses every other
+    connection, and every later one, with ERROR ``registration_closed``. It
+    runs the same round driver as the simulation, ``fedavg.drive_fold``: a
+    fit sends ROUND_CONFIG to the clients with data (without weights when
+    they hold the round's weights from the last eval) and collects their
+    FIT_RESULTs, an eval sends EVAL_REQUEST and collects EVAL_RESULTs. The
+    base weights are not evaluated (``"base": null``). Ends every client
+    with DONE; if the fold fails with a ``FedharError`` instead, a failed
+    write to a client included, every client still connected gets an ERROR
+    frame carrying its message before the error is re-raised.
     """
     expected = expected_clients if expected_clients is not None else config.min_available_clients
-    results: queue.Queue = queue.Queue()
-    conns: dict[str, _ClientConn] = {}
-
     caps = _frame_caps(base_weights.config)
-    pending_conns: list[_ClientConn] = []
     closed_message = f"registration is closed: {expected} clients registered"
-    stop_refusing = threading.Event()
-    refuser: threading.Thread | None = None
+    conns: dict[str, _Conn] = {}  # registered clients by HELLO id
+    accepted: list[_Conn] = []  # every connection taken while registration was open
+    sel = selectors.DefaultSelector()
     listener = socket.create_server((host, port))
-    listener.settimeout(ACCEPT_POLL_S)
+    listener.setblocking(False)
+    sel.register(listener, selectors.EVENT_READ)
+
+    def serve(timeout):
+        """A (conn, kind, value) per event of the sockets ready within ``timeout`` s.
+
+        New connections are taken while registration is open, refused after.
+        A write is served before a read, so a reset peer fails as a send.
+        """
+        events = []
+        for key, mask in sel.select(timeout):
+            conn = key.data
+            if conn is None:
+                try:
+                    sock, _addr = listener.accept()
+                except OSError:  # out of file descriptors, say: the peer waits in the backlog
+                    continue
+                conn = _Conn(sock, sel)
+                if len(conns) < expected:
+                    accepted.append(conn)
+                else:
+                    conn.fail("registration_closed", closed_message)
+                continue
+            if mask & selectors.EVENT_WRITE:
+                try:
+                    conn.flush()
+                except OSError as exc:
+                    conn.close()
+                    events.append((conn, "unsent", exc))
+            if mask & selectors.EVENT_READ and not conn.closed:
+                event = conn.receive(caps)
+                if event is not None:
+                    events.append((conn, *event))
+        return events
+
+    def exchange(targets: list[_Conn], reply: int | None, frame: bytes,
+                 timeout: float | None) -> dict:
+        """Write ``frame`` to every target at once and collect one ``reply`` from each.
+
+        One deadline, ``timeout`` s from now, covers every write and every
+        reply. A write that fails or is not done by then, a lost client and
+        the deadline are each a ProtocolError, raised once the frames in
+        flight to the other targets have gone out whole; a target whose
+        frame was not written whole is closed without an ERROR.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for conn in targets:
+            conn.expected = reply
+            conn.send(frame)
+        what = f"the {_MSG_NAMES[frame[4]]} exchange"
+        pending = {conn.client_id for conn in targets} if reply else set()
+        replies, fault = {}, None
+        while (pending and fault is None) or any(c.out and not c.closed for c in targets):
+            left = None if deadline is None else deadline - time.monotonic()
+            if left is not None and left <= 0:
+                late = [c for c in targets if c.out and not c.closed]
+                for conn in late:
+                    conn.close()
+                fault = fault or (
+                    f"sending to client {late[0].client_id} failed: timed out after {timeout} s"
+                    f" with {len(late[0].out)} of {len(frame)} bytes unsent" if late else
+                    f"{what} timed out waiting for clients {sorted(pending)}")
+                break
+            for conn, kind, value in serve(left):
+                if kind == "unsent":
+                    fault = fault or f"sending to client {conn.client_id} failed: {value}"
+                elif kind == "lost":
+                    fault = fault or f"client {conn.client_id} dropped during {what}: {value}"
+                else:
+                    replies[conn.client_id] = value
+                    pending.discard(conn.client_id)
+        if fault:
+            raise ProtocolError(fault)
+        return replies
+
     if ready_event is not None:
         ready_event.set()
     try:
         deadline = None if accept_timeout is None else time.monotonic() + accept_timeout
         while len(conns) < expected:
-            if deadline is not None and time.monotonic() > deadline:
+            left = None if deadline is None else deadline - time.monotonic()
+            if left is not None and left <= 0:
                 raise AvailabilityError(
                     f"only {len(conns)} of {expected} clients registered before timeout")
-            try:
-                sock, _addr = listener.accept()
-                conn = _ClientConn(sock, results, caps, config.round_timeout_s)
-                pending_conns.append(conn)
-                conn.start()
-            except socket.timeout:
-                pass
-            while len(conns) < expected:
-                try:
-                    tag, conn, _value = results.get_nowait()
-                except queue.Empty:
-                    break
+            for conn, kind, _value in serve(left):
                 cid = conn.client_id
-                if tag == "hello":
-                    if cid in conns:
-                        conn._fail("duplicate_id", f"client id {cid} already registered")
-                        continue
+                if kind == "hello" and cid in conns:
+                    conn.fail("duplicate_id", f"client id {cid} already registered")
+                elif kind == "hello" and len(conns) < expected:
                     conns[cid] = conn
                     _audit(audit, fold=fold, round=0, event="hello", client_id=cid,
                            num_examples=conn.num_examples)
                 elif conns.get(cid) is conn:  # a registered client failed or left
                     del conns[cid]
-        for conn in pending_conns:
+        for conn in accepted:
             if not conn.closed and conns.get(conn.client_id) is not conn:
-                conn._fail("registration_closed", closed_message)
-        refuser = threading.Thread(target=_refuse_late,
-                                   args=(listener, stop_refusing, closed_message))
-        refuser.start()
+                conn.fail("registration_closed", closed_message)
 
         last_eval = None  # the weights the last eval phase sent, until the next fit
 
@@ -680,12 +669,10 @@ def server_loop(
             # weights the clients hold them already: send no blob
             blob = [] if weights is last_eval else _blob_parts(weights)
             last_eval = None
-            _broadcast([conns[cid] for cid in fit_ids], MSG_FIT_RESULT, frame_encode(
+            fits = exchange([conns[cid] for cid in fit_ids], MSG_FIT_RESULT, frame_encode(
                 MSG_ROUND_CONFIG, *_blob_message(_ROUND_HEAD.pack(
                     round_idx, fold, config.seed, config.local_epochs, config.batch_size,
-                    config.local_lr), blob)))
-            fits = _collect(results, conns, "fit", set(fit_ids), config.round_timeout_s,
-                            f"round {round_idx} fit")
+                    config.local_lr), blob)), config.round_timeout_s)
             for cid in fit_ids:
                 train_loss, fit_blob = fits.pop(cid)
                 yield cid, ClientUpdate(cid, decode_weights(fit_blob, base_weights.config),
@@ -693,38 +680,36 @@ def server_loop(
 
         def evaluate_clients(weights, round_idx, eval_ids):
             nonlocal last_eval
-            _broadcast([conns[cid] for cid in eval_ids], MSG_EVAL_RESULT, frame_encode(
-                MSG_EVAL_REQUEST, *_blob_message(b"", _blob_parts(weights))))
+            evals = exchange([conns[cid] for cid in eval_ids], MSG_EVAL_RESULT, frame_encode(
+                MSG_EVAL_REQUEST, *_blob_message(b"", _blob_parts(weights))),
+                config.round_timeout_s)
             last_eval = weights
-            evals = _collect(results, conns, "eval", set(eval_ids), config.round_timeout_s,
-                             f"round {round_idx} eval")
             for cid in eval_ids:
                 yield cid, evals[cid]
 
         result = drive_fold(fold, {cid: c.num_examples for cid, c in conns.items()},
                             fit, evaluate_clients, base_weights, config,
                             audit=audit, eval_base=False)
+        with contextlib.suppress(ProtocolError):  # a client that took DONE and left, say
+            exchange([conns[cid] for cid in sorted(conns)], None, frame_encode(MSG_DONE),
+                     config.round_timeout_s)
         for cid in sorted(conns):
-            try:
-                conns[cid].send(frame_encode(MSG_DONE))
-                _audit(audit, fold=fold, round=config.rounds, event="done", client_id=cid)
-            except OSError:
+            if conns[cid].out:
                 log.warning("client %s vanished before DONE", cid)
+            else:
+                _audit(audit, fold=fold, round=config.rounds, event="done", client_id=cid)
         return result
     except FedharError as exc:
-        for conn in pending_conns:
-            if not conn.closed:
-                conn._fail("aborted", str(exc))
+        with contextlib.suppress(ProtocolError):
+            exchange([c for c in accepted if not c.closed], None,
+                     frame_encode(MSG_ERROR, encode_error("aborted", str(exc))),
+                     config.round_timeout_s)
         raise
     finally:
-        stop_refusing.set()
-        if refuser is not None:
-            refuser.join()
-        listener.close()
-        for conn in pending_conns:
+        for conn in accepted:
             conn.close()
-            conn.thread.join()
-            conn.rfile.close()
+        sel.close()
+        listener.close()
 
 
 def client_loop(

@@ -305,6 +305,19 @@ def test_run_fold_skips_empty_clients_in_training():
         client_fit(init_model(MC), [], cfg, cid, fold=0, round_idx=1)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("seed", -1, "seed must fit in 64 bits"),
+    ("seed", 2 ** 64, "seed must fit in 64 bits"),
+    ("batch_size", 0, "batch_size must be in"),
+    ("batch_size", 2 ** 32, "batch_size must be in"),
+    ("local_epochs", 2 ** 32, "local_epochs must be in"),
+])
+def test_fed_config_refuses_what_a_round_config_cannot_carry(field, value, match):
+    with pytest.raises(ConfigError, match=match):
+        FedConfig(**{field: value})
+    FedConfig(**{field: value - 1 if value > 0 else value + 1})  # the bound's other side
+
+
 def test_fed_config_validation():
     with pytest.raises(ConfigError):
         FedConfig(rounds=0)
