@@ -52,9 +52,10 @@ for t in workers:
     t.join()
 
 tcp = box["result"]
+print("tcp base: mean BA %.4f" % tcp.base_report.summary["mean"])
 for i, rep in enumerate(tcp.round_reports, start=1):
     print("tcp round %d: mean BA %.4f" % (i, rep.summary["mean"]))
 
-sim = run_fold(0, clients, base, fed, eval_base=False)
+sim = run_fold(0, clients, base, fed)
 print("tcp == simulation, bitwise:",
       tcp.final_weights.equals_bitwise(sim.final_weights))

@@ -51,8 +51,8 @@ def _positive(kind):
 def _nonnegative(kind):
     def parse(text):
         value = kind(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be >= 0 and finite, got {text}")
         return value
     return parse
 
@@ -294,7 +294,8 @@ def cmd_fed_server(args):
     base_stdz = standardizer_path(args.base_ckpt)
     if os.path.exists(base_stdz):
         shutil.copyfile(base_stdz, standardizer_path(final_ckpt))
-    print(f"federation finished: mean BA {result.final_report.summary['mean']:.4f}")
+    print(f"fold {args.fold}: base mean BA {result.base_report.summary['mean']:.4f} -> "
+          f"federated {result.final_report.summary['mean']:.4f}")
     return (os.path.join(args.out, "manifest.json"), {"fed": config.__dict__},
             [args.base_ckpt], [report_path, final_ckpt, audit_path])
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import gzip
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -80,8 +81,10 @@ def parse_extrasensory_csv(
 
     Columns are classified by header name: "timestamp", "label:*" labels,
     optional trailing "label_source" (ignored), everything else a feature.
-    Rows are sorted by timestamp. Empty feature cells become NaN, empty
-    label cells become NaN (missing), other label cells must be 0 or 1.
+    Rows are sorted by timestamp. Empty and "nan" feature cells become NaN
+    (missing); an infinite one, or one beyond float32's range, is a
+    FormatError. Empty label cells become NaN (missing), other label cells
+    must be 0 or 1.
     """
     if isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)
@@ -130,40 +133,46 @@ def parse_extrasensory_csv(
         raise FormatError("need at least one feature and one label column")
 
     times, feats, labs = [], [], []
-    for row_no, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise FormatError(f"row {row_no}: {len(row)} cells, header has {len(header)}")
-        try:
-            t = int(float(row[0]))  # OverflowError for +-inf
-            if not _INT64.min <= t <= _INT64.max:
-                raise OverflowError
-        except (ValueError, OverflowError):
-            raise FormatError(f"row {row_no}: bad timestamp {row[0]!r}") from None
-        times.append(t)
-        frow = np.empty(len(feature_idx), dtype=np.float32)
-        for j, col in enumerate(feature_idx):
-            cell = row[col]
-            if cell == "":
-                frow[j] = np.nan
-            else:
-                try:
-                    frow[j] = float(cell)
-                except ValueError:
+    # a cell beyond float32 casts to inf, which is refused below
+    with np.errstate(over="ignore"):
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise FormatError(f"row {row_no}: {len(row)} cells, header has {len(header)}")
+            try:
+                t = int(float(row[0]))  # OverflowError for +-inf
+                if not _INT64.min <= t <= _INT64.max:
+                    raise OverflowError
+            except (ValueError, OverflowError):
+                raise FormatError(f"row {row_no}: bad timestamp {row[0]!r}") from None
+            times.append(t)
+            frow = np.empty(len(feature_idx), dtype=np.float32)
+            for j, col in enumerate(feature_idx):
+                cell = row[col]
+                if cell == "":
+                    frow[j] = np.nan
+                else:
+                    try:
+                        frow[j] = float(cell)
+                    except ValueError:
+                        raise FormatError(
+                            f"row {row_no}, column {header[col]!r}: bad value {cell!r}") from None
+            if np.isinf(frow).any():
+                col = feature_idx[int(np.isinf(frow).argmax())]
+                raise FormatError(f"row {row_no}, column {header[col]!r}: "
+                                  f"{row[col]!r} is not a finite float32")
+            lrow = np.empty(len(label_idx), dtype=np.float32)
+            for j, col in enumerate(label_idx):
+                cell = row[col]
+                if cell == "":
+                    lrow[j] = np.nan
+                elif cell in ("0", "1", "0.0", "1.0"):
+                    lrow[j] = float(cell)
+                else:
                     raise FormatError(
-                        f"row {row_no}, column {header[col]!r}: bad value {cell!r}") from None
-        lrow = np.empty(len(label_idx), dtype=np.float32)
-        for j, col in enumerate(label_idx):
-            cell = row[col]
-            if cell == "":
-                lrow[j] = np.nan
-            elif cell in ("0", "1", "0.0", "1.0"):
-                lrow[j] = float(cell)
-            else:
-                raise FormatError(
-                    f"row {row_no}, column {header[col]!r}: label must be 0/1/empty, "
-                    f"got {cell!r}")
-        feats.append(frow)
-        labs.append(lrow)
+                        f"row {row_no}, column {header[col]!r}: label must be 0/1/empty, "
+                        f"got {cell!r}")
+            feats.append(frow)
+            labs.append(lrow)
 
     if not times:
         raise FormatError("file has a header but no data rows")
@@ -502,10 +511,10 @@ class SyntheticSpec:
         for name in ("n_subjects", "minutes_per_subject", "n_features", "n_labels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.alpha <= 0.0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if self.noise_std < 0.0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std must be >= 0 and finite, got {self.noise_std}")
 
 
 AR_COEF = 0.5

@@ -116,11 +116,15 @@ def aggregate(updates: list[ClientUpdate]) -> WeightSet:
     bitwise. Each parameter is summed in one pass over blocks of ``_BLOCK``
     elements, with the bits of the whole-array expression. A NaN or infinite
     update raises ``AggregationError`` naming its client and parameter (the
-    first of each, in order), rather than poisoning the global model.
+    first of each, in order), rather than poisoning the global model, and so
+    does a client id that comes twice.
     """
     if not updates:
         raise AggregationError("aggregate needs at least one client update")
     ordered = sorted(updates, key=lambda u: u.client_id)
+    for a, b in zip(ordered, ordered[1:]):
+        if a.client_id == b.client_id:
+            raise AggregationError(f"client {a.client_id} sent more than one update")
     ref = ordered[0]
     names = ref.weights.names()
     for u in ordered:
@@ -218,7 +222,9 @@ def drive_fold(fold: int, num_examples: dict, fit, evaluate_clients,
     client-id order. Aggregation, fold summaries and audit events happen
     here. A client with no training windows is skipped (a ``skip`` event
     right after ``broadcast``) and never reaches ``fit``; every client is
-    evaluated. ``eval_base`` first evaluates the base weights as round 0.
+    evaluated. ``eval_base`` first evaluates the base weights as round 0;
+    with it, every fit starts from the weights the eval phase before it
+    scored, which ``wire.server_loop`` relies on.
     """
     ids = sorted(num_examples)
     if len(ids) < config.min_available_clients:

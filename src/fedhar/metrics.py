@@ -37,10 +37,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(self.tp + other.tp, self.tn + other.tn,
-                               self.fp + other.fp, self.fn + other.fn)
-
 
 def _count(pred, target, mask) -> list[ConfusionCounts]:
     """Per-label counts over same-shaped [..., L] arrays: the one confusion count."""

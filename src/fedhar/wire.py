@@ -11,21 +11,23 @@ WeightBlob + its CRC32. The config block has one fixed layout: a u16 count of
 8, then each ModelConfig field in declared order as its name, a type tag and
 its value.
 
-Protocol, per client: HELLO, then per round ROUND_CONFIG -> FIT_RESULT and
+Protocol, per client: HELLO, then EVAL_REQUEST -> EVAL_RESULT on the base
+weights (round 0), then per round ROUND_CONFIG -> FIT_RESULT and
 EVAL_REQUEST -> EVAL_RESULT, finally DONE. HELLO carries the client id and
 its training-window count, and is a connection's only identity: the server
 weights every update from that connection by the HELLO count and files its
 reports under the HELLO id. A client with count 0 is never sent a
-ROUND_CONFIG, only EVAL_REQUESTs. A ROUND_CONFIG whose blob is empty (length
-0) means "train from the weights of the EVAL_REQUEST you answered last": the
-server sends it whenever a round starts from the weights its last eval phase
-sent, which is every round after the first. A client holds those weights
-only until the next ROUND_CONFIG; an empty blob with nothing held is a
-ProtocolError. Peers that predate the empty form fail on it, so old and new
-peers do not interoperate from round 2 on. Once the expected clients have
-registered, every other connection gets ERROR ``registration_closed``. Peers send
-measurements only. A FIT_RESULT is the f64 train loss + the trained
-WeightBlob. An EVAL_RESULT is a u16 label count, then per label its name and
+ROUND_CONFIG, only EVAL_REQUESTs. The global weights travel only in
+EVAL_REQUEST: a ROUND_CONFIG's blob is always empty (length 0) and means
+"train from the weights of the EVAL_REQUEST you answered last". A client
+holds those weights only until the next ROUND_CONFIG; a ROUND_CONFIG with
+weights, or with nothing held, is a ProtocolError. So a client refuses a
+server that sends round 1's weights in its ROUND_CONFIG, as servers that
+did not evaluate the base did; such older clients still work with this
+server, as they train from their last EVAL_REQUEST's weights when the blob
+is empty. Once the expected clients have registered, every other connection
+gets ERROR ``registration_closed``. Peers send measurements only. A
+FIT_RESULT is the f64 train loss + the trained WeightBlob. An EVAL_RESULT is a u16 label count, then per label its name and
 u32 tp/tn/fp/fn; the server scores it with ``ClientReport.from_counts``, as
 the simulation does. A message out of order gets an ERROR frame with code
 ``out_of_order``, a malformed one ``bad_message``, and the connection is
@@ -52,7 +54,7 @@ against the longest frame the peer may send in its state. On the server
 that is a HELLO's bound (2 + 65535 + 4 payload bytes) before HELLO and
 whenever nothing is owed, the exact size ``parameter_shapes`` implies for
 an owed FIT_RESULT, and 2 + L x (2 + 65535 + 16) bytes for an owed
-EVAL_RESULT of L labels. A client accepts a ROUND_CONFIG of its own model
+EVAL_RESULT of L labels. A client accepts an EVAL_REQUEST of its own model
 config, or a HELLO's bound for an ERROR. A longer declaration gets ERROR
 ``bad_message`` and the connection is dropped.
 """
@@ -291,7 +293,8 @@ def _frame_caps(config: ModelConfig) -> dict[int, int]:
                for name, shape in parameter_shapes(config))
     return {
         MSG_HELLO: 1 + 2 + 0xFFFF + 4,
-        MSG_ROUND_CONFIG: 1 + _ROUND_HEAD.size + 4 + blob + 4,
+        MSG_ROUND_CONFIG: 1 + _ROUND_HEAD.size + 4 + 4,
+        MSG_EVAL_REQUEST: 1 + 4 + blob + 4,
         MSG_FIT_RESULT: 1 + 8 + 4 + blob + 4,
         MSG_EVAL_RESULT: 1 + 2 + config.n_labels * (2 + 0xFFFF + 16),
     }
@@ -547,14 +550,14 @@ def server_loop(
     starts no thread. Blocks until ``expected_clients`` (default
     min_available_clients) have sent HELLO, then refuses every other
     connection, and every later one, with ERROR ``registration_closed``. It
-    runs the same round driver as the simulation, ``fedavg.drive_fold``: a
-    fit sends ROUND_CONFIG to the clients with data (without weights when
-    they hold the round's weights from the last eval) and collects their
-    FIT_RESULTs, an eval sends EVAL_REQUEST and collects EVAL_RESULTs. The
-    base weights are not evaluated (``"base": null``). Ends every client
-    with DONE; if the fold fails with a ``FedharError`` instead, a failed
-    write to a client included, every client still connected gets an ERROR
-    frame carrying its message before the error is re-raised.
+    runs the same round driver as the simulation, ``fedavg.drive_fold``,
+    base eval included: an eval sends EVAL_REQUEST with the weights and
+    collects EVAL_RESULTs, a fit sends a weightless ROUND_CONFIG to the
+    clients with data, which train from the weights they just evaluated, and
+    collects their FIT_RESULTs. Ends every client with DONE; if the fold
+    fails with a ``FedharError`` instead, a failed write to a client
+    included, every client still connected gets an ERROR frame carrying its
+    message before the error is re-raised.
     """
     expected = expected_clients if expected_clients is not None else config.min_available_clients
     caps = _frame_caps(base_weights.config)
@@ -661,35 +664,27 @@ def server_loop(
             if not conn.closed and conns.get(conn.client_id) is not conn:
                 conn.fail("registration_closed", closed_message)
 
-        last_eval = None  # the weights the last eval phase sent, until the next fit
-
         def fit(weights, round_idx, fit_ids):
-            nonlocal last_eval
-            # every client answered the last EVAL_REQUEST, so if these are its
-            # weights the clients hold them already: send no blob
-            blob = [] if weights is last_eval else _blob_parts(weights)
-            last_eval = None
+            # drive_fold fits from the weights its last eval phase sent, and
+            # every client answered that EVAL_REQUEST: the clients hold them
             fits = exchange([conns[cid] for cid in fit_ids], MSG_FIT_RESULT, frame_encode(
                 MSG_ROUND_CONFIG, *_blob_message(_ROUND_HEAD.pack(
                     round_idx, fold, config.seed, config.local_epochs, config.batch_size,
-                    config.local_lr), blob)), config.round_timeout_s)
+                    config.local_lr), [])), config.round_timeout_s)
             for cid in fit_ids:
                 train_loss, fit_blob = fits.pop(cid)
                 yield cid, ClientUpdate(cid, decode_weights(fit_blob, base_weights.config),
                                         conns[cid].num_examples, train_loss)
 
         def evaluate_clients(weights, round_idx, eval_ids):
-            nonlocal last_eval
             evals = exchange([conns[cid] for cid in eval_ids], MSG_EVAL_RESULT, frame_encode(
                 MSG_EVAL_REQUEST, *_blob_message(b"", _blob_parts(weights))),
                 config.round_timeout_s)
-            last_eval = weights
             for cid in eval_ids:
                 yield cid, evals[cid]
 
         result = drive_fold(fold, {cid: c.num_examples for cid, c in conns.items()},
-                            fit, evaluate_clients, base_weights, config,
-                            audit=audit, eval_base=False)
+                            fit, evaluate_clients, base_weights, config, audit=audit)
         with contextlib.suppress(ProtocolError):  # a client that took DONE and left, say
             exchange([conns[cid] for cid in sorted(conns)], None, frame_encode(MSG_DONE),
                      config.round_timeout_s)
@@ -724,13 +719,14 @@ def client_loop(
     """Participate in a federation as one client; returns rounds completed.
 
     Connects with exponential backoff, HELLOs with the local training window
-    count, then serves ROUND_CONFIG (local fine-tune) and EVAL_REQUEST
-    (local test-set evaluation) until DONE. A ROUND_CONFIG without weights
-    trains from the weights of the last EVAL_REQUEST. An ERROR frame, a
-    lost connection or a frame out of protocol raises ``ProtocolError``.
+    count, then serves EVAL_REQUEST (local test-set evaluation of the
+    weights it carries) and ROUND_CONFIG (local fine-tune of the weights of
+    the last EVAL_REQUEST) until DONE. An ERROR frame, a lost connection, a
+    frame out of protocol and a ROUND_CONFIG that carries weights or comes
+    with none held raise ``ProtocolError``.
     """
     caps = _frame_caps(model_config)
-    max_len = max(caps[MSG_ROUND_CONFIG], caps[MSG_HELLO])  # an ERROR may be HELLO-sized
+    max_len = max(caps[MSG_EVAL_REQUEST], caps[MSG_HELLO])  # an ERROR may be HELLO-sized
     sock = connect_with_retry(host, port)
     rfile = sock.makefile("rb")
     rounds_done = 0
@@ -743,14 +739,11 @@ def client_loop(
                 (round_idx, fold, seed, local_epochs,
                  batch_size, local_lr, blob) = decode_round_config(payload)
                 if len(blob):
-                    weights = decode_weights(blob, model_config)
-                elif held is not None:
-                    weights = held
-                else:
                     raise ProtocolError(
-                        "ROUND_CONFIG without weights, but no EVAL_REQUEST's weights are held")
-                held = None
-                del payload, blob  # the frame's buffer goes before training
+                        "ROUND_CONFIG carries weights; they travel only in EVAL_REQUEST")
+                if held is None:
+                    raise ProtocolError("ROUND_CONFIG, but no EVAL_REQUEST's weights are held")
+                weights, held = held, None
                 local = FedConfig(local_epochs=local_epochs, batch_size=batch_size,
                                   local_lr=local_lr, seed=seed)
                 update = client_fit(weights, train_windows, local, client_id,

@@ -216,13 +216,14 @@ def test_4_simulation_and_tcp_produce_identical_weights():
     for t in workers:
         t.join(10.0)
 
-    sim = run_fold(0, clients, base, fed, eval_base=False)
+    sim = run_fold(0, clients, base, fed)
     tcp = box["tcp"]
     worst = max(float(np.max(np.abs(sim.final_weights[n].data
                                     - tcp.final_weights[n].data)))
                 for n in sim.final_weights.names())
     assert worst <= 1e-7
     assert tcp.final_weights.equals_bitwise(sim.final_weights)
+    assert tcp.to_json_dict() == sim.to_json_dict()  # base eval and every round
     wall = time.monotonic() - t0
     assert wall < 300.0
     print(f"check 4: PASS (bitwise identical, worst |diff| {worst:.1e}, {wall:.1f}s)")

@@ -123,6 +123,11 @@ def test_usage_errors_exit_2(capsys):
         (["pretrain", "--lr", "nan"], "must be positive and finite, got nan"),
         (["simulate", "--local-lr", "inf"], "must be positive and finite, got inf"),
         (["fed-server", "--timeout", "nan"], "must be positive and finite, got nan"),
+        # NaN passes a one-sided bound: a NaN noise std added no noise and
+        # wrote invalid JSON into the manifest
+        (["gen-synthetic", "--out", "x", "--noise-std", "nan"], "must be >= 0 and finite"),
+        (["gen-synthetic", "--out", "x", "--noise-std", "inf"], "must be >= 0 and finite"),
+        (["pretrain", "--dropout", "nan"], "must be >= 0 and finite"),
     ]:
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -397,7 +402,8 @@ def test_fed_server_and_clients_loopback(workspace, tmp_path):
 
     result = read_json(out / "fold0.json")
     assert len(result["rounds"]) == 1
-    assert result["base"] is None  # socket clients only evaluate after rounds
+    # the clients evaluate the base weights first, as in simulation
+    assert result["base"]["summary"]["mean"] is not None
     final = load_checkpoint(str(out / "final_fold0.ckpt"))
     assert final.config.hidden_size == 8
     # standardizer travels with the final ckpt so evaluate works on it directly

@@ -1,6 +1,7 @@
 """CSV parsing, folds, standardization, windowing, splits, synthetic data."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -65,6 +66,13 @@ def test_parse_rejects_bad_cells():
             parse(f"timestamp,a,label:X\n{stamp},1.0,1\n")
     with pytest.raises(FormatError, match="bad value"):
         parse("timestamp,a,label:X\n1000,oops,1\n")
+    # infinite, or beyond float32 (3.4028236e38 rounds up to inf); NaN is missing
+    for cell in ["inf", "-inf", "Infinity", "1e39", "-1e39", "3.4028236e38"]:
+        with pytest.raises(FormatError,
+                           match=f"row 3, column 'b': '{cell}' is not a finite float32"):
+            parse(f"timestamp,a,b,label:X\n1000,1.0,2.0,1\n1001,1.0,{cell},1\n")
+    rec = parse("timestamp,a,b,label:X\n1000,nan,,1\n1001,3.4028235e38,-0.0,1\n")
+    assert np.isnan(rec.features[0]).all() and np.isfinite(rec.features[1]).all()
     with pytest.raises(FormatError, match="label must be 0/1"):
         parse("timestamp,a,label:X\n1000,1.0,0.7\n")
 
@@ -387,6 +395,12 @@ def test_synthetic_spec_validation():
         D.SyntheticSpec(alpha=0.0)
     with pytest.raises(ConfigError):
         D.SyntheticSpec(noise_std=-0.1)
+    # NaN passes a one-sided bound; as alpha it made every label 0
+    for bad in [math.nan, math.inf]:
+        with pytest.raises(ConfigError, match="alpha must be positive and finite"):
+            D.SyntheticSpec(alpha=bad)
+        with pytest.raises(ConfigError, match="noise_std must be >= 0 and finite"):
+            D.SyntheticSpec(noise_std=bad)
 
 
 def test_synthetic_round_trips_through_csv(tmp_path):

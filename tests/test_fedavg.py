@@ -162,6 +162,12 @@ def test_aggregate_rejects_empty_and_zero_examples():
         aggregate([update("a", 1.0, 3), update("bad", 1.0, 0)])
 
 
+def test_aggregate_rejects_a_client_id_that_comes_twice():
+    # averaging one client twice would weight it double
+    with pytest.raises(AggregationError, match="client b sent more than one update"):
+        aggregate([update("b", 1.0, 2), update("a", 1.0, 3), update("b", 1.0, 2)])
+
+
 def test_aggregate_rejects_shape_mismatch():
     small = ModelConfig(n_features=6, n_labels=3, transformers_layers=1,
                         hidden_size=4, n_positions=8, seed=0)

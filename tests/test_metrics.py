@@ -84,8 +84,8 @@ def test_accumulate_is_additive():
     mask = np.ones(100)
     whole = accumulate_confusion(pred, target, mask, ConfusionCounts())
     first = accumulate_confusion(pred[:60], target[:60], mask[:60], ConfusionCounts())
-    second = accumulate_confusion(pred[60:], target[60:], mask[60:], ConfusionCounts())
-    assert first + second == whole
+    both = accumulate_confusion(pred[60:], target[60:], mask[60:], first)
+    assert both is first and both == whole
 
 
 def test_accumulate_shape_mismatch():

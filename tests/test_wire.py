@@ -143,14 +143,14 @@ def test_weight_frames_golden_bytes():
 
 
 def test_weightless_round_config_golden_bytes():
-    # the ROUND_CONFIG of every round after the first: the head, a blob
-    # length of 0 and the CRC32 of no bytes
+    # the ROUND_CONFIG of every round: the head, a blob length of 0 and the
+    # CRC32 of no bytes
     frame = W.frame_encode(W.MSG_ROUND_CONFIG, *W._blob_message(
         W._ROUND_HEAD.pack(2, 1, 2 ** 40 + 3, 5, 16, 2.5e-4), []))
     assert frame.hex() == (
         "29000000" "02" "02000000" "01000000" "0300000000010000" "05000000" "10000000"
         "fca9f1d24d62303f" "00000000" "00000000")
-    assert len(frame) - 4 <= W._frame_caps(TINY)[W.MSG_ROUND_CONFIG]
+    assert len(frame) - 4 == W._frame_caps(TINY)[W.MSG_ROUND_CONFIG]
     msg_type, payload = W.read_frame(io.BytesIO(frame))
     *head, blob = W.decode_round_config(payload)
     assert (msg_type, head, len(blob)) == (W.MSG_ROUND_CONFIG, [2, 1, 2 ** 40 + 3, 5, 16,
@@ -169,7 +169,7 @@ def test_frame_caps_are_the_longest_frames_a_peer_can_send():
     ws = random_weights(MC, seed=1)
     caps = W._frame_caps(MC)
     for name, frame in weight_frames(ws).items():
-        if name != "EVAL_REQUEST":
+        if name != "ROUND_CONFIG":  # sent without weights, as the golden test above pins
             assert caps[getattr(W, f"MSG_{name}")] == len(frame) - 4, name
     longest = W.frame_encode(W.MSG_HELLO, W.encode_hello("x" * 0xFFFF, 2 ** 32 - 1))
     assert caps[W.MSG_HELLO] == len(longest) - 4
@@ -466,10 +466,12 @@ def test_tcp_matches_in_process_simulation_bitwise():
     cfg = FedConfig(rounds=2, min_available_clients=3, local_epochs=2,
                     batch_size=8, local_lr=1e-2, seed=0)
     tcp_result, base = run_tcp_federation(clients, cfg)
-    sim_result = run_fold(0, clients, base, cfg, eval_base=False)
+    sim_result = run_fold(0, clients, base, cfg)
     assert tcp_result.final_weights.equals_bitwise(sim_result.final_weights)
     assert len(tcp_result.round_reports) == 2
-    for tcp_rep, sim_rep in zip(tcp_result.round_reports, sim_result.round_reports):
+    # the base eval (round 0) too, as the simulation runs it
+    for tcp_rep, sim_rep in zip([tcp_result.base_report, *tcp_result.round_reports],
+                                [sim_result.base_report, *sim_result.round_reports]):
         assert tcp_rep.summary == sim_rep.summary
         assert [c.counts for c in tcp_rep.clients] == [c.counts for c in sim_rep.clients]
     assert tcp_result.to_json_dict() == sim_result.to_json_dict()
@@ -488,18 +490,20 @@ def test_tcp_fold_sends_each_round_weights_once_per_client(monkeypatch):
     cfg = FedConfig(rounds=3, min_available_clients=2, local_epochs=1,
                     batch_size=8, local_lr=1e-2, seed=0)
     tcp_result, base = run_tcp_federation(clients, cfg)
-    sim_result = run_fold(0, clients, base, cfg, eval_base=False)
+    sim_result = run_fold(0, clients, base, cfg)
     assert tcp_result.final_weights.equals_bitwise(sim_result.final_weights)
     assert tcp_result.to_json_dict() == sim_result.to_json_dict()
 
     def decoded(msg_type):
         return [W.read_frame(io.BytesIO(f))[1] for f in encoded if f[4] == msg_type]
 
-    # one ROUND_CONFIG per round, for both clients; only round 1's has weights
+    # one ROUND_CONFIG per round, for both clients, none with weights: they
+    # travel in the EVAL_REQUESTs, the base eval's and one per round
     configs = [W.decode_round_config(p) for p in decoded(W.MSG_ROUND_CONFIG)]
-    assert [(c[0], len(c[-1]) > 0) for c in configs] == [(1, True), (2, False), (3, False)]
-    assert len(decoded(W.MSG_EVAL_REQUEST)) == 3
-    assert len(decoded(W.MSG_FIT_RESULT)) == len(decoded(W.MSG_EVAL_RESULT)) == 6
+    assert [(c[0], len(c[-1])) for c in configs] == [(1, 0), (2, 0), (3, 0)]
+    assert len(decoded(W.MSG_EVAL_REQUEST)) == 4
+    assert len(decoded(W.MSG_FIT_RESULT)) == 6
+    assert len(decoded(W.MSG_EVAL_RESULT)) == 8
 
 
 def test_tcp_audit_trail_matches_simulation_event_for_event():
@@ -510,13 +514,14 @@ def test_tcp_audit_trail_matches_simulation_event_for_event():
                     batch_size=8, local_lr=1e-2, seed=0)
     tcp_events, sim_events = [], []
     tcp_result, base = run_tcp_federation(clients, cfg, audit=tcp_events.append)
-    sim_result = run_fold(0, clients, base, cfg, audit=sim_events.append, eval_base=False)
+    sim_result = run_fold(0, clients, base, cfg, audit=sim_events.append)
 
     def rounds_only(events):
         return [{k: v for k, v in e.items() if k != "ts"} for e in events
                 if e["event"] not in ("hello", "done")]
 
     assert rounds_only(tcp_events) == rounds_only(sim_events)
+    assert [e["round"] for e in rounds_only(tcp_events)][:3] == [0, 0, 0]  # the base eval
     assert [e["event"] for e in sim_events].count("skip") == 2
     assert tcp_result.final_weights.equals_bitwise(sim_result.final_weights)
 
@@ -532,7 +537,7 @@ def test_tcp_audit_trail_counts():
     assert kinds.count("broadcast") == 2
     assert kinds.count("fit_result") == 6
     assert kinds.count("aggregate") == 2
-    assert kinds.count("eval_result") == 6
+    assert kinds.count("eval_result") == 9  # the base eval's 3, then 3 per round
     assert kinds.count("done") == 3
 
 
@@ -673,12 +678,19 @@ def rogue_peer(port):
         rogue.close()
 
 
-def echo_fit(rogue, rfile, client_id, num_examples):
-    """Say HELLO, echo the round's weights back as the fit, await EVAL_REQUEST."""
+def answer_base_eval(rogue, rfile, client_id, num_examples):
+    """Say HELLO and answer the base weights' EVAL_REQUEST; returns their blob."""
     rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello(client_id, num_examples)))
     msg_type, payload = W.read_frame(rfile)
-    assert msg_type == W.MSG_ROUND_CONFIG
-    blob = W.decode_round_config(payload)[-1]
+    assert msg_type == W.MSG_EVAL_REQUEST
+    rogue.sendall(W.frame_encode(W.MSG_EVAL_RESULT, eval_payload((b"a", 1, 1, 0, 0))))
+    return bytes(W._decode_blob_message(payload, "<")[0])
+
+
+def echo_fit(rogue, rfile, client_id, num_examples):
+    """Answer the base eval, echo its weights back as the fit, await EVAL_REQUEST."""
+    blob = answer_base_eval(rogue, rfile, client_id, num_examples)
+    assert W.read_frame(rfile)[0] == W.MSG_ROUND_CONFIG
     rogue.sendall(W.frame_encode(W.MSG_FIT_RESULT,
                                  *W._blob_message(struct.pack("<d", 0.0), [blob])))
     assert W.read_frame(rfile)[0] == W.MSG_EVAL_REQUEST
@@ -749,10 +761,8 @@ def test_nan_fit_result_aborts_the_fold_naming_client_and_parameter():
     port, server, box = serve_one_client(cfg)
     name = parameter_shapes(MC)[-1][0]
     with rogue_peer(port) as (rogue, rfile):
-        rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("rogue", 1)))
-        msg_type, payload = W.read_frame(rfile)
-        assert msg_type == W.MSG_ROUND_CONFIG
-        weights = W.decode_weights(W.decode_round_config(payload)[-1], MC)
+        weights = W.decode_weights(answer_base_eval(rogue, rfile, "rogue", 1), MC)
+        assert W.read_frame(rfile)[0] == W.MSG_ROUND_CONFIG
         weights[name].data[0] = np.nan
         blob = W.encode_weights(weights)
         rogue.sendall(W.frame_encode(W.MSG_FIT_RESULT,
@@ -820,7 +830,7 @@ def test_client_without_training_windows_is_only_asked_to_evaluate():
                               args=("127.0.0.1", port, cid, MC, *windows))
     worker.start()
     with rogue_peer(port) as (rogue, rfile):
-        rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("z", 0)))
+        answer_base_eval(rogue, rfile, "z", 0)
         assert W.read_frame(rfile)[0] == W.MSG_EVAL_REQUEST  # no ROUND_CONFIG
         rogue.sendall(W.frame_encode(W.MSG_EVAL_RESULT, eval_payload((b"a", 1, 1, 0, 0))))
         assert W.read_frame(rfile)[0] == W.MSG_DONE
@@ -830,6 +840,7 @@ def test_client_without_training_windows_is_only_asked_to_evaluate():
     assert "error" not in box
     assert sorted(c.subject_id for c in box["result"].final_report.clients) == sorted([cid, "z"])
     assert [(e["event"], e.get("client_id")) for e in events if e["event"] != "hello"] == [
+        ("eval_result", cid), ("eval_result", "z"),  # the base eval
         ("broadcast", None), ("skip", "z"), ("fit_result", cid), ("aggregate", None),
         ("eval_result", cid), ("eval_result", "z"), ("done", cid), ("done", "z")]
 
@@ -908,9 +919,9 @@ def test_server_raising_mid_fold_leaves_no_thread_behind():
                     batch_size=8, local_lr=1e-2, seed=0, round_timeout_s=1.0)
     threads_before = threading.active_count()
     port, server, box = serve_one_client(cfg)
-    # a rogue peer registers, then never answers its ROUND_CONFIG
+    # a rogue peer registers and answers the base eval, then never its ROUND_CONFIG
     with rogue_peer(port) as (rogue, rfile):
-        rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("rogue", 1)))
+        answer_base_eval(rogue, rfile, "rogue", 1)
         assert W.read_frame(rfile)[0] == W.MSG_ROUND_CONFIG
         read_refusal(port, say_hello=True)
         server.join(30.0)
@@ -944,7 +955,7 @@ def test_fit_result_longer_than_its_exact_size_is_refused():
                     batch_size=8, local_lr=1e-2, seed=0)
     port, server, box = serve_one_client(cfg)
     with rogue_peer(port) as (rogue, rfile):
-        rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("rogue", 1)))
+        answer_base_eval(rogue, rfile, "rogue", 1)
         assert W.read_frame(rfile)[0] == W.MSG_ROUND_CONFIG
         rogue.sendall(struct.pack("<I", W._frame_caps(MC)[W.MSG_FIT_RESULT] + 1))
         msg_type, payload = W.read_frame(rfile)
@@ -959,12 +970,12 @@ def test_collection_timeout_is_one_window():
     cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=1,
                     batch_size=8, local_lr=1e-2, seed=0, round_timeout_s=1.0)
     port, server, box = serve_one_client(cfg)
-    # a rogue peer says hello, then never answers ROUND_CONFIG
+    # a rogue peer answers the base eval, then never its ROUND_CONFIG
     rogue = socket.create_connection(("127.0.0.1", port))
     rogue.settimeout(10.0)
     try:
         rfile = rogue.makefile("rb")
-        rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("rogue", 1)))
+        answer_base_eval(rogue, rfile, "rogue", 1)
         assert W.read_frame(rfile)[0] == W.MSG_ROUND_CONFIG
         sent = time.monotonic()
         msg_type, payload = W.read_frame(rfile)
@@ -1005,16 +1016,30 @@ def round_config(weights, local_lr=1e-2):
         [] if weights is None else W._blob_parts(weights)))
 
 
-@pytest.mark.parametrize("weights, local_lr, error, match", [
-    pytest.param(None, 1e-2, ProtocolError, "without weights", id="weightless-first"),
-    pytest.param(init_model(MC), float("nan"), ConfigError, "local_lr", id="lr-nan"),
-    pytest.param(init_model(MC), float("inf"), ConfigError, "local_lr", id="lr-inf"),
+def eval_request(weights):
+    return W.frame_encode(W.MSG_EVAL_REQUEST, *W._blob_message(b"", W._blob_parts(weights)))
+
+
+@pytest.mark.parametrize("evaluated, weights, local_lr, error, match", [
+    pytest.param(False, None, 1e-2, ProtocolError, "no EVAL_REQUEST's weights are held",
+                 id="weightless-first"),
+    # round 1 of a server that sent the weights there and evaluated no base
+    pytest.param(False, init_model(MC), 1e-2, ProtocolError, "carries weights",
+                 id="weights-first"),
+    pytest.param(True, init_model(MC), 1e-2, ProtocolError, "carries weights",
+                 id="weights-after-eval"),
+    pytest.param(True, None, float("nan"), ConfigError, "local_lr", id="lr-nan"),
+    pytest.param(True, None, float("inf"), ConfigError, "local_lr", id="lr-inf"),
 ])
-def test_client_refuses_a_round_config_it_cannot_train_from(weights, local_lr, error, match):
+def test_client_refuses_a_round_config_it_cannot_train_from(evaluated, weights, local_lr,
+                                                            error, match):
     (cid, windows), = synthetic_clients(1).items()
 
     def handler(sock, rfile):
         assert W.read_frame(rfile)[0] == W.MSG_HELLO
+        if evaluated:
+            sock.sendall(eval_request(init_model(MC)))
+            assert W.read_frame(rfile)[0] == W.MSG_EVAL_RESULT
         sock.sendall(round_config(weights, local_lr))
         sock.settimeout(10.0)  # a client that trains answers, then waits for us
         with contextlib.suppress(TimeoutError):
@@ -1066,8 +1091,8 @@ def test_a_peer_that_vanishes_mid_send_aborts_the_fold_for_the_others():
         # a reset, not a FIN: the server's write to "a" fails
         vanisher.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         vanisher.close()
-        assert W.read_frame(rfile, W._frame_caps(BIG)[W.MSG_ROUND_CONFIG])[0] == \
-            W.MSG_ROUND_CONFIG
+        assert W.read_frame(rfile, W._frame_caps(BIG)[W.MSG_EVAL_REQUEST])[0] == \
+            W.MSG_EVAL_REQUEST
         msg_type, payload = W.read_frame(rfile)
         assert msg_type == W.MSG_ERROR
         code, message = W.decode_error(payload)
@@ -1095,8 +1120,8 @@ def test_a_peer_that_stops_reading_fails_the_send_after_the_round_timeout():
             mute.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
             mute.connect(("127.0.0.1", port))
             mute.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("a", 1)))
-            assert W.read_frame(rfile, W._frame_caps(BIG)[W.MSG_ROUND_CONFIG])[0] == \
-                W.MSG_ROUND_CONFIG
+            assert W.read_frame(rfile, W._frame_caps(BIG)[W.MSG_EVAL_REQUEST])[0] == \
+                W.MSG_EVAL_REQUEST
             received = time.monotonic()
             msg_type, payload = W.read_frame(rfile)
             assert msg_type == W.MSG_ERROR
@@ -1137,8 +1162,8 @@ def test_a_peer_that_reads_too_slowly_is_cut_off_at_the_round_timeout():
             slow.connect(("127.0.0.1", port))
             slow.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello("a", 1)))
             reader.start()
-            assert W.read_frame(rfile, W._frame_caps(BIG)[W.MSG_ROUND_CONFIG])[0] == \
-                W.MSG_ROUND_CONFIG
+            assert W.read_frame(rfile, W._frame_caps(BIG)[W.MSG_EVAL_REQUEST])[0] == \
+                W.MSG_EVAL_REQUEST
             msg_type, payload = W.read_frame(rfile)
             assert msg_type == W.MSG_ERROR
             code, message = W.decode_error(payload)
@@ -1188,9 +1213,11 @@ def test_client_send_to_a_vanished_server_is_a_protocol_error():
     (cid, windows), = synthetic_clients(1).items()
 
     def handler(sock, rfile):
-        # hand out one round, then hang up before the FIT_RESULT
+        # hand out the weights and one round, then hang up before the FIT_RESULT
         assert W.read_frame(rfile)[0] == W.MSG_HELLO
-        sock.sendall(round_config(init_model(BIG)))
+        sock.sendall(eval_request(init_model(BIG)))
+        assert W.read_frame(rfile)[0] == W.MSG_EVAL_RESULT
+        sock.sendall(round_config(None))
 
     port, server = fake_server(handler)
     with pytest.raises(ProtocolError, match="lost the server"):
