@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 
 
@@ -39,12 +40,24 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
+def _finite(obj):
+    """``obj`` with every NaN and infinite float as None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def atomic_write_json(path: str, obj) -> None:
-    """Write indented JSON with ``atomic_write_bytes``."""
-    text = json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """Write indented JSON with ``atomic_write_bytes``, non-finite floats as null."""
+    text = json.dumps(_finite(obj), indent=2, allow_nan=False) + "\n"
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def append_jsonl(fh, obj) -> None:
-    fh.write(json.dumps(obj, sort_keys=False) + "\n")
+    """Append ``obj`` as one JSON line, non-finite floats as null, and flush."""
+    fh.write(json.dumps(_finite(obj), allow_nan=False) + "\n")
     fh.flush()

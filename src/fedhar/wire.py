@@ -21,17 +21,17 @@ ROUND_CONFIG, only EVAL_REQUESTs. The global weights travel only in
 EVAL_REQUEST: a ROUND_CONFIG's blob is always empty (length 0) and means
 "train from the weights of the EVAL_REQUEST you answered last". A client
 holds those weights only until the next ROUND_CONFIG; a ROUND_CONFIG with
-weights, or with nothing held, is a ProtocolError. So a client refuses a
-server that sends round 1's weights in its ROUND_CONFIG, as servers that
-did not evaluate the base did; such older clients still work with this
-server, as they train from their last EVAL_REQUEST's weights when the blob
-is empty. Once the expected clients have registered, every other connection
-gets ERROR ``registration_closed``. Peers send measurements only. A
-FIT_RESULT is the f64 train loss + the trained WeightBlob. An EVAL_RESULT is a u16 label count, then per label its name and
-u32 tp/tn/fp/fn; the server scores it with ``ClientReport.from_counts``, as
-the simulation does. A message out of order gets an ERROR frame with code
-``out_of_order``, a malformed one ``bad_message``, and the connection is
-dropped. When the server ends a fold with an error, every client still
+weights (round 1's, from a server of the previous release) or with nothing
+held is a ProtocolError. Once the expected clients have registered, every
+other connection gets ERROR ``registration_closed``.
+Peers send measurements only: a FIT_RESULT is the f64 train loss + the
+trained WeightBlob, an EVAL_RESULT a u16 label count (the model's), then
+per label its name and u32 tp/tn/fp/fn. The server decodes each reply where it
+arrives, into an update or a report scored with ``ClientReport.from_counts``
+as the simulation does. A message out of order gets ERROR ``out_of_order``,
+one that fails to decode ``bad_message`` with "<message type>: <reason>";
+either drops the connection and ends the fold with a ProtocolError naming
+the client. When the server ends a fold with an error, every client still
 connected gets an ERROR frame with code ``aborted`` first; a write that
 fails, because the peer vanished, is such an error, naming that client. So
 is a frame not written whole within ``round_timeout_s``, when that is set:
@@ -41,13 +41,14 @@ frame is half-written is closed without an ERROR, as it could not read one.
 
 Buffers: a received frame is read into one bytearray of its declared
 length, allocated once the header is in. Decoders slice memoryviews of it,
-and each tensor is copied out of it once. A sent frame is one ``b"".join``
-of its header, the message head and the tensors' own memoryviews, so
-weights are copied once, into the frame; the blob's CRC32 is folded over the
-same views. The server serves every socket from the calling thread through
-one selector, non-blocking: it encodes each ROUND_CONFIG and EVAL_REQUEST
-frame once per broadcast and writes that one frame to all its targets at
-once, holding only each target's unsent rest as a view of it.
+and each tensor is copied out of it once; the server lets go of a frame as
+soon as its update or report is built. A sent frame is one ``b"".join`` of
+its header, the message head and the tensors' own memoryviews, so weights
+are copied once, into the frame; the blob's CRC32 is folded over the same
+views. The server serves every socket from the calling thread through one
+selector, non-blocking: it encodes each ROUND_CONFIG and EVAL_REQUEST frame
+once per broadcast and writes that one frame to all its targets at once,
+holding only each target's unsent rest as a view of it.
 
 Caps: a reader checks each declared length before it allocates the frame,
 against the longest frame the peer may send in its state. On the server
@@ -73,8 +74,7 @@ import zlib
 
 import numpy as np
 
-from .errors import (AvailabilityError, DecodeError, DegenerateReportError, FedharError,
-                     ProtocolError, ShapeError)
+from .errors import AvailabilityError, DecodeError, FedharError, ProtocolError, ShapeError
 from .fedavg import ClientUpdate, FedConfig, FoldResult, _audit, client_fit, drive_fold
 from .metrics import ClientReport, ConfusionCounts
 from .model import ModelConfig, WeightSet, parameter_shapes
@@ -398,19 +398,16 @@ def encode_eval_result(report: ClientReport) -> bytes:
 def decode_eval_result(payload, subject_id: str) -> ClientReport:
     """Score an EVAL_RESULT's counts as ``subject_id``'s report.
 
-    A malformed payload, or counts under which no label is defined, is a
-    DecodeError.
+    A malformed payload is a DecodeError, counts under which no label is
+    defined a DegenerateReportError.
     """
     cur = _Cursor(payload)
-    try:
-        names, counts = [], []
-        for _ in range(cur.u16()):
-            names.append(cur.text())
-            counts.append(ConfusionCounts(*cur.unpack("<4I")))
-        cur.done()
-        return ClientReport.from_counts(subject_id, counts, names)
-    except (DecodeError, DegenerateReportError) as exc:
-        raise DecodeError(f"EVAL_RESULT: {exc}") from None
+    names, counts = [], []
+    for _ in range(cur.u16()):
+        names.append(cur.text())
+        counts.append(ConfusionCounts(*cur.unpack("<4I")))
+    cur.done()
+    return ClientReport.from_counts(subject_id, counts, names)
 
 
 def encode_error(code: str, message: str) -> bytes:
@@ -444,8 +441,8 @@ def connect_with_retry(host: str, port: int, attempts: int = CONNECT_ATTEMPTS,
 class _Conn:
     """A non-blocking server-side connection, registered with the server's selector.
 
-    It reads a frame in pieces, checking the declared length against the
-    peer's state before it allocates the body, and holds the unsent rest of one frame.
+    It reads a frame in pieces, capping its length by the peer's state before the
+    body is allocated, decodes each reply where it arrives, and holds one frame's unsent rest.
     """
 
     def __init__(self, sock: socket.socket, sel: selectors.BaseSelector):
@@ -504,11 +501,12 @@ class _Conn:
         self.body = None
         return buf[0], memoryview(buf)[1:]
 
-    def receive(self, caps: dict[int, int]):
-        """(kind, value) once the owed frame is in: "hello", "fit" (train loss,
-        blob view) or "eval" (report); or "lost" and the reason, after an ERROR
-        if the frame was out of order or malformed.
+    def receive(self, config: ModelConfig, caps: dict[int, int]):
+        """(kind, value) once the owed frame is in: "hello" and None, "reply" and
+        the ClientUpdate or ClientReport it decodes to under ``config``, or "lost"
+        and the reason, after ERROR ``out_of_order`` or ``bad_message`` if due.
         """
+        owed = _MSG_NAMES.get(self.expected, "frame")
         try:
             frame = self._read(caps.get(self.expected, caps[MSG_HELLO]))
             if frame is None:
@@ -522,13 +520,18 @@ class _Conn:
                 self.client_id, self.num_examples = decode_hello(payload)
                 return "hello", None
             if msg_type == MSG_FIT_RESULT:
-                return "fit", decode_fit_result(payload)
-            return "eval", decode_eval_result(payload, self.client_id)
+                train_loss, blob = decode_fit_result(payload)
+                return "reply", ClientUpdate(self.client_id, decode_weights(blob, config),
+                                             self.num_examples, train_loss)
+            report = decode_eval_result(payload, self.client_id)
+            if len(report.counts) != config.n_labels:
+                raise DecodeError(f"{len(report.counts)} labels, the model has {config.n_labels}")
+            return "reply", report
         except (EOFError, OSError):
             self.close()
             return "lost", "connection lost"
-        except ProtocolError as exc:  # the peer sent a malformed or oversized frame
-            return self.fail("bad_message", str(exc))
+        except FedharError as exc:  # the peer sent a malformed or oversized frame
+            return self.fail("bad_message", f"{owed}: {exc}")
         except Exception as exc:  # decoding bugs should not hang the server
             return self.fail("internal", str(exc))
 
@@ -551,10 +554,12 @@ def server_loop(
     min_available_clients) have sent HELLO, then refuses every other
     connection, and every later one, with ERROR ``registration_closed``. It
     runs the same round driver as the simulation, ``fedavg.drive_fold``,
-    base eval included: an eval sends EVAL_REQUEST with the weights and
-    collects EVAL_RESULTs, a fit sends a weightless ROUND_CONFIG to the
-    clients with data, which train from the weights they just evaluated, and
-    collects their FIT_RESULTs. Ends every client with DONE; if the fold
+    base eval included. Both its phases broadcast one frame and collect the
+    replies, each decoded as it arrives and yielded in client-id order: an
+    eval sends EVAL_REQUEST with the weights, a fit a weightless ROUND_CONFIG
+    to the clients with data, which train from the weights they just
+    evaluated. A reply that fails to decode ends the fold with a
+    ProtocolError naming its client. Ends every client with DONE; if the fold
     fails with a ``FedharError`` instead, a failed write to a client
     included, every client still connected gets an ERROR frame carrying its
     message before the error is re-raised.
@@ -596,14 +601,13 @@ def server_loop(
                     conn.close()
                     events.append((conn, "unsent", exc))
             if mask & selectors.EVENT_READ and not conn.closed:
-                event = conn.receive(caps)
+                event = conn.receive(base_weights.config, caps)
                 if event is not None:
                     events.append((conn, *event))
         return events
 
-    def exchange(targets: list[_Conn], reply: int | None, frame: bytes,
-                 timeout: float | None) -> dict:
-        """Write ``frame`` to every target at once and collect one ``reply`` from each.
+    def exchange(targets: list[_Conn], frame: bytes, timeout: float | None) -> dict:
+        """Write ``frame`` to every target at once and collect each one's reply to it.
 
         One deadline, ``timeout`` s from now, covers every write and every
         reply. A write that fails or is not done by then, a lost client and
@@ -612,6 +616,7 @@ def server_loop(
         frame was not written whole is closed without an ERROR.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
+        reply = {MSG_ROUND_CONFIG: MSG_FIT_RESULT, MSG_EVAL_REQUEST: MSG_EVAL_RESULT}.get(frame[4])
         for conn in targets:
             conn.expected = reply
             conn.send(frame)
@@ -641,6 +646,10 @@ def server_loop(
             raise ProtocolError(fault)
         return replies
 
+    def collect(frame: bytes, ids: list[str]) -> list:
+        """Broadcast ``frame`` to ``ids``; (id, reply) pairs in id order, as drive_fold asks."""
+        return sorted(exchange([conns[cid] for cid in ids], frame, config.round_timeout_s).items())
+
     if ready_event is not None:
         ready_event.set()
     try:
@@ -664,29 +673,19 @@ def server_loop(
             if not conn.closed and conns.get(conn.client_id) is not conn:
                 conn.fail("registration_closed", closed_message)
 
-        def fit(weights, round_idx, fit_ids):
+        result = drive_fold(
+            fold, {cid: c.num_examples for cid, c in conns.items()},
             # drive_fold fits from the weights its last eval phase sent, and
             # every client answered that EVAL_REQUEST: the clients hold them
-            fits = exchange([conns[cid] for cid in fit_ids], MSG_FIT_RESULT, frame_encode(
+            lambda weights, round_idx, ids: collect(frame_encode(
                 MSG_ROUND_CONFIG, *_blob_message(_ROUND_HEAD.pack(
                     round_idx, fold, config.seed, config.local_epochs, config.batch_size,
-                    config.local_lr), [])), config.round_timeout_s)
-            for cid in fit_ids:
-                train_loss, fit_blob = fits.pop(cid)
-                yield cid, ClientUpdate(cid, decode_weights(fit_blob, base_weights.config),
-                                        conns[cid].num_examples, train_loss)
-
-        def evaluate_clients(weights, round_idx, eval_ids):
-            evals = exchange([conns[cid] for cid in eval_ids], MSG_EVAL_RESULT, frame_encode(
-                MSG_EVAL_REQUEST, *_blob_message(b"", _blob_parts(weights))),
-                config.round_timeout_s)
-            for cid in eval_ids:
-                yield cid, evals[cid]
-
-        result = drive_fold(fold, {cid: c.num_examples for cid, c in conns.items()},
-                            fit, evaluate_clients, base_weights, config, audit=audit)
+                    config.local_lr), [])), ids),
+            lambda weights, round_idx, ids: collect(frame_encode(
+                MSG_EVAL_REQUEST, *_blob_message(b"", _blob_parts(weights))), ids),
+            base_weights, config, audit=audit)
         with contextlib.suppress(ProtocolError):  # a client that took DONE and left, say
-            exchange([conns[cid] for cid in sorted(conns)], None, frame_encode(MSG_DONE),
+            exchange([conns[cid] for cid in sorted(conns)], frame_encode(MSG_DONE),
                      config.round_timeout_s)
         for cid in sorted(conns):
             if conns[cid].out:
@@ -696,7 +695,7 @@ def server_loop(
         return result
     except FedharError as exc:
         with contextlib.suppress(ProtocolError):
-            exchange([c for c in accepted if not c.closed], None,
+            exchange([c for c in accepted if not c.closed],
                      frame_encode(MSG_ERROR, encode_error("aborted", str(exc))),
                      config.round_timeout_s)
         raise

@@ -1,5 +1,8 @@
 """FedAvg: aggregation math, local client fits, and the round driver."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from fedhar.fedavg import (ClientUpdate, FedConfig, aggregate, client_fit, drive
 from fedhar.model import ModelConfig, WeightSet, init_model, parameter_shapes
 from fedhar.tensor import Tensor
 from fedhar.training import TrainConfig, train
+from fedhar.util import append_jsonl, atomic_write_json
 
 MC = ModelConfig(n_features=6, n_labels=3, transformers_layers=1,
                  hidden_size=8, n_positions=8, dropout=0.1, seed=0)
@@ -195,6 +199,26 @@ def test_round_with_a_non_finite_update_fails_naming_client_and_parameter(bad):
         drive_fold(0, {"a": 2, "b": 2, "c": 2}, fit, lambda *a: iter(()),
                    init_model(MC), cfg, audit=events.append, eval_base=False)
     assert [e["event"] for e in events] == ["broadcast"] + ["fit_result"] * 3
+
+
+def test_a_diverging_fold_writes_strict_json(tmp_path):
+    """A loss that overflows is written as null, which strict parsers take,
+    not as NaN; the fold still ends at the non-finite update."""
+    def strict(text):
+        return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in {text}"))
+
+    cfg = FedConfig(rounds=1, min_available_clients=2, local_epochs=2,
+                    batch_size=8, local_lr=1e30, seed=0)
+    path = tmp_path / "audit.jsonl"
+    with open(path, "w", encoding="utf-8") as fh, np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(AggregationError, match="non-finite"):
+            run_fold(0, client_data(2), init_model(MC), cfg,
+                     audit=lambda e: append_jsonl(fh, e))
+    events = [strict(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [e["train_loss"] for e in events if e["event"] == "fit_result"] == [None, None]
+    # the other writer, with the finite values as json.dumps writes them
+    atomic_write_json(str(path), {"loss": [0.1, math.nan, -math.inf, (math.inf, 2.5)]})
+    assert strict(path.read_text(encoding="utf-8")) == {"loss": [0.1, None, None, [None, 2.5]]}
 
 
 # ------------------------------------------------------------- clients

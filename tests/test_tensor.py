@@ -62,12 +62,20 @@ def probe(x, weight=None):
 
 # --------------------------------------------------------------- basics
 
-def test_add_broadcast_gradient_sums_over_batch():
-    a = Tensor(np.ones((3, 2)), requires_grad=True)
-    b = Tensor(np.zeros(2), requires_grad=True)
+@pytest.mark.parametrize("shape_a, shape_b", [
+    pytest.param((3, 2), (2,), id="leading-axis"),
+    # a size-1 axis kept in place (keepdims) is summed in place
+    pytest.param((2, 4, 3), (2, 1, 3), id="size-1-axis"),
+])
+def test_add_broadcast_gradient_sums_over_batch(shape_a, shape_b):
+    a = Tensor(np.ones(shape_a), requires_grad=True)
+    b = Tensor(np.zeros(shape_b), requires_grad=True)
     backward(probe(T.add(a, b)))
-    assert np.array_equal(a.grad, np.ones((3, 2)))
-    assert np.array_equal(b.grad, [3.0, 3.0])  # broadcast axis reduced
+    assert np.array_equal(a.grad, np.ones(shape_a))
+    # each element of b fed as many outputs as the broadcast repeated it
+    assert np.array_equal(b.grad, np.full(shape_b, a.grad.size / b.grad.size))
+    weight = np.random.default_rng(0).standard_normal(np.broadcast_shapes(shape_a, shape_b))
+    check_grad(lambda x, y: probe(T.add(x, y), weight), [shape_a, shape_b], seed=1)
 
 
 def test_chain_gradients_accumulate():

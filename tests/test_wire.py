@@ -666,6 +666,14 @@ def eval_payload(*labels):
         for name, *counts in labels)
 
 
+def honest_labels(n):
+    """``n`` labels with one true positive and one true negative each."""
+    return [(b"label_%d" % i, 1, 1, 0, 0) for i in range(n)]
+
+
+HONEST_EVAL = eval_payload(*honest_labels(MC.n_labels))
+
+
 @contextlib.contextmanager
 def rogue_peer(port):
     """A raw connection and its reader; both are closed, so the server sees EOF."""
@@ -683,7 +691,7 @@ def answer_base_eval(rogue, rfile, client_id, num_examples):
     rogue.sendall(W.frame_encode(W.MSG_HELLO, W.encode_hello(client_id, num_examples)))
     msg_type, payload = W.read_frame(rfile)
     assert msg_type == W.MSG_EVAL_REQUEST
-    rogue.sendall(W.frame_encode(W.MSG_EVAL_RESULT, eval_payload((b"a", 1, 1, 0, 0))))
+    rogue.sendall(W.frame_encode(W.MSG_EVAL_RESULT, HONEST_EVAL))
     return bytes(W._decode_blob_message(payload, "<")[0])
 
 
@@ -702,6 +710,9 @@ def echo_fit(rogue, rfile, client_id, num_examples):
     pytest.param(eval_payload((b"a", 1, 1, 1, 1)) + b"\x00", id="trailing-byte"),
     pytest.param(eval_payload((b"\xff", 1, 1, 1, 1)), id="bad-utf8-name"),
     pytest.param(eval_payload(), id="zero-labels"),
+    # counts for fewer or more labels than the model has
+    pytest.param(eval_payload(*honest_labels(MC.n_labels - 1)), id="too-few"),
+    pytest.param(eval_payload(*honest_labels(MC.n_labels + 1)), id="too-many"),
     # "a" has no negatives and "b" no positives
     pytest.param(eval_payload((b"a", 1, 0, 0, 1), (b"b", 0, 2, 0, 0)), id="all-undefined"),
     # JSON reports, as peers speaking an older EVAL_RESULT format send them
@@ -743,8 +754,7 @@ def test_fit_result_is_weighted_by_the_hello_count():
     # a FIT_RESULT carries no example count: the HELLO's 7 weights the update
     with rogue_peer(port) as (rogue, rfile):
         echo_fit(rogue, rfile, "rogue", 7)
-        rogue.sendall(W.frame_encode(W.MSG_EVAL_RESULT,
-                                     eval_payload((b"a", 1, 1, 0, 0))))
+        rogue.sendall(W.frame_encode(W.MSG_EVAL_RESULT, HONEST_EVAL))
         assert W.read_frame(rfile)[0] == W.MSG_DONE
     server.join(30.0)
     assert not server.is_alive()
@@ -775,6 +785,77 @@ def test_nan_fit_result_aborts_the_fold_naming_client_and_parameter():
     assert not server.is_alive()
     assert isinstance(box["error"], AggregationError)
     assert f"client rogue parameter {name} " in str(box["error"])
+
+
+def fold_with_a_rogue(rogue_acts):
+    """A 2-client fold of a real client and a rogue peer, which answers the base
+    eval, reads its ROUND_CONFIG, calls ``rogue_acts(rogue, rfile, base blob)``
+    and hangs up. The real client must get ERROR ``aborted``; returns the
+    server's error."""
+    (cid, windows), = synthetic_clients(1).items()
+    cfg = FedConfig(rounds=1, min_available_clients=2, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    port, server, box = serve_one_client(cfg, expected_clients=2)
+    errors = {}
+
+    def join():
+        try:
+            W.client_loop("127.0.0.1", port, cid, MC, *windows)
+        except Exception as exc:
+            errors["client"] = exc
+
+    worker = threading.Thread(target=join)
+    worker.start()
+    with rogue_peer(port) as (rogue, rfile):
+        blob = answer_base_eval(rogue, rfile, "rogue", 1)
+        assert W.read_frame(rfile)[0] == W.MSG_ROUND_CONFIG
+        rogue_acts(rogue, rfile, blob)
+    server.join(30.0)
+    worker.join(30.0)
+    assert not server.is_alive() and not worker.is_alive()
+    assert isinstance(errors["client"], ProtocolError)
+    assert str(errors["client"]).startswith("server error aborted: client rogue ")
+    return box["error"]
+
+
+def test_a_peer_that_hangs_up_mid_round_ends_the_fold_naming_it():
+    server_error = fold_with_a_rogue(lambda rogue, rfile, blob: None)
+    assert isinstance(server_error, ProtocolError)
+    assert str(server_error) == \
+        "client rogue dropped during the ROUND_CONFIG exchange: connection lost"
+
+
+def tensor_head(name, shape):
+    return W._pack_text(name) + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+
+
+FIRST_NAME, FIRST_SHAPE = parameter_shapes(MC)[0]
+
+
+@pytest.mark.parametrize("name, shape, reason", [
+    pytest.param(FIRST_NAME[:-1] + "x", FIRST_SHAPE, "expected tensor", id="wrong-name"),
+    # the same byte size, so only the shape check can tell
+    pytest.param(FIRST_NAME, FIRST_SHAPE[::-1], "has shape", id="transposed-shape"),
+])
+def test_a_fit_result_the_model_cannot_take_is_refused_naming_its_sender(name, shape, reason):
+    assert FIRST_SHAPE[::-1] != FIRST_SHAPE
+
+    def send_bad_fit(rogue, rfile, blob):
+        head = tensor_head(FIRST_NAME, FIRST_SHAPE)
+        assert blob.startswith(head)
+        bad = tensor_head(name, shape) + blob[len(head):]
+        rogue.sendall(W.frame_encode(W.MSG_FIT_RESULT,
+                                     *W._blob_message(struct.pack("<d", 0.0), [bad])))
+        msg_type, payload = W.read_frame(rfile)
+        assert msg_type == W.MSG_ERROR
+        code, message = W.decode_error(payload)
+        assert code == "bad_message"
+        assert message.startswith("FIT_RESULT: ") and reason in message
+
+    server_error = fold_with_a_rogue(send_bad_fit)
+    assert isinstance(server_error, ProtocolError)
+    assert str(server_error).startswith(
+        "client rogue dropped during the ROUND_CONFIG exchange: bad_message: FIT_RESULT: ")
 
 
 def test_duplicate_hello_leaves_the_registered_client_in_place():
@@ -832,7 +913,7 @@ def test_client_without_training_windows_is_only_asked_to_evaluate():
     with rogue_peer(port) as (rogue, rfile):
         answer_base_eval(rogue, rfile, "z", 0)
         assert W.read_frame(rfile)[0] == W.MSG_EVAL_REQUEST  # no ROUND_CONFIG
-        rogue.sendall(W.frame_encode(W.MSG_EVAL_RESULT, eval_payload((b"a", 1, 1, 0, 0))))
+        rogue.sendall(W.frame_encode(W.MSG_EVAL_RESULT, HONEST_EVAL))
         assert W.read_frame(rfile)[0] == W.MSG_DONE
     server.join(60.0)
     worker.join(10.0)
