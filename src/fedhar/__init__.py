@@ -10,7 +10,8 @@ __version__ = "0.1.0"
 
 from .errors import (AggregationError, AvailabilityError, ConfigError,
                      DecodeError, DegenerateBatchError, DegenerateReportError,
-                     FedharError, FormatError, ProtocolError, ShapeError)
+                     DivergenceError, FedharError, FormatError, ProtocolError,
+                     ShapeError)
 from .tensor import Adam, Tensor, backward
 from .model import (ModelConfig, WeightSet, forward, init_model,
                     masked_weighted_loss, parameter_shapes, predict)
@@ -35,7 +36,8 @@ __all__ = [
     "__version__",
     # errors
     "FedharError", "ShapeError", "ConfigError", "FormatError",
-    "DegenerateBatchError", "DegenerateReportError", "AvailabilityError",
+    "DegenerateBatchError", "DegenerateReportError", "DivergenceError",
+    "AvailabilityError",
     "AggregationError", "ProtocolError", "DecodeError",
     # autodiff
     "Tensor", "backward", "Adam",

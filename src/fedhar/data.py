@@ -49,6 +49,7 @@ EXTRASENSORY_LABELS = 51
 GAP_FACTOR = 5.0
 STD_FLOOR = 1e-6
 _INT64 = np.iinfo(np.int64)
+_LABEL_VALUES = {"": math.nan, "0": 0.0, "1": 1.0, "0.0": 0.0, "1.0": 1.0}
 
 
 class SplitWarning(UserWarning):
@@ -71,12 +72,7 @@ class SubjectRecord:
         return len(self.timestamps)
 
 
-def parse_extrasensory_csv(
-    source,
-    subject_id: str | None = None,
-    expected_features: int | None = None,
-    expected_labels: int | None = None,
-) -> SubjectRecord:
+def parse_extrasensory_csv(source, subject_id: str | None = None) -> SubjectRecord:
     """Parse one subject CSV (path, or text stream) into a SubjectRecord.
 
     Columns are classified by header name: "timestamp", "label:*" labels,
@@ -97,7 +93,7 @@ def parse_extrasensory_csv(
             subject_id = base
         opener = gzip.open if path.endswith(".gz") else open
         with opener(path, "rt", encoding="utf-8", newline="") as fh:
-            return parse_extrasensory_csv(fh, subject_id, expected_features, expected_labels)
+            return parse_extrasensory_csv(fh, subject_id)
 
     reader = csv.reader(source)
     try:
@@ -107,30 +103,22 @@ def parse_extrasensory_csv(
     if not header or header[0] != "timestamp":
         raise FormatError(f"first column must be 'timestamp', got {header[:1]!r}")
 
-    feature_idx, label_idx = [], []
     feature_names, label_names = [], []
     for i, name in enumerate(header[1:], start=1):
         if name == "label_source":
             if i != len(header) - 1:
                 raise FormatError("label_source must be the trailing column")
-            continue
-        if name.startswith("label:"):
-            label_idx.append(i)
+        elif name.startswith("label:"):
             label_names.append(name)
+        elif label_names:
+            raise FormatError(f"feature column {name!r} after label columns")
         else:
-            if label_idx:
-                raise FormatError(f"feature column {name!r} after label columns")
-            feature_idx.append(i)
             feature_names.append(name)
-
-    if expected_features is not None and len(feature_idx) != expected_features:
-        raise FormatError(
-            f"expected {expected_features} feature columns, found {len(feature_idx)}")
-    if expected_labels is not None and len(label_idx) != expected_labels:
-        raise FormatError(
-            f"expected {expected_labels} label columns, found {len(label_idx)}")
-    if not feature_idx or not label_idx:
+    if not feature_names or not label_names:
         raise FormatError("need at least one feature and one label column")
+    # features are columns 1..f_end-1, labels f_end..l_end-1
+    f_end = 1 + len(feature_names)
+    l_end = f_end + len(label_names)
 
     times, feats, labs = [], [], []
     # a cell beyond float32 casts to inf, which is refused below
@@ -145,34 +133,20 @@ def parse_extrasensory_csv(
             except (ValueError, OverflowError):
                 raise FormatError(f"row {row_no}: bad timestamp {row[0]!r}") from None
             times.append(t)
-            frow = np.empty(len(feature_idx), dtype=np.float32)
-            for j, col in enumerate(feature_idx):
-                cell = row[col]
-                if cell == "":
-                    frow[j] = np.nan
-                else:
-                    try:
-                        frow[j] = float(cell)
-                    except ValueError:
-                        raise FormatError(
-                            f"row {row_no}, column {header[col]!r}: bad value {cell!r}") from None
+            try:
+                frow = np.array([float(c or "nan") for c in row[1:f_end]], dtype=np.float32)
+            except ValueError:
+                _refuse_cell(row_no, header, row, 1, lambda c: float(c or "nan"), "bad value")
             if np.isinf(frow).any():
-                col = feature_idx[int(np.isinf(frow).argmax())]
+                col = 1 + int(np.isinf(frow).argmax())
                 raise FormatError(f"row {row_no}, column {header[col]!r}: "
                                   f"{row[col]!r} is not a finite float32")
-            lrow = np.empty(len(label_idx), dtype=np.float32)
-            for j, col in enumerate(label_idx):
-                cell = row[col]
-                if cell == "":
-                    lrow[j] = np.nan
-                elif cell in ("0", "1", "0.0", "1.0"):
-                    lrow[j] = float(cell)
-                else:
-                    raise FormatError(
-                        f"row {row_no}, column {header[col]!r}: label must be 0/1/empty, "
-                        f"got {cell!r}")
+            try:
+                labs.append([_LABEL_VALUES[c] for c in row[f_end:l_end]])
+            except KeyError:
+                _refuse_cell(row_no, header, row, f_end, _LABEL_VALUES.__getitem__,
+                             "label must be 0/1/empty, got")
             feats.append(frow)
-            labs.append(lrow)
 
     if not times:
         raise FormatError("file has a header but no data rows")
@@ -185,10 +159,21 @@ def parse_extrasensory_csv(
         subject_id=subject_id or "unknown",
         timestamps=ts,
         features=np.stack(feats)[order],
-        labels=np.stack(labs)[order],
+        labels=np.array(labs, dtype=np.float32)[order],
         feature_names=feature_names,
         label_names=label_names,
     )
+
+
+def _refuse_cell(row_no: int, header: list[str], row: list[str], start: int,
+                 convert, what: str):
+    """Raise the FormatError naming the first cell from ``start`` that ``convert`` refuses."""
+    for col in range(start, len(row)):
+        try:
+            convert(row[col])
+        except (ValueError, KeyError):
+            raise FormatError(
+                f"row {row_no}, column {header[col]!r}: {what} {row[col]!r}") from None
 
 
 def write_subject_csv(record: SubjectRecord, path: str) -> None:
@@ -199,30 +184,36 @@ def write_subject_csv(record: SubjectRecord, path: str) -> None:
     with opener(path, "wt", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", *feature_names, *label_names])
-        for i in range(record.n_minutes):
-            row = [str(int(record.timestamps[i]))]
-            for v in record.features[i]:
-                row.append("" if np.isnan(v) else repr(float(v)))
-            for v in record.labels[i]:
-                row.append("" if np.isnan(v) else str(int(v)))
-            writer.writerow(row)
+        for t, frow, lrow in zip(record.timestamps.tolist(), record.features, record.labels):
+            # csv writes a float as its repr; NaN (v != v) is an empty cell
+            writer.writerow([t, *["" if v != v else v for v in frow.tolist()],
+                             *["" if v != v else int(v) for v in lrow.tolist()]])
 
 
 def load_subject_dir(path: str) -> list[SubjectRecord]:
     """Parse every *.csv / *.csv.gz in a directory, sorted by filename.
 
-    The first file sets the feature/label counts every other file must match.
+    The first file's feature and label names, in order, are the schema every
+    other file must match; a FormatError names the first column that differs.
     """
     names = sorted(n for n in os.listdir(path)
                    if n.endswith(".csv") or n.endswith(".csv.gz"))
     if not names:
         raise FormatError(f"no subject CSVs found in {path}")
-    first = parse_extrasensory_csv(os.path.join(path, names[0]))
-    return [first] + [
-        parse_extrasensory_csv(os.path.join(path, name),
-                               expected_features=first.features.shape[1],
-                               expected_labels=first.labels.shape[1])
-        for name in names[1:]]
+    records = [parse_extrasensory_csv(os.path.join(path, names[0]))]
+    schema = records[0].feature_names + records[0].label_names
+    for name in names[1:]:
+        rec = parse_extrasensory_csv(os.path.join(path, name))
+        columns = rec.feature_names + rec.label_names
+        if columns != schema:
+            k = next((k for k, (a, b) in enumerate(zip(columns, schema)) if a != b),
+                     min(len(columns), len(schema)))
+            got = repr(columns[k]) if k < len(columns) else "missing"
+            want = repr(schema[k]) if k < len(schema) else "none"
+            raise FormatError(f"{os.path.join(path, name)}: column {k + 2} is {got}, "
+                              f"but {names[0]} has {want}")
+        records.append(rec)
+    return records
 
 
 def _fields(d, keys, what: str) -> list:
@@ -268,6 +259,11 @@ class FoldPlan:
         if not all(isinstance(ids, list) and all(isinstance(s, str) for s in ids)
                    for ids in folds + base):
             raise FormatError("fold plan folds and base_subjects must be lists of subject ids")
+        for k, (fold, base_ids) in enumerate(zip(folds, base)):
+            leaked = [s for s in base_ids if s in fold]
+            if leaked:
+                raise FormatError(f"fold plan fold {k} lists subject {leaked[0]!r} "
+                                  "among its base subjects too")
         return cls(n_folds, seed, folds, base)
 
     def save(self, path: str) -> None:
@@ -382,10 +378,6 @@ class Window:
     label_mask: np.ndarray  # float32 [P, L] in {0, 1}
     pad_mask: np.ndarray    # float32 [P] in {0, 1}
 
-    @property
-    def true_length(self) -> int:
-        return int(self.pad_mask.sum())
-
 
 def make_windows(record: SubjectRecord, n_positions: int) -> list[Window]:
     """Cut a record into non-overlapping windows of n_positions minutes.
@@ -438,6 +430,14 @@ def batch_arrays(windows: list[Window]):
     return x, pad, targets, mask
 
 
+def _by_subject(windows: list[Window]) -> list[tuple[str, list[int]]]:
+    """(subject id, its window indices in order) per subject, sorted by id."""
+    by_subject: dict[str, list[int]] = {}
+    for i, w in enumerate(windows):
+        by_subject.setdefault(w.subject_id, []).append(i)
+    return sorted(by_subject.items())
+
+
 def split_train_test(
     windows: list[Window], ratio: float = 0.8, seed: int = 0
 ) -> tuple[list[Window], list[Window]]:
@@ -449,13 +449,9 @@ def split_train_test(
     """
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"split ratio must be in (0, 1), got {ratio}")
-    by_subject: dict[str, list[int]] = {}
-    for i, w in enumerate(windows):
-        by_subject.setdefault(w.subject_id, []).append(i)
     train_idx: list[int] = []
     test_idx: list[int] = []
-    for sid in sorted(by_subject):
-        idx = by_subject[sid]
+    for sid, idx in _by_subject(windows):
         if len(idx) < 2:
             warnings.warn(f"subject {sid} has {len(idx)} window(s); all go to train",
                           SplitWarning, stacklevel=2)
@@ -478,13 +474,9 @@ def carve_validation(
     """Hold out the last ``frac`` of each subject's train windows for scoring."""
     if not 0.0 < frac < 1.0:
         raise ConfigError(f"validation fraction must be in (0, 1), got {frac}")
-    by_subject: dict[str, list[int]] = {}
-    for i, w in enumerate(train_windows):
-        by_subject.setdefault(w.subject_id, []).append(i)
     keep_idx: list[int] = []
     val_idx: list[int] = []
-    for sid in sorted(by_subject):
-        idx = by_subject[sid]
+    for _, idx in _by_subject(train_windows):
         if len(idx) < 2:
             keep_idx.extend(idx)
             continue

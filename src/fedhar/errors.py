@@ -25,6 +25,10 @@ class DegenerateReportError(FedharError):
     """A report was requested where no label has a defined score."""
 
 
+class DivergenceError(FedharError):
+    """A training loss turned NaN or infinite."""
+
+
 class AvailabilityError(FedharError):
     """Fewer clients are available than the federation requires."""
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Window, batch_arrays, carve_validation, make_windows, split_train_test
-from .errors import ConfigError, DegenerateReportError
+from .errors import ConfigError, DegenerateReportError, DivergenceError
 from .metrics import ClientReport, _count
 from .model import (ModelConfig, WeightSet, forward, init_model,
                     masked_weighted_loss, predict)
@@ -87,9 +87,11 @@ def train(
     Pure in (initial weights, windows, config): the input WeightSet is left
     untouched, shuffling and dropout draw from generators derived from
     config.seed, and history holds one mean batch loss per epoch. The copy
-    carries no gradients. Trainings and evaluations running at once in one
-    process share the BLAS threads (``tensor._BlasShare``), with the same
-    bits as one at a time.
+    carries no gradients. The first NaN or infinite batch loss raises
+    ``DivergenceError`` naming its epoch and batch (both from 1), before its
+    backward pass. Trainings and evaluations running at once in one process
+    share the BLAS threads (``tensor._BlasShare``), with the same bits as one
+    at a time.
     """
     if not windows:
         raise ConfigError("training needs at least one window")
@@ -106,15 +108,18 @@ def train(
         opt = Adam()
         n = len(windows)
         history: list[float] = []
-        for _ in range(config.epochs):
+        for epoch in range(1, config.epochs + 1):
             order = shuffle_rng.permutation(n)
             losses = []
-            for idx in _batches(n, config.batch_size, order):
+            for batch, idx in enumerate(_batches(n, config.batch_size, order), start=1):
                 y = forward(w, x_all[idx], pad_all[idx], train_mode=True, rng=drop_rng)
                 loss = masked_weighted_loss(y, tgt_all[idx], mask_all[idx], pos_weight)
+                losses.append(loss.item())
+                if not math.isfinite(losses[-1]):
+                    raise DivergenceError(
+                        f"training loss is {losses[-1]} at epoch {epoch}, batch {batch}")
                 w.zero_grads()
                 backward(loss)
-                losses.append(loss.item())
                 # the graph dies here, not while the next forward builds another
                 del y, loss
                 opt.step(w.tensors, config.learning_rate)
@@ -198,7 +203,7 @@ def random_search(
     windows (n_positions is part of the sample), trains from a fresh init
     with its own derived seed, and is scored by pooled validation mean BA.
     Ties on the best score go to the earliest trial; trials whose validation
-    has no defined label score None and never win.
+    has no defined label, or whose training diverged, score None and never win.
     """
     if budget < 1:
         raise ConfigError(f"search budget must be >= 1, got {budget}")
@@ -229,25 +234,22 @@ def random_search(
             windows.extend(make_windows(rec, mc.n_positions))
         train_w, _ = split_train_test(windows, 0.8, seed=derive_seed(seed, "split"))
         fit_w, val_w = carve_validation(train_w, 0.1)
-        if not fit_w or not val_w:
-            # n_positions too large for this corpus; the trial fails, not
-            # the search.
+        # a trial that cannot be scored fails, not the search
+        score, history = None, []
+        if not fit_w or not val_w:  # n_positions too large for this corpus
             log.warning("trial %d: no validation windows at n_positions=%d",
                         i, mc.n_positions)
-            trial = Trial(i, params, None, [], (time.monotonic() - t0) * 1e3)
-            trials.append(trial)
-            if on_trial is not None:
-                on_trial(trial)
-            continue
-        tc = TrainConfig(epochs=epochs, learning_rate=params["learning_rate"],
-                         batch_size=batch_size, seed=derive_seed(seed, "trial", i))
-        trained, history = train(init_model(mc), fit_w, tc)
-        try:
-            report = evaluate(trained, val_w, subject_id="validation",
-                              label_names=label_names)
-            score = report.mean_ba
-        except DegenerateReportError:
-            score = None
+        else:
+            tc = TrainConfig(epochs=epochs, learning_rate=params["learning_rate"],
+                             batch_size=batch_size, seed=derive_seed(seed, "trial", i))
+            try:
+                trained, history = train(init_model(mc), fit_w, tc)
+                score = evaluate(trained, val_w, subject_id="validation",
+                                 label_names=label_names).mean_ba
+            except DivergenceError as exc:  # a learning rate too large for this config
+                log.warning("trial %d: %s", i, exc)
+            except DegenerateReportError:
+                pass
         trial = Trial(i, params, score, history, (time.monotonic() - t0) * 1e3)
         trials.append(trial)
         if score is not None and (best is None or score > best.val_mean_ba):

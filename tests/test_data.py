@@ -77,12 +77,50 @@ def test_parse_rejects_bad_cells():
         parse("timestamp,a,label:X\n1000,1.0,0.7\n")
 
 
-def test_parse_enforces_expected_column_counts():
-    with pytest.raises(FormatError, match="expected 225 feature columns, found 2"):
-        parse(CSV_3ROW, expected_features=D.EXTRASENSORY_FEATURES)
-    with pytest.raises(FormatError, match="expected 51 label columns"):
-        parse(CSV_3ROW, expected_labels=D.EXTRASENSORY_LABELS)
-    parse(CSV_3ROW, expected_features=2, expected_labels=2)  # exact is fine
+def test_parse_enforces_expected_column_counts(tmp_path):
+    """A file of a corpus with fewer feature or label columns than the first
+    file is refused at the first column it lacks."""
+    (tmp_path / "a.csv").write_text(CSV_3ROW)
+    for text, match in [
+        ("timestamp,acc:mean,label:WALKING,label:SITTING\n1000,0.5,1,0\n",
+         "b.csv: column 3 is 'label:WALKING', but a.csv has 'gyro:mean'"),
+        ("timestamp,acc:mean,gyro:mean,label:WALKING\n1000,0.5,1.5,1\n",
+         "b.csv: column 5 is missing, but a.csv has 'label:SITTING'"),
+    ]:
+        (tmp_path / "b.csv").write_text(text)
+        with pytest.raises(FormatError, match=match):
+            D.load_subject_dir(str(tmp_path))
+    (tmp_path / "b.csv").write_text(CSV_3ROW)  # the same columns are fine
+    assert len(D.load_subject_dir(str(tmp_path))) == 2
+
+
+@pytest.mark.parametrize("header, match", [
+    ("timestamp,gyro:mean,acc:mean,label:WALKING,label:SITTING",
+     "column 2 is 'gyro:mean', but a.csv has 'acc:mean'"),
+    ("timestamp,acc:mean,gyro:mean,label:SITTING,label:WALKING",
+     "column 4 is 'label:SITTING', but a.csv has 'label:WALKING'"),
+    ("timestamp,acc:mean,gyro:mean,mag:mean,label:WALKING,label:SITTING",
+     "column 4 is 'mag:mean', but a.csv has 'label:WALKING'"),
+    ("timestamp,acc:mean,gyro:mean,label:WALKING,label:SITTING,label:LYING",
+     "column 6 is 'label:LYING', but a.csv has none"),
+], ids=["features_swapped", "labels_swapped", "extra_feature", "extra_label"])
+def test_load_subject_dir_refuses_columns_out_of_schema(tmp_path, header, match):
+    """The counts match in the swapped cases; only the names tell them apart."""
+    (tmp_path / "a.csv").write_text(CSV_3ROW)
+    n_cells = header.count(",")
+    (tmp_path / "b.csv").write_text(f"{header}\n1000{',1' * n_cells}\n")
+    with pytest.raises(FormatError, match=f"b.csv: {match}"):
+        D.load_subject_dir(str(tmp_path))
+
+
+def test_parse_matches_a_per_cell_float32_oracle():
+    """One conversion per row gives the bytes of float(cell) cast to float32."""
+    cells = ["-0.0", "1e-45", "1.4e-40", "3.4028235e38", "1e-50", "nan", "",
+             "0.12345678901234567890", "-98765432109876543210", "1e-38"]
+    names = ",".join(f"f{i}" for i in range(len(cells)))
+    rec = parse(f"timestamp,{names},label:X\n1000,{','.join(cells)},1\n")
+    oracle = [np.float32(float(cell)) if cell else np.float32(np.nan) for cell in cells]
+    assert rec.features[0].tobytes() == np.array(oracle, dtype=np.float32).tobytes()
 
 
 def test_parse_structural_errors():
@@ -110,15 +148,30 @@ def test_write_then_parse_round_trip(tmp_path):
     assert back.feature_names == rec.feature_names
 
 
+def test_write_subject_csv_golden(tmp_path):
+    """NaN is an empty cell, -0.0 keeps its sign, a subnormal its shortest repr."""
+    rec = D.SubjectRecord(
+        "g", np.array([1000, 1060], dtype=np.int64),
+        np.array([[np.nan, -0.0, 1e-45], [0.1, 3.4028235e38, -2.5]], dtype=np.float32),
+        np.array([[1.0, np.nan], [0.0, 1.0]], dtype=np.float32),
+        ["a", "b", "c"], ["label:X", "label:Y"])
+    path = tmp_path / "g.csv"
+    D.write_subject_csv(rec, str(path))
+    assert path.read_bytes() == (
+        b"timestamp,a,b,c,label:X,label:Y\r\n"
+        b"1000,,-0.0,1.401298464324817e-45,1,\r\n"
+        b"1060,0.10000000149011612,3.4028234663852886e+38,-2.5,0,1\r\n")
+
+
 def test_load_subject_dir_sorted_and_consistent(tmp_path):
     rec = parse(CSV_3ROW)
     D.write_subject_csv(rec, str(tmp_path / "b.csv"))
     D.write_subject_csv(rec, str(tmp_path / "a.csv"))
     records = D.load_subject_dir(str(tmp_path))
     assert [r.subject_id for r in records] == ["a", "b"]
-    # the first file by name sets the column counts every other file must match
+    # the first file by name sets the column names every other file must match
     (tmp_path / "c.csv").write_text("timestamp,a,label:X\n1000,1.0,1\n")
-    with pytest.raises(FormatError, match="expected 2 feature columns, found 1"):
+    with pytest.raises(FormatError, match="c.csv: column 2 is 'a', but a.csv has 'acc:mean'"):
         D.load_subject_dir(str(tmp_path))
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -155,6 +208,13 @@ def test_fold_plan_validation():
         D.build_fold_plan([f"s{i}" for i in range(7)], seed=0, n_folds=5)
     with pytest.raises(ConfigError, match="duplicate"):
         D.build_fold_plan(["a", "a", "b", "c", "d"], seed=0, n_folds=5)
+
+
+def test_fold_plan_refuses_a_fold_subject_among_its_base_subjects():
+    d = {"n_folds": 2, "seed": 0, "folds": [["a"], ["b"]],
+         "base_subjects": [["a", "b"], ["a"]]}
+    with pytest.raises(FormatError, match="fold 0 lists subject 'a' among its base"):
+        D.FoldPlan.from_json_dict(d)
 
 
 def test_fold_plan_json_round_trip(tmp_path):
@@ -233,7 +293,7 @@ def make_record(n, n_feat=3, n_lab=2, gap_at=None, sid="w"):
 
 def test_windows_lengths_and_padding():
     ws = D.make_windows(make_record(300), 128)
-    assert [w.true_length for w in ws] == [128, 128, 44]
+    assert [int(w.pad_mask.sum()) for w in ws] == [128, 128, 44]
     last = ws[-1]
     assert np.array_equal(last.pad_mask[:44], np.ones(44))
     assert np.array_equal(last.pad_mask[44:], np.zeros(84))
@@ -244,7 +304,7 @@ def test_windows_lengths_and_padding():
 def test_windows_break_at_gaps():
     ws = D.make_windows(make_record(20, gap_at=5), 16)
     # 5-minute chunk, then a 15-minute chunk
-    assert [w.true_length for w in ws] == [5, 15]
+    assert [int(w.pad_mask.sum()) for w in ws] == [5, 15]
 
 
 def test_windows_concatenate_back_to_record():

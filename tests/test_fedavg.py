@@ -8,7 +8,8 @@ import pytest
 
 import fedhar.data as D
 import fedhar.fedavg as fedavg
-from fedhar.errors import (AggregationError, AvailabilityError, ConfigError)
+from fedhar.errors import (AggregationError, AvailabilityError, ConfigError,
+                           DivergenceError)
 from fedhar.fedavg import (ClientUpdate, FedConfig, aggregate, client_fit, drive_fold,
                            run_fold)
 from fedhar.model import ModelConfig, WeightSet, init_model, parameter_shapes
@@ -202,8 +203,9 @@ def test_round_with_a_non_finite_update_fails_naming_client_and_parameter(bad):
 
 
 def test_a_diverging_fold_writes_strict_json(tmp_path):
-    """A loss that overflows is written as null, which strict parsers take,
-    not as NaN; the fold still ends at the non-finite update."""
+    """A client whose loss overflows ends the fold at its first non-finite
+    batch loss, before any update is filed; what the audit holds so far
+    still parses strictly, and a non-finite number is written as null."""
     def strict(text):
         return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in {text}"))
 
@@ -211,11 +213,12 @@ def test_a_diverging_fold_writes_strict_json(tmp_path):
                     batch_size=8, local_lr=1e30, seed=0)
     path = tmp_path / "audit.jsonl"
     with open(path, "w", encoding="utf-8") as fh, np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(AggregationError, match="non-finite"):
+        # one batch per epoch: the first step overflows the weights
+        with pytest.raises(DivergenceError, match="at epoch 2, batch 1$"):
             run_fold(0, client_data(2), init_model(MC), cfg,
                      audit=lambda e: append_jsonl(fh, e))
     events = [strict(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    assert [e["train_loss"] for e in events if e["event"] == "fit_result"] == [None, None]
+    assert events and all(e["event"] != "fit_result" for e in events)
     # the other writer, with the finite values as json.dumps writes them
     atomic_write_json(str(path), {"loss": [0.1, math.nan, -math.inf, (math.inf, 2.5)]})
     assert strict(path.read_text(encoding="utf-8")) == {"loss": [0.1, None, None, [None, 2.5]]}

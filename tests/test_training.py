@@ -15,7 +15,7 @@ import pytest
 import fedhar.data as D
 import fedhar.tensor as T
 import fedhar.training as TR
-from fedhar.errors import ConfigError, DegenerateReportError
+from fedhar.errors import ConfigError, DegenerateReportError, DivergenceError
 from fedhar.fedavg import FedConfig, client_fit
 from fedhar.metrics import ClientReport, confusion_from_arrays
 from fedhar.model import (ModelConfig, forward, init_model, masked_weighted_loss,
@@ -490,6 +490,29 @@ def test_random_search_oversized_windows_fail_soft():
         best, trials = random_search(space, 2, recs, seed=0, epochs=1)
     assert best is None
     assert all(t.val_mean_ba is None for t in trials)
+
+
+def test_train_stops_at_the_first_non_finite_loss():
+    """lr 1e30 overflows the weights after the first step, so the second
+    batch's loss is the first non-finite one."""
+    ws = all_windows(corpus())
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="loss is .* at epoch 1, batch 2$"):
+            train(init_model(MC), ws, TrainConfig(epochs=2, learning_rate=1e30, batch_size=8))
+
+
+def test_random_search_records_a_diverged_trial_unscored(caplog):
+    recs = corpus(n_subjects=2, minutes=200, seed=5)
+    space = SearchSpace(layers_choices=(1,), hidden_choices=(8,),
+                        n_positions_choices=(8,), lr_low=1e30, lr_high=1e30)
+    seen = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        best, trials = random_search(space, 2, recs, seed=0, epochs=2, batch_size=8,
+                                     on_trial=lambda t: seen.append(t.to_json_dict()))
+    assert best is None and len(trials) == 2  # the search goes on after a failed trial
+    assert [(d["val_mean_ba"], d["epochs"], d["final_loss"]) for d in seen] == \
+        [(None, 0, None)] * 2
+    assert "trial 1: training loss is" in caplog.text
 
 
 def test_random_search_trial_log_schema():
