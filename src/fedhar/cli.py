@@ -3,9 +3,9 @@
 Subcommands: gen-synthetic, make-folds, pretrain, search, simulate,
 fed-server, fed-client, evaluate. Every command seeds all randomness from
 --seed. Each command but fed-client returns the manifest of its run (path,
-config, inputs, outputs); ``main`` times the command and writes that
-manifest next to its outputs. Exit codes: 0 success, 1 runtime failure,
-2 usage error.
+config, inputs, outputs, and for simulate the worker processes its folds
+fitted in); ``main`` times the command and writes that manifest next to its
+outputs. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _split_windows(record, standardizer, n_positions, seed):
 # ------------------------------------------------------------- commands
 #
 # Each command returns (manifest path, config, inputs, outputs), or None
-# when it writes no files.
+# when it writes no files; simulate adds a dict of top-level manifest entries.
 
 def cmd_gen_synthetic(args):
     spec = D.SyntheticSpec(
@@ -271,7 +271,9 @@ def cmd_simulate(args):
               f"federated {f['mean_ba']:.4f}")
     return (os.path.join(args.out, "manifest.json"),
             {"fed": config.__dict__, "folds": folds},
-            [args.data, args.fold_plan, args.base_ckpt_dir], outputs)
+            [args.data, args.fold_plan, args.base_ckpt_dir], outputs,
+            {"workers": [{"fold": res.fold, "count": len(res.worker_blas_threads),
+                          "blas_threads": res.worker_blas_threads} for res in results]})
 
 
 def cmd_fed_server(args):
@@ -458,7 +460,7 @@ def main(argv=None) -> int:
     try:
         manifest = args.func(args)
         if manifest is not None:
-            path, config, inputs, outputs = manifest
+            path, config, inputs, outputs, *extra = manifest
             atomic_write_json(path, {
                 "command": args.command,
                 "argv": list(argv),
@@ -471,6 +473,7 @@ def main(argv=None) -> int:
                 "package_version": __version__,
                 "blas": {"library": tensor._openblas[0] if tensor._openblas else None,
                          "threads": tensor._blas_start},
+                **(extra[0] if extra else {}),
             })
     except (FedharError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,23 +3,36 @@
 The base model is pretrained centrally elsewhere; this module runs the
 federated fine-tuning phase, in which every client of a fold fits and is
 scored in every round. One round driver, ``drive_fold``, serves both
-transports: ``run_fold`` trains and evaluates the clients in process, and
+transports: ``run_fold`` simulates them on this host, and
 ``wire.server_loop`` asks them over TCP. Clients train with ``client_fit``
-on either transport. Aggregation walks clients in canonical client-id order
-and accumulates in float64, so the result is independent of arrival order
-and a lone client (or all-identical updates) comes back bitwise unchanged.
+on either transport. In simulation a round's fits run at once in worker
+processes, one per usable core, each with its share of the BLAS threads,
+while the evaluations run in the calling process. Aggregation walks clients
+in canonical client-id order and accumulates in float64, so the result is
+independent of arrival order and a lone client (or all-identical updates)
+comes back bitwise unchanged.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import os
+import pickle
+import select
+import signal
+import subprocess
+import sys
 import time
+import traceback
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AggregationError, AvailabilityError, ConfigError
+from . import tensor
+from .errors import AggregationError, AvailabilityError, ConfigError, FedharError
 from .metrics import FoldReport, fold_summary
 from .model import WeightSet
 from .tensor import _BLOCK, Tensor, _spans
@@ -88,12 +101,18 @@ class ClientUpdate:
 
 @dataclass
 class FoldResult:
-    """Everything one fold produced: base eval, per-round evals, final weights."""
+    """Everything one fold produced: base eval, per-round evals, final weights.
+
+    ``worker_blas_threads`` has one entry per worker process that ``run_fold``
+    fitted the clients in: the BLAS thread count that worker started with
+    (None without numpy's OpenBLAS). It stays empty over TCP.
+    """
 
     fold: int
     base_report: FoldReport | None
     round_reports: list[FoldReport] = field(default_factory=list)
     final_weights: WeightSet | None = None
+    worker_blas_threads: list[int | None] = field(default_factory=list)
 
     @property
     def final_report(self) -> FoldReport:
@@ -279,16 +298,184 @@ def run_fold(
     """Drive all rounds for one fold in simulation mode.
 
     ``clients`` maps client_id -> (train_windows, test_windows); ``drive_fold``
-    runs the rounds, with ``client_fit`` and ``evaluate`` called in process.
+    runs the rounds. Each round's fits run in worker processes (``_Workers``)
+    and ``evaluate`` runs in this process. A fit that raises ends the fold
+    with its exception, once the clients before it in id order are filed.
+    Every worker has exited before this returns or raises.
     """
-    def fit(weights, round_idx, fit_ids):
-        for cid in fit_ids:
-            yield cid, client_fit(weights, clients[cid][0], config, cid, fold, round_idx)
+    workers = _Workers(clients, config, fold)
 
     def evaluate_clients(weights, round_idx, eval_ids):
         for cid in eval_ids:
             yield cid, evaluate(weights, clients[cid][1], cid, label_names)
 
-    return drive_fold(fold, {cid: len(train) for cid, (train, _test) in clients.items()},
-                      fit, evaluate_clients, base_weights, config,
-                      audit=audit, eval_base=eval_base)
+    try:
+        result = drive_fold(fold, {cid: len(train) for cid, (train, _test) in clients.items()},
+                            workers.fit, evaluate_clients, base_weights, config,
+                            audit=audit, eval_base=eval_base)
+    finally:
+        workers.close()
+    result.worker_blas_threads = workers.blas_threads
+    return result
+
+
+# what a worker process runs; the parent's sys.path reaches it as PYTHONPATH,
+# and an empty entry (the working directory) is dropped so that it cannot
+# shadow the parent's fedhar
+_WORKER_MAIN = ("import sys; sys.path[:] = [p for p in sys.path if p]; "
+                "from fedhar.fedavg import _worker_main; _worker_main()")
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Workers:
+    """The worker processes that fit one fold's clients for ``run_fold``.
+
+    They start at the fold's first fit, so a fold that ``drive_fold``
+    refuses starts none: ``min(usable cores, clients to fit)`` processes of
+    this interpreter, each with ``OPENBLAS_NUM_THREADS`` set to ``max(1,
+    start // workers)`` of this process's starting BLAS threads. Clients go
+    to workers largest first, each to the worker with the fewest training
+    windows so far, and each worker takes its clients in id order. Tasks
+    and replies are pickles over the worker's stdin and stdout. A worker
+    gets its clients' training windows, the config and this process's
+    numpy error state once, then per round the broadcast weights with its
+    first task. It runs the unchanged ``client_fit`` and replies with the
+    update or the exception with its traceback, plus any warnings, which
+    are issued here. At most one task per worker is outstanding, so neither
+    pipe fills while its reader waits. ``fit`` hands a worker its next
+    client as soon as it replies and yields the replies in client-id order. ``close`` ends
+    every worker on every path: stdin is closed, which an idle worker reads
+    as its cue to exit, a worker with a task outstanding is killed, and
+    each is waited for. A worker starts no process of its own; that is why
+    these are plain subprocesses and not a ``multiprocessing`` pool, whose
+    resource tracker (or fork server) outlives the pool until this process
+    exits.
+    """
+
+    def __init__(self, clients: dict, config: FedConfig, fold: int):
+        self.clients, self.config, self.fold = clients, config, fold
+        self.procs: list[subprocess.Popen] = []
+        self.owned: list[list[str]] = []  # per worker, its client ids in id order
+        self.busy: set[subprocess.Popen] = set()  # workers with a task outstanding
+        self.blas_threads: list[int | None] = []
+
+    def _start(self, fit_ids: list[str]) -> None:
+        n = min(_usable_cores(), len(fit_ids))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p or os.getcwd() for p in sys.path))
+        if tensor._blas_start is not None:
+            env["OPENBLAS_NUM_THREADS"] = str(max(1, tensor._blas_start // n))
+        loads, self.owned = [0] * n, [[] for _ in range(n)]
+        for cid in sorted(fit_ids, key=lambda c: (-len(self.clients[c][0]), c)):
+            w = loads.index(min(loads))
+            self.owned[w].append(cid)
+            loads[w] += len(self.clients[cid][0])
+        for owned in self.owned:
+            owned.sort()
+            self.procs.append(subprocess.Popen([sys.executable, "-c", _WORKER_MAIN], env=env,
+                                               stdin=subprocess.PIPE, stdout=subprocess.PIPE))
+        for proc, owned in zip(self.procs, self.owned):
+            self._send(proc, (self.config, self.fold, np.geterr(),
+                              {cid: self.clients[cid][0] for cid in owned}))
+        self.blas_threads = [self._receive(proc, "start") for proc in self.procs]
+
+    def _send(self, proc: subprocess.Popen, task, blob: bytes = b"") -> None:
+        self.busy.add(proc)
+        try:
+            proc.stdin.write(pickle.dumps(task, pickle.HIGHEST_PROTOCOL))
+            proc.stdin.write(blob)
+            proc.stdin.flush()
+        except BrokenPipeError:
+            raise FedharError(f"client worker {proc.pid} exited early") from None
+
+    def _receive(self, proc: subprocess.Popen, what: str):
+        try:
+            reply = pickle.load(proc.stdout)
+        except (EOFError, pickle.UnpicklingError):
+            raise FedharError(f"client worker {proc.pid} exited during {what}") from None
+        self.busy.discard(proc)
+        return reply
+
+    def fit(self, weights: WeightSet, round_idx: int, fit_ids: list[str]):
+        """``drive_fold``'s fit: (client_id, ClientUpdate) pairs in id order."""
+        if fit_ids and not self.procs:
+            self._start(fit_ids)
+        blob = pickle.dumps(weights, pickle.HIGHEST_PROTOCOL)
+        running = {}  # stdout fd -> (worker, its remaining ids, the id it fits)
+
+        def give(proc, ids, first):
+            cid = next(ids, None)
+            if cid is not None:
+                self._send(proc, (round_idx, cid, first), blob if first else b"")
+                running[proc.stdout.fileno()] = proc, ids, cid
+
+        for proc, owned in zip(self.procs, self.owned):
+            give(proc, iter(owned), True)
+        done = {}
+        for cid in fit_ids:
+            while cid not in done:
+                ready, _, _ = select.select(list(running), [], [])
+                for fd in ready:
+                    proc, ids, got = running.pop(fd)
+                    done[got] = self._receive(proc, f"the fit of client {got}")
+                    give(proc, ids, False)
+            ok, value, caught = done.pop(cid)
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno)
+            if not ok:
+                exc, where = value
+                raise exc from _WorkerTraceback(where)
+            yield cid, value
+
+    def close(self) -> None:
+        for proc in self.procs:
+            if proc in self.busy:
+                proc.kill()
+            with contextlib.suppress(OSError):
+                proc.stdin.close()
+        for proc in self.procs:
+            proc.wait()
+            proc.stdout.close()
+
+
+class _WorkerTraceback(Exception):
+    """The worker's traceback of a fit's exception, chained as its cause."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+def _worker_main() -> None:
+    """The loop of one ``_Workers`` process: fit clients until stdin ends."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends its workers
+    replies = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)  # a stray print goes to stderr, not into the replies
+    tasks = sys.stdin.buffer
+
+    def reply(value) -> None:
+        replies.write(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+        replies.flush()
+
+    config, fold, errstate, windows = pickle.load(tasks)
+    reply(tensor._blas_start)
+    weights = None
+    while True:
+        try:
+            round_idx, cid, new_weights = pickle.load(tasks)
+        except EOFError:
+            return
+        if new_weights:
+            weights = pickle.load(tasks)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
+            warnings.simplefilter("default")
+            try:
+                outcome = True, client_fit(weights, windows[cid], config, cid, fold, round_idx)
+            except Exception as exc:  # raised by the parent in client-id order
+                outcome = False, (exc, traceback.format_exc())
+        reply((*outcome, [(str(w.message), w.category, w.filename, w.lineno)
+                          for w in caught]))

@@ -30,8 +30,9 @@ cache-sized blocks, not whole arrays. Every element goes through the same
 numpy operations in the same order as the whole-array expressions, so the
 bits are theirs. Recomputing a cache-resident block costs less than
 storing and reloading a whole array, so GELU keeps only x and attention
-keeps its rows' max and sum; each VJP recomputes the rest per block. Adam
-updates its moments in place.
+keeps its rows' max and sum; each VJP recomputes the rest per block. Only
+attention probabilities small enough to stay in one core's cache
+(``_KEEP_PROBS``) are kept whole instead. Adam updates its moments in place.
 
 Importing this module raises glibc's malloc trim and mmap thresholds; see
 ``_keep_freed_heap`` for why. It also looks up the thread-count functions
@@ -144,8 +145,12 @@ class _BlasShare:
     process started at 1 thread stays there. The lock covers the counter
     and the setter, never the training. OpenBLAS splits a GEMM over output
     rows and columns, not the summed axis, so the bits do not depend on the
-    count. Without numpy's OpenBLAS this does nothing. Separate processes
-    are not coordinated: each should set ``OPENBLAS_NUM_THREADS`` itself.
+    count. Without numpy's OpenBLAS this does nothing. Across processes
+    the share is set at start: ``fedavg.run_fold`` starts each of its
+    worker processes with ``OPENBLAS_NUM_THREADS`` at ``max(1, start //
+    workers)``, which the worker reads as its own ``start``. Processes
+    started apart, such as several ``fed-client`` on one host, are not
+    coordinated: each should set ``OPENBLAS_NUM_THREADS`` itself.
     """
 
     def __init__(self):
@@ -307,6 +312,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # Elements per block of an elementwise chain: small enough that the chain's
 # block temporaries stay in cache between its passes.
 _BLOCK = 1 << 15
+
+
+# Attention keeps its [B, nh, T, T] probabilities for the VJP up to this
+# many elements and recomputes them block by block above it: 2 MiB of
+# float32, one core's L2 on a 2-core Xeon. There, keeping them made
+# attention's forward plus backward 8% faster at 1 and 2 MiB ([64, 4, 32,
+# 32], desk's shape, and [32, 4, 64, 64]), but only 2-3% at [16, 6, 128,
+# 128] (6 MiB, full's shape), where it would hold 6 MiB more per layer
+# through the backward pass.
+_KEEP_PROBS = 1 << 19
 
 
 def _spans(n: int, step: int = _BLOCK):
@@ -562,12 +577,13 @@ def causal_self_attention(
 
     The qkv and output projections are ``linear`` ops; everything between
     them is one graph node. It runs block by block over batch entries, about
-    ``_BLOCK`` scores at a time, so the [B, nh, T, T] probabilities never
-    exist whole. The node keeps the qkv array, the causal/pad bias (built
-    once per call), each row's max and float64 sum, and the bool dropout
-    mask. Its VJP recomputes each block's probabilities from those with the
-    forward's operations, so they have the forward's bits. The softmax
-    denominator and quotient are float64, cast back into the block.
+    ``_BLOCK`` scores at a time. The node keeps the qkv array, the causal/pad
+    bias (built once per call), each row's max and float64 sum, and the bool
+    dropout mask. Above ``_KEEP_PROBS`` scores the [B, nh, T, T]
+    probabilities never exist whole: the VJP recomputes each block's from
+    those with the forward's operations, so they have the forward's bits. At
+    or below it the forward writes them into one array the node keeps. The
+    softmax denominator and quotient are float64, cast back into the block.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"attention input must be [B, T, H], got {x.shape}")
@@ -602,10 +618,14 @@ def causal_self_attention(
     row_max = np.empty((batch, n_heads, seq, 1), dtype=dtype)
     row_sum = np.empty((batch, n_heads, seq, 1), dtype=np.float64)
     ctx = np.empty((batch, seq, n_heads, head_dim), dtype=dtype)
-    probs_buf = np.empty(block_shape, dtype=dtype)
+    # small probabilities are computed into one array the VJP keeps
+    saved = (np.empty((batch, n_heads, seq, seq), dtype=dtype)
+             if batch * n_heads * seq * seq <= _KEEP_PROBS else None)
+    probs_buf = None if saved is not None else np.empty(block_shape, dtype=dtype)
     dropped_buf = None if kept is None else np.empty(block_shape, dtype=dtype)
     for lo, hi in spans:
-        probs = _scores(q[lo:hi], k[lo:hi], bias[lo:hi], scale, probs_buf[:hi - lo])
+        probs = _scores(q[lo:hi], k[lo:hi], bias[lo:hi], scale,
+                        probs_buf[:hi - lo] if saved is None else saved[lo:hi])
         probs -= np.max(probs, axis=-1, keepdims=True, out=row_max[lo:hi])
         np.exp(probs, out=probs)
         denom = np.sum(probs, axis=-1, keepdims=True, dtype=np.float64, out=row_sum[lo:hi])
@@ -617,15 +637,18 @@ def causal_self_attention(
     def vjp(g):
         g = g.reshape(batch, seq, n_heads, head_dim).transpose(0, 2, 1, 3)
         gqkv = np.zeros((batch, seq, 3, n_heads, head_dim), dtype=g.dtype)
-        probs_buf = np.empty(block_shape, dtype=dtype)
+        probs_buf = None if saved is not None else np.empty(block_shape, dtype=dtype)
         gp_buf = np.empty(block_shape, dtype=g.dtype)
         prod_buf = np.empty(block_shape, dtype=g.dtype)
         for lo, hi in spans:
             n, gb = hi - lo, g[lo:hi]
-            probs = _scores(q[lo:hi], k[lo:hi], bias[lo:hi], scale, probs_buf[:n])
-            probs -= row_max[lo:hi]
-            np.exp(probs, out=probs)
-            np.divide(probs, row_sum[lo:hi], out=probs, dtype=np.float64)
+            if saved is not None:
+                probs = saved[lo:hi]
+            else:
+                probs = _scores(q[lo:hi], k[lo:hi], bias[lo:hi], scale, probs_buf[:n])
+                probs -= row_max[lo:hi]
+                np.exp(probs, out=probs)
+                np.divide(probs, row_sum[lo:hi], out=probs, dtype=np.float64)
             dropped = probs if kept is None else _masked(probs, kept[lo:hi], keep_scale,
                                                          out=gp_buf[:n])
             gqkv[lo:hi, :, 2] += (dropped.swapaxes(-1, -2) @ gb).transpose(0, 2, 1, 3)

@@ -31,7 +31,10 @@ arrives, into an update or a report scored with ``ClientReport.from_counts``
 as the simulation does. A message out of order gets ERROR ``out_of_order``,
 one that fails to decode ``bad_message`` with "<message type>: <reason>";
 either drops the connection and ends the fold with a ProtocolError naming
-the client. When the server ends a fold with an error, every client still
+the client. A client whose own fit or evaluation fails sends ERROR
+``client_failed`` with the reason before it hangs up; the server ends the
+fold with a ProtocolError naming that client and the reason, and sends it
+no ERROR back. When the server ends a fold with an error, every client still
 connected gets an ERROR frame with code ``aborted`` first; a write that
 fails, because the peer vanished, is such an error, naming that client. So
 is a frame not written whole within ``round_timeout_s``, when that is set:
@@ -505,6 +508,7 @@ class _Conn:
         """(kind, value) once the owed frame is in: "hello" and None, "reply" and
         the ClientUpdate or ClientReport it decodes to under ``config``, or "lost"
         and the reason, after ERROR ``out_of_order`` or ``bad_message`` if due.
+        An ERROR from the peer is "lost" with its code and message.
         """
         owed = _MSG_NAMES.get(self.expected, "frame")
         try:
@@ -512,6 +516,9 @@ class _Conn:
             if frame is None:
                 return None
             msg_type, payload = frame
+            if msg_type == MSG_ERROR:  # the peer's own failure; it needs no ERROR back
+                self.close()
+                return "lost", "{}: {}".format(*decode_error(payload))
             if msg_type != self.expected:
                 return self.fail("out_of_order", f"got {_MSG_NAMES.get(msg_type, msg_type)} "
                                  f"while expecting {_MSG_NAMES.get(self.expected, 'nothing')}")
@@ -706,6 +713,17 @@ def server_loop(
         listener.close()
 
 
+@contextlib.contextmanager
+def _failure_told(sock: socket.socket):
+    """Tell the server of a ``FedharError`` raised inside with ERROR ``client_failed``."""
+    try:
+        yield
+    except FedharError as exc:
+        with contextlib.suppress(OSError):
+            sock.sendall(frame_encode(MSG_ERROR, encode_error("client_failed", str(exc))))
+        raise
+
+
 def client_loop(
     host: str,
     port: int,
@@ -722,7 +740,9 @@ def client_loop(
     weights it carries) and ROUND_CONFIG (local fine-tune of the weights of
     the last EVAL_REQUEST) until DONE. An ERROR frame, a lost connection, a
     frame out of protocol and a ROUND_CONFIG that carries weights or comes
-    with none held raise ``ProtocolError``.
+    with none held raise ``ProtocolError``. A ``FedharError`` from its own
+    fit or evaluation (a ``DivergenceError``, say) is sent to the server as
+    ERROR ``client_failed`` with its message, then re-raised.
     """
     caps = _frame_caps(model_config)
     max_len = max(caps[MSG_EVAL_REQUEST], caps[MSG_HELLO])  # an ERROR may be HELLO-sized
@@ -745,8 +765,9 @@ def client_loop(
                 weights, held = held, None
                 local = FedConfig(local_epochs=local_epochs, batch_size=batch_size,
                                   local_lr=local_lr, seed=seed)
-                update = client_fit(weights, train_windows, local, client_id,
-                                    fold, round_idx)
+                with _failure_told(sock):
+                    update = client_fit(weights, train_windows, local, client_id,
+                                        fold, round_idx)
                 sock.sendall(frame_encode(MSG_FIT_RESULT, *_blob_message(
                     struct.pack("<d", update.train_loss), _blob_parts(update.weights))))
                 del update, weights  # before the next frame is read
@@ -755,7 +776,8 @@ def client_loop(
                 held = None  # the old weights go before the new ones are decoded
                 held = decode_weights(_decode_blob_message(payload, "<")[0], model_config)
                 del payload  # the frame's buffer goes before evaluating
-                report = evaluate(held, test_windows, client_id, label_names)
+                with _failure_told(sock):
+                    report = evaluate(held, test_windows, client_id, label_names)
                 sock.sendall(frame_encode(MSG_EVAL_RESULT, encode_eval_result(report)))
             elif msg_type == MSG_DONE:
                 return rounds_done

@@ -10,6 +10,7 @@ import pytest
 
 import fedhar.data as D
 from fedhar.cli import main
+from fedhar.fedavg import _usable_cores
 from fedhar.wire import load_checkpoint
 
 GEN = ["--subjects", "6", "--minutes", "96", "--features", "6",
@@ -46,10 +47,10 @@ MANIFEST_KEYS = ["command", "argv", "config", "seed", "inputs", "outputs",
                  "started_at", "wall_ms", "package_version", "blas"]
 
 
-def read_manifest(path, command):
+def read_manifest(path, command, extra=()):
     """A command's manifest, checked for its exact keys in their order."""
     manifest = read_json(path)
-    assert list(manifest) == MANIFEST_KEYS
+    assert list(manifest) == MANIFEST_KEYS + list(extra)
     assert manifest["command"] == command
     assert manifest["wall_ms"] >= 0.0
     blas = manifest["blas"]
@@ -261,7 +262,13 @@ def test_simulate_fold_zero(workspace, tmp_path, capsys):
 
     audit = [json.loads(l) for l in (out / "audit.jsonl").read_text().splitlines()]
     assert sum(e["event"] == "aggregate" for e in audit) == 2
-    read_manifest(out / "manifest.json", "simulate")
+    manifest = read_manifest(out / "manifest.json", "simulate", extra=["workers"])
+    # the fold's 2 clients fit in one worker per usable core, which split
+    # the BLAS threads this process started with
+    count = min(_usable_cores(), 2)
+    start = manifest["blas"]["threads"]
+    assert manifest["workers"] == [{"fold": 0, "count": count, "blas_threads": [
+        None if start is None else max(1, start // count)] * count}]
 
 
 @pytest.mark.parametrize("folds, present", [("1", []), ("0,1", [0])],

@@ -1,5 +1,7 @@
 """FedAvg: aggregation math, local client fits, and the round driver."""
 
+import dataclasses
+import glob
 import json
 import math
 
@@ -14,7 +16,7 @@ from fedhar.fedavg import (ClientUpdate, FedConfig, aggregate, client_fit, drive
                            run_fold)
 from fedhar.model import ModelConfig, WeightSet, init_model, parameter_shapes
 from fedhar.tensor import Tensor
-from fedhar.training import TrainConfig, train
+from fedhar.training import TrainConfig, evaluate, train
 from fedhar.util import append_jsonl, atomic_write_json
 
 MC = ModelConfig(n_features=6, n_labels=3, transformers_layers=1,
@@ -336,6 +338,104 @@ def test_run_fold_skips_empty_clients_in_training():
     assert len(result.final_report.clients) == 4
     with pytest.raises(ConfigError, match="at least one window"):
         client_fit(init_model(MC), [], cfg, cid, fold=0, round_idx=1)
+
+
+# ------------------------------------------------------- worker processes
+
+def child_pids():
+    """This process's child pids, as the kernel lists them per thread."""
+    paths = glob.glob("/proc/self/task/*/children")
+    if not paths:
+        pytest.skip("this kernel does not list a process's children")
+    pids = set()
+    for path in paths:
+        with open(path, encoding="ascii") as fh:
+            pids.update(fh.read().split())
+    return pids
+
+
+def uneven_clients():
+    """Five clients, more than this host has cores, with 1 to 5 training
+    windows, so the workers get unequal shares."""
+    clients = client_data(n_subjects=5)
+    for k, cid in enumerate(sorted(clients)):
+        train_w, test_w = clients[cid]
+        clients[cid] = (train_w[:k + 1], test_w)
+    return clients
+
+
+def in_process_fold(clients, base, cfg, audit):
+    """run_fold's rounds with every fit run here, one after another."""
+    def fit(weights, round_idx, ids):
+        for cid in ids:
+            yield cid, client_fit(weights, clients[cid][0], cfg, cid, 0, round_idx)
+
+    def evaluate_clients(weights, round_idx, ids):
+        for cid in ids:
+            yield cid, evaluate(weights, clients[cid][1], cid)
+
+    return drive_fold(0, {cid: len(tr) for cid, (tr, _te) in clients.items()},
+                      fit, evaluate_clients, base, cfg, audit=audit)
+
+
+def without_ts(events):
+    return [{k: v for k, v in e.items() if k != "ts"} for e in events]
+
+
+def test_pooled_fold_equals_fitting_every_client_in_process_bitwise():
+    clients = uneven_clients()
+    assert len(clients) > fedavg._usable_cores()
+    cfg = FedConfig(rounds=2, min_available_clients=5, local_epochs=2,
+                    batch_size=2, local_lr=1e-2, seed=6)
+    base = init_model(MC)
+    before = child_pids()
+    pooled_events, local_events = [], []
+    pooled = run_fold(0, clients, base, cfg, audit=pooled_events.append)
+    assert child_pids() == before
+    local = in_process_fold(clients, base, cfg, local_events.append)
+    assert pooled.final_weights.equals_bitwise(local.final_weights)
+    assert pooled.to_json_dict() == local.to_json_dict()
+    assert without_ts(pooled_events) == without_ts(local_events)
+    assert len(pooled.worker_blas_threads) == fedavg._usable_cores()
+
+
+def test_a_failing_client_reaches_the_caller_after_the_clients_before_it():
+    """The last client in id order diverges in its worker; its DivergenceError
+    is raised here, with its message, once the others' updates are filed."""
+    clients = uneven_clients()
+    last = sorted(clients)[-1]
+    train_w, test_w = clients[last]
+    clients[last] = ([dataclasses.replace(w, features=np.full_like(w.features, np.nan))
+                      for w in train_w], test_w)
+    cfg = FedConfig(rounds=1, min_available_clients=5, local_epochs=1,
+                    batch_size=2, local_lr=1e-2, seed=0)
+    before = child_pids()
+    events = []
+    # the workers compute under this error state, as an in-process fit would
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(DivergenceError, match="^training loss is nan at epoch 1, batch 1$") as err:
+        run_fold(0, clients, init_model(MC), cfg, audit=events.append)
+    assert child_pids() == before
+    # chained to the worker's own traceback, which shows where it was raised
+    assert "in train" in str(err.value.__cause__)
+    fits = [e["client_id"] for e in events if e["event"] == "fit_result"]
+    assert fits == sorted(clients)[:-1]
+    assert events[-1]["event"] == "fit_result"
+
+
+def test_an_interrupt_from_the_audit_mid_round_ends_every_worker():
+    clients = uneven_clients()
+    cfg = FedConfig(rounds=2, min_available_clients=5, local_epochs=2,
+                    batch_size=2, local_lr=1e-2, seed=0)
+
+    def audit(event):
+        if event["event"] == "fit_result":
+            raise KeyboardInterrupt
+
+    before = child_pids()
+    with pytest.raises(KeyboardInterrupt):
+        run_fold(0, clients, init_model(MC), cfg, audit=audit)
+    assert child_pids() == before
 
 
 @pytest.mark.parametrize("field, value, match", [

@@ -157,36 +157,39 @@ def test_graph_nodes_hold_arrays_not_tensors():
 
 
 def test_attention_and_gelu_nodes_keep_no_derived_activations():
-    """Attention keeps row statistics, not its [B, nh, T, T] probabilities
-    (only the bool dropout mask is that size), and GELU keeps only x: both
-    VJPs recompute the rest."""
+    """Above ``_KEEP_PROBS`` scores attention keeps row statistics, not its
+    [B, nh, T, T] probabilities (only the bool dropout mask is that size);
+    at or below it, it keeps the float probabilities too. GELU keeps only x.
+    Both VJPs recompute the rest."""
     from fedhar.model import ModelConfig, forward, init_model
     cfg = ModelConfig(n_features=3, n_labels=2, transformers_layers=2,
-                      hidden_size=8, n_positions=6, n_heads=2, dropout=0.1, seed=0)
-    B, nh, S = 3, cfg.n_heads, cfg.n_positions
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((B, S, 3)).astype(np.float32)
-    pad = np.ones((B, S), dtype=np.float32)
-    pad[1, 4:] = 0
-    y = forward(init_model(cfg), x, pad, train_mode=True, rng=rng)
-    seen, stack, kinds = set(), [y._node], {"attention": 0, "gelu": 0}
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or isinstance(node, Tensor):
-            continue
-        seen.add(id(node))
-        stack.extend(p for p in node.parents if p is not None)
-        name = node.vjp.__qualname__
-        arrays = [c.cell_contents for c in node.vjp.__closure__ or ()
-                  if isinstance(c.cell_contents, np.ndarray)]
-        if name.startswith("causal_self_attention."):
-            kinds["attention"] += 1
-            big = [a for a in arrays if a.shape == (B, nh, S, S)]
-            assert [a.dtype for a in big] == [np.bool_], name
-        elif name.startswith("gelu."):
-            kinds["gelu"] += 1
-            assert len(arrays) == 1 and arrays[0].shape == (B, S, 4 * cfg.hidden_size)
-    assert kinds == {"attention": 2, "gelu": 2}
+                      hidden_size=8, n_positions=64, n_heads=2, dropout=0.1, seed=0)
+    nh, S = cfg.n_heads, cfg.n_positions
+    at_limit = T._KEEP_PROBS // (nh * S * S)
+    for B, want in [(at_limit + 1, ["bool"]), (at_limit, ["bool", "float32"])]:
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((B, S, 3)).astype(np.float32)
+        pad = np.ones((B, S), dtype=np.float32)
+        pad[1, 4:] = 0
+        y = forward(init_model(cfg), x, pad, train_mode=True, rng=rng)
+        seen, stack, kinds = set(), [y._node], {"attention": 0, "gelu": 0}
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or isinstance(node, Tensor):
+                continue
+            seen.add(id(node))
+            stack.extend(p for p in node.parents if p is not None)
+            name = node.vjp.__qualname__
+            arrays = [c.cell_contents for c in node.vjp.__closure__ or ()
+                      if isinstance(c.cell_contents, np.ndarray)]
+            if name.startswith("causal_self_attention."):
+                kinds["attention"] += 1
+                big = [a for a in arrays if a.shape == (B, nh, S, S)]
+                assert sorted(a.dtype.name for a in big) == want, (B, name)
+            elif name.startswith("gelu."):
+                kinds["gelu"] += 1
+                assert len(arrays) == 1 and arrays[0].shape == (B, S, 4 * cfg.hidden_size)
+        assert kinds == {"attention": 2, "gelu": 2}
 
 
 def test_backward_requires_scalar():
@@ -471,9 +474,18 @@ def _attention_reference(x, qkv_w, qkv_b, out_w, out_b, nh, pad, p, seed, gy):
 
 
 # with S=40 and nh=2 a block holds 10 batch entries, so B=23 runs three
-# blocks, the last one short
+# blocks, the last one short. Those keep the probabilities for the VJP; the
+# two cases at S=64 and nh=2 (4 entries a block, the last block short over
+# the limit) straddle ``_KEEP_PROBS``, above which the VJP recomputes them.
+_AT_THE_LIMIT = T._KEEP_PROBS // (2 * 64 * 64)
+
+
 @pytest.mark.parametrize("dtype, B, S, H, nh",
-                         _dtypes_by_blocks(3, 7, 12, 3, three_blocks=(23, 40, 8, 2)))
+                         _dtypes_by_blocks(3, 7, 12, 3, three_blocks=(23, 40, 8, 2)) + [
+                             pytest.param(np.float32, _AT_THE_LIMIT, 64, 8, 2,
+                                          id="float32-kept-at-the-limit"),
+                             pytest.param(np.float32, _AT_THE_LIMIT + 1, 64, 8, 2,
+                                          id="float32-recomputed-over-the-limit")])
 def test_attention_bitwise_equals_reference_expression(dtype, B, S, H, nh):
     rng = np.random.default_rng(17)
     p = 0.3

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import socket
 import struct
 import threading
@@ -18,7 +19,7 @@ import pytest
 import fedhar.data as D
 import fedhar.wire as W
 from fedhar.errors import (AggregationError, AvailabilityError, ConfigError, DecodeError,
-                           ProtocolError, ShapeError)
+                           DivergenceError, ProtocolError, ShapeError)
 from fedhar.fedavg import FedConfig, run_fold
 from fedhar.metrics import ClientReport, ConfusionCounts
 from fedhar.model import ModelConfig, WeightSet, init_model, parameter_shapes
@@ -633,6 +634,53 @@ def test_server_error_reaches_every_client():
     for exc in errors.values():
         assert isinstance(exc, ProtocolError)
         assert "aborted" in str(exc) and "3 required" in str(exc)
+
+
+def test_a_client_whose_training_diverges_tells_the_server_why():
+    """Each client's loss overflows in its round-1 fit. It sends ERROR
+    client_failed with its reason and re-raises; the server ends the fold
+    naming the client and that reason, not a lost connection."""
+    clients = synthetic_clients(2)
+    cfg = FedConfig(rounds=1, min_available_clients=2, local_epochs=2,
+                    batch_size=8, local_lr=1e30, seed=0)
+    port = free_port()
+    ready = threading.Event()
+    errors = {}
+
+    def serve():
+        try:
+            W.server_loop("127.0.0.1", port, init_model(MC), cfg, expected_clients=2,
+                          accept_timeout=30.0, ready_event=ready)
+        except Exception as exc:
+            errors["server"] = exc
+
+    def join(cid, train_w, test_w):
+        try:
+            # the overflow is what this test is about, not its warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                W.client_loop("127.0.0.1", port, cid, MC, train_w, test_w)
+        except Exception as exc:
+            errors[cid] = exc
+
+    server = threading.Thread(target=serve)
+    server.start()
+    assert ready.wait(10.0)
+    workers = [threading.Thread(target=join, args=(cid, *windows))
+               for cid, windows in clients.items()]
+    for t in workers:
+        t.start()
+    for t in [server] + workers:
+        t.join(60.0)
+        assert not t.is_alive()
+    server_error = errors.pop("server")
+    assert isinstance(server_error, ProtocolError)
+    assert re.fullmatch(r"client (\S+) dropped during the ROUND_CONFIG exchange: client_failed: "
+                        r"training loss is \S+ at epoch 2, batch 1", str(server_error))
+    assert str(server_error).split()[1] in clients
+    assert set(errors) == set(clients)
+    for exc in errors.values():
+        assert isinstance(exc, DivergenceError)
+        assert str(exc).endswith("at epoch 2, batch 1")
 
 
 def serve_one_client(cfg, audit=None, expected_clients=1, model=MC):
