@@ -14,12 +14,13 @@ standardized = [D.apply_standardizer(r, st) for r in records]
 
 cfg = ModelConfig(n_features=10, n_labels=4, transformers_layers=2,
                   hidden_size=32, n_positions=24, dropout=0.1, seed=0)
-train_w, test_by_subject = [], {}
+train_parts, test_by_subject = [], {}
 for rec in standardized:
     ws = D.make_windows(rec, cfg.n_positions)
     tr, te = D.split_train_test(ws, 0.8, seed=0)
-    train_w.extend(tr)
+    train_parts.append(tr)
     test_by_subject[rec.subject_id] = te
+train_w = D.Windows.concat(train_parts)
 
 pw = compute_pos_weight(train_w)
 print("pos_weight per label (rare positives get upweighted):", np.round(pw, 2))

@@ -17,10 +17,9 @@ cfg = ModelConfig(n_features=10, n_labels=4, transformers_layers=2,
                   hidden_size=32, n_positions=24, dropout=0.1, seed=0)
 
 # subjects 0-3 pretrain the base model; subjects 4-7 act as clients
-base_windows = []
-for rec in standardized[:4]:
-    tr, _ = D.split_train_test(D.make_windows(rec, cfg.n_positions), 0.8, seed=0)
-    base_windows.extend(tr)
+base_windows = D.Windows.concat(
+    D.split_train_test(D.make_windows(rec, cfg.n_positions), 0.8, seed=0)[0]
+    for rec in standardized[:4])
 base, _ = train(init_model(cfg), base_windows,
                 TrainConfig(epochs=25, learning_rate=1e-3, batch_size=16, seed=0))
 

@@ -29,10 +29,12 @@ print("%s alone:                 " % z.subject_id,
       np.round(z.features.mean(axis=0)[:4], 3),
       "stds:", np.round(z.features.std(axis=0)[:4], 3))
 
-# windows cut at n_positions minutes and at gaps in the timestamps
+# windows cut at n_positions minutes and at gaps in the timestamps, held
+# as one array set: features [windows, positions, features] and masks
 windows = D.make_windows(z, n_positions=64)
-print("windows for %s: %d of lengths %s" % (
-    z.subject_id, len(windows), [w.features.shape[0] for w in windows]))
+print("windows for %s: %d of lengths %s, features %s" % (
+    z.subject_id, len(windows), windows.pad_mask.sum(axis=1).tolist(),
+    windows.features.shape))
 
 train, test = D.split_train_test(windows, 0.8, seed=0)
 print("train/test split: %d / %d (chronological, test is the tail)"

@@ -16,7 +16,7 @@ from .tensor import Adam, Tensor, backward
 from .model import (ModelConfig, WeightSet, forward, init_model,
                     masked_weighted_loss, parameter_shapes, predict)
 from .data import (EXTRASENSORY_FEATURES, EXTRASENSORY_LABELS, FoldPlan,
-                   Standardizer, SubjectRecord, SyntheticSpec, Window,
+                   Standardizer, SubjectRecord, SyntheticSpec, Windows,
                    apply_standardizer, build_fold_plan, carve_validation,
                    fit_standardizer, gen_synthetic, load_subject_dir,
                    make_windows, parse_extrasensory_csv, split_train_test,
@@ -48,7 +48,7 @@ __all__ = [
     "EXTRASENSORY_FEATURES", "EXTRASENSORY_LABELS", "SubjectRecord",
     "parse_extrasensory_csv", "write_subject_csv", "load_subject_dir",
     "FoldPlan", "build_fold_plan", "Standardizer", "fit_standardizer",
-    "apply_standardizer", "Window", "make_windows", "split_train_test",
+    "apply_standardizer", "Windows", "make_windows", "split_train_test",
     "carve_validation", "SyntheticSpec", "gen_synthetic",
     # metrics
     "ConfusionCounts", "balanced_accuracy", "client_mean_ba", "ClientReport",

@@ -170,13 +170,15 @@ def cmd_pretrain(args):
                      transformers_layers=args.layers, hidden_size=args.hidden,
                      n_positions=args.n_positions, n_heads=args.n_heads,
                      dropout=args.dropout, seed=args.seed)
+    n_subjects = len(standardized)
     windows = []
-    for rec in standardized:
-        windows.extend(D.make_windows(rec, mc.n_positions))
-    train_w, _test_w = D.split_train_test(windows, 0.8, args.seed)
+    while standardized:  # each record is dropped once it is windowed
+        windows.append(D.make_windows(standardized.pop(0), mc.n_positions))
+    train_w = D.split_train_test(windows, 0.8, args.seed)[0]
+    del windows
     tc = TrainConfig(epochs=args.epochs, learning_rate=args.lr,
                      batch_size=args.batch_size, seed=derive_seed(args.seed, "pretrain"))
-    log.info("pretraining on %d windows (%d subjects)", len(train_w), len(standardized))
+    log.info("pretraining on %d windows (%d subjects)", len(train_w), n_subjects)
     weights, history = train(init_model(mc), train_w, tc)
 
     save_checkpoint(args.out, weights)

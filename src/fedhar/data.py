@@ -4,6 +4,9 @@ One subject is one CSV of per-minute rows: a unix-timestamp column, the
 feature columns, then the "label:"-prefixed {0,1,empty} label columns and
 an optional trailing label_source column. A non-IID synthetic generator
 produces the same shape of data from per-subject Dirichlet label priors.
+The model reads fixed-length windows of those rows, held as one ``Windows``
+array set (features, bool targets and masks); splits, training batches and
+evaluation index its arrays.
 """
 
 from __future__ import annotations
@@ -33,9 +36,8 @@ __all__ = [
     "Standardizer",
     "fit_standardizer",
     "apply_standardizer",
-    "Window",
+    "Windows",
     "make_windows",
-    "batch_arrays",
     "split_train_test",
     "carve_validation",
     "SplitWarning",
@@ -364,22 +366,42 @@ def apply_standardizer(record: SubjectRecord, standardizer: Standardizer) -> Sub
     )
 
 
-@dataclass
-class Window:
-    """A fixed-length model input, zero-padded past its true length.
+@dataclass(eq=False)
+class Windows:
+    """Fixed-length model inputs, one row per window, zero-padded past each window's end.
 
-    label_mask is 0 where the label was missing or the position is padding;
-    padded positions also have pad_mask 0 and zero features/targets.
+    A sequence of one-window sets: ``len`` counts the windows, and an int, a
+    slice or an index array picks windows out of every array at once.
+    label_mask is False where the label was missing or the position is
+    padding; padded positions also have pad_mask False and zero
+    features/targets.
     """
 
-    subject_id: str
-    features: np.ndarray    # float32 [P, F]
-    targets: np.ndarray     # float32 [P, L] in {0, 1}
-    label_mask: np.ndarray  # float32 [P, L] in {0, 1}
-    pad_mask: np.ndarray    # float32 [P] in {0, 1}
+    subject_ids: np.ndarray  # str [n]
+    features: np.ndarray     # float32 [n, P, F]
+    targets: np.ndarray      # bool [n, P, L]
+    label_mask: np.ndarray   # bool [n, P, L]
+    pad_mask: np.ndarray     # bool [n, P]
+
+    def __len__(self) -> int:
+        return len(self.subject_ids)
+
+    def __getitem__(self, idx) -> "Windows":
+        if isinstance(idx, (int, np.integer)):
+            i = range(len(self))[idx]  # IndexError past either end, which ends iteration
+            idx = slice(i, i + 1)
+        return Windows(*(a[idx] for a in vars(self).values()))
+
+    @classmethod
+    def concat(cls, parts) -> "Windows":
+        """One set of every window in ``parts``, a sequence of Windows, in order."""
+        parts = [vars(p).values() for p in parts]
+        if not parts:
+            raise ConfigError("no window sets to join")
+        return cls(*(np.concatenate(a) for a in zip(*parts)))
 
 
-def make_windows(record: SubjectRecord, n_positions: int) -> list[Window]:
+def make_windows(record: SubjectRecord, n_positions: int) -> Windows:
     """Cut a record into non-overlapping windows of n_positions minutes.
 
     A gap greater than GAP_FACTOR x the median sampling interval starts a
@@ -390,101 +412,75 @@ def make_windows(record: SubjectRecord, n_positions: int) -> list[Window]:
     if n_positions < 1:
         raise ConfigError(f"n_positions must be >= 1, got {n_positions}")
     n = record.n_minutes
-    if n == 0:
-        return []
     if n > 1:
         gaps = np.diff(record.timestamps)
-        threshold = GAP_FACTOR * float(np.median(gaps))
-        breaks = np.flatnonzero(gaps > threshold) + 1
+        breaks = np.flatnonzero(gaps > GAP_FACTOR * float(np.median(gaps))) + 1
     else:
         breaks = np.array([], dtype=np.int64)
-    starts = [0, *breaks.tolist(), n]
+    # each row's window and position in it: a window starts at every
+    # n_positions-th row of a chunk
+    rows = np.arange(n)
+    chunk_start = np.concatenate([[0], breaks])[np.searchsorted(breaks, rows, side="right")]
+    pos = (rows - chunk_start) % n_positions
+    win = np.cumsum(pos == 0) - 1
+    shape = (int(np.count_nonzero(pos == 0)), n_positions)
 
-    n_feat = record.features.shape[1]
-    n_lab = record.labels.shape[1]
-    windows: list[Window] = []
-    for c0, c1 in zip(starts[:-1], starts[1:]):
-        for w0 in range(c0, c1, n_positions):
-            w1 = min(w0 + n_positions, c1)
-            length = w1 - w0
-            feats = np.zeros((n_positions, n_feat), dtype=np.float32)
-            targets = np.zeros((n_positions, n_lab), dtype=np.float32)
-            mask = np.zeros((n_positions, n_lab), dtype=np.float32)
-            pad = np.zeros(n_positions, dtype=np.float32)
-            feats[:length] = np.nan_to_num(record.features[w0:w1], nan=0.0)
-            raw = record.labels[w0:w1]
-            present = ~np.isnan(raw)
-            targets[:length] = np.where(present, raw, 0.0)
-            mask[:length] = present.astype(np.float32)
-            pad[:length] = 1.0
-            windows.append(Window(record.subject_id, feats, targets, mask, pad))
-    return windows
+    features = np.zeros((*shape, record.features.shape[1]), dtype=np.float32)
+    targets = np.zeros((*shape, record.labels.shape[1]), dtype=bool)
+    label_mask = np.zeros_like(targets)
+    pad_mask = np.zeros(shape, dtype=bool)
+    features[win, pos] = np.nan_to_num(record.features, nan=0.0)
+    present = ~np.isnan(record.labels)
+    targets[win, pos] = np.where(present, record.labels, 0.0) > 0
+    label_mask[win, pos] = present
+    pad_mask[win, pos] = True
+    return Windows(np.full(shape[0], record.subject_id), features, targets, label_mask,
+                   pad_mask)
 
 
-def batch_arrays(windows: list[Window]):
-    """Stack windows into (x [B,P,F], pad [B,P], targets [B,P,L], mask [B,P,L])."""
-    x = np.stack([w.features for w in windows])
-    pad = np.stack([w.pad_mask for w in windows])
-    targets = np.stack([w.targets for w in windows])
-    mask = np.stack([w.label_mask for w in windows])
-    return x, pad, targets, mask
-
-
-def _by_subject(windows: list[Window]) -> list[tuple[str, list[int]]]:
+def _by_subject(windows: Windows) -> list[tuple[str, np.ndarray]]:
     """(subject id, its window indices in order) per subject, sorted by id."""
-    by_subject: dict[str, list[int]] = {}
-    for i, w in enumerate(windows):
-        by_subject.setdefault(w.subject_id, []).append(i)
-    return sorted(by_subject.items())
+    ids, inverse = np.unique(windows.subject_ids, return_inverse=True)
+    return [(sid, np.flatnonzero(inverse == k)) for k, sid in enumerate(ids.tolist())]
 
 
-def split_train_test(
-    windows: list[Window], ratio: float = 0.8, seed: int = 0
-) -> tuple[list[Window], list[Window]]:
+def split_train_test(windows, ratio: float = 0.8, seed: int = 0) -> tuple[Windows, Windows]:
     """Seeded per-subject random split at window granularity.
 
+    ``windows`` is a sequence of Windows (a Windows is one), joined in order.
     Each subject keeps round(ratio * n) windows for training; both halves
-    stay in chronological order. Subjects with fewer than two windows put
-    everything in train and emit a SplitWarning.
+    hold the subjects in id order, each subject's windows in their order.
+    Subjects with fewer than two windows put everything in train and emit a
+    SplitWarning.
     """
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"split ratio must be in (0, 1), got {ratio}")
-    train_idx: list[int] = []
-    test_idx: list[int] = []
+    windows = Windows.concat(windows)
+    train = np.zeros(len(windows), dtype=bool)
     for sid, idx in _by_subject(windows):
         if len(idx) < 2:
             warnings.warn(f"subject {sid} has {len(idx)} window(s); all go to train",
                           SplitWarning, stacklevel=2)
-            train_idx.extend(idx)
+            train[idx] = True
             continue
         rng = np.random.default_rng(derive_seed(seed, "split", sid))
         perm = rng.permutation(len(idx))
         n_train = int(round(ratio * len(idx)))
         n_train = min(max(n_train, 1), len(idx) - 1)
-        chosen = sorted(perm[:n_train])
-        rest = sorted(perm[n_train:])
-        train_idx.extend(idx[j] for j in chosen)
-        test_idx.extend(idx[j] for j in rest)
-    return [windows[i] for i in train_idx], [windows[i] for i in test_idx]
+        train[idx[perm[:n_train]]] = True
+    order = np.argsort(windows.subject_ids, kind="stable")
+    return windows[order[train[order]]], windows[order[~train[order]]]
 
 
-def carve_validation(
-    train_windows: list[Window], frac: float = 0.1
-) -> tuple[list[Window], list[Window]]:
+def carve_validation(train_windows: Windows, frac: float = 0.1) -> tuple[Windows, Windows]:
     """Hold out the last ``frac`` of each subject's train windows for scoring."""
     if not 0.0 < frac < 1.0:
         raise ConfigError(f"validation fraction must be in (0, 1), got {frac}")
-    keep_idx: list[int] = []
-    val_idx: list[int] = []
+    val = np.zeros(len(train_windows), dtype=bool)
     for _, idx in _by_subject(train_windows):
-        if len(idx) < 2:
-            keep_idx.extend(idx)
-            continue
-        n_val = max(1, int(round(frac * len(idx))))
-        keep_idx.extend(idx[:-n_val])
-        val_idx.extend(idx[-n_val:])
-    return ([train_windows[i] for i in sorted(keep_idx)],
-            [train_windows[i] for i in sorted(val_idx)])
+        if len(idx) >= 2:
+            val[idx[-max(1, int(round(frac * len(idx)))):]] = True
+    return train_windows[~val], train_windows[val]
 
 
 @dataclass

@@ -104,11 +104,15 @@ class ClientReport:
     def from_counts(cls, subject_id: str, counts: list[ConfusionCounts],
                     label_names: list[str] | None = None) -> "ClientReport":
         bas = [balanced_accuracy(c) for c in counts]
+        try:
+            mean_ba = client_mean_ba(bas)
+        except DegenerateReportError as exc:
+            raise DegenerateReportError(f"subject {subject_id}: {exc}") from None
         return cls(
             subject_id=subject_id,
             counts=counts,
             per_label_ba=bas,
-            mean_ba=client_mean_ba(bas),
+            mean_ba=mean_ba,
             defined_labels=sum(b is not None for b in bas),
             n_eval_instances=sum(c.total for c in counts),
             label_names=list(label_names) if label_names else [],

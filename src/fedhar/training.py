@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Window, batch_arrays, carve_validation, make_windows, split_train_test
+from .data import Windows, carve_validation, make_windows, split_train_test
 from .errors import ConfigError, DegenerateReportError, DivergenceError
 from .metrics import ClientReport, _count
 from .model import (ModelConfig, WeightSet, forward, init_model,
@@ -50,7 +50,7 @@ class TrainConfig:
                 f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
-def compute_pos_weight(windows: list[Window]) -> np.ndarray:
+def compute_pos_weight(windows: Windows) -> np.ndarray:
     """Per-label negatives/positives ratio over unmasked training instances.
 
     Labels with no positives (ratio would blow up) or no negatives clamp to
@@ -59,14 +59,9 @@ def compute_pos_weight(windows: list[Window]) -> np.ndarray:
     if not windows:
         raise ConfigError("pos_weight needs at least one window")
     lo, hi = POS_WEIGHT_CLAMP
-    n_labels = windows[0].targets.shape[-1]
-    pos = np.zeros(n_labels, dtype=np.float64)
-    neg = np.zeros(n_labels, dtype=np.float64)
-    for w in windows:
-        m = w.label_mask > 0
-        t = w.targets > 0
-        pos += (m & t).sum(axis=0)
-        neg += (m & ~t).sum(axis=0)
+    m, t = windows.label_mask, windows.targets
+    pos = np.count_nonzero(m & t, axis=(0, 1))
+    neg = np.count_nonzero(m & ~t, axis=(0, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(pos > 0, neg / np.maximum(pos, 1e-300), hi)
     return np.clip(ratio, lo, hi).astype(np.float32)
@@ -79,7 +74,7 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
 
 def train(
     weights: WeightSet,
-    windows: list[Window],
+    windows: Windows,
     config: TrainConfig,
 ) -> tuple[WeightSet, list[float]]:
     """Adam-train a copy of the weights; returns (trained copy, loss history).
@@ -98,10 +93,9 @@ def train(
     with _blas_share:
         w = weights.copy()
         pos_weight = compute_pos_weight(windows)
-        x_all, pad_all, tgt_all, mask_all = batch_arrays(windows)
-        if x_all.shape[-1] != w.config.n_features:
-            raise ConfigError(
-                f"windows have {x_all.shape[-1]} features, model expects {w.config.n_features}")
+        if windows.features.shape[-1] != w.config.n_features:
+            raise ConfigError(f"windows have {windows.features.shape[-1]} features, "
+                              f"model expects {w.config.n_features}")
 
         shuffle_rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
         drop_rng = np.random.default_rng(derive_seed(config.seed, "dropout"))
@@ -112,8 +106,9 @@ def train(
             order = shuffle_rng.permutation(n)
             losses = []
             for batch, idx in enumerate(_batches(n, config.batch_size, order), start=1):
-                y = forward(w, x_all[idx], pad_all[idx], train_mode=True, rng=drop_rng)
-                loss = masked_weighted_loss(y, tgt_all[idx], mask_all[idx], pos_weight)
+                ws = windows[idx]
+                y = forward(w, ws.features, ws.pad_mask, train_mode=True, rng=drop_rng)
+                loss = masked_weighted_loss(y, ws.targets, ws.label_mask, pos_weight)
                 losses.append(loss.item())
                 if not math.isfinite(losses[-1]):
                     raise DivergenceError(
@@ -131,25 +126,25 @@ def train(
 
 def evaluate(
     weights: WeightSet,
-    test_windows: list[Window],
+    test_windows: Windows,
     subject_id: str | None = None,
     label_names: list[str] | None = None,
 ) -> ClientReport:
     """Deterministic eval-mode pass; per-label confusion over unmasked cells."""
-    if not test_windows:
-        raise DegenerateReportError("evaluation needs at least one window")
     if subject_id is None:
-        ids = {w.subject_id for w in test_windows}
-        subject_id = ids.pop() if len(ids) == 1 else "pooled"
-    x_all, pad_all, tgt_all, mask_all = batch_arrays(test_windows)
+        ids = np.unique(test_windows.subject_ids).tolist()
+        subject_id = ids[0] if len(ids) == 1 else "pooled"
+    if not test_windows:
+        raise DegenerateReportError(f"subject {subject_id}: evaluation needs at least one window")
     # no-grad tensors over the same arrays: the forward builds no graph
     frozen = WeightSet(weights.config, {n: Tensor(t.data) for n, t in weights.items()})
-    pred = np.empty(tgt_all.shape, dtype=bool)
+    pred = np.empty(test_windows.targets.shape, dtype=bool)
     with _blas_share:
         for start in range(0, len(test_windows), EVAL_BATCH):
             sl = slice(start, start + EVAL_BATCH)
-            pred[sl] = predict(forward(frozen, x_all[sl], pad_all[sl], train_mode=False))
-    counts = _count(pred, tgt_all > 0, mask_all > 0)
+            ws = test_windows[sl]
+            pred[sl] = predict(forward(frozen, ws.features, ws.pad_mask, train_mode=False))
+    counts = _count(pred, test_windows.targets, test_windows.label_mask)
     return ClientReport.from_counts(subject_id, counts, label_names)
 
 
@@ -229,10 +224,8 @@ def random_search(
             dropout=0.1,
             seed=derive_seed(seed, "init", i),
         )
-        windows = []
-        for rec in records:
-            windows.extend(make_windows(rec, mc.n_positions))
-        train_w, _ = split_train_test(windows, 0.8, seed=derive_seed(seed, "split"))
+        train_w, _ = split_train_test([make_windows(rec, mc.n_positions) for rec in records],
+                                      0.8, seed=derive_seed(seed, "split"))
         fit_w, val_w = carve_validation(train_w, 0.1)
         # a trial that cannot be scored fails, not the search
         score, history = None, []

@@ -8,6 +8,7 @@ import pytest
 
 import fedhar.data as D
 from fedhar.errors import ConfigError, FormatError
+from fedhar.training import compute_pos_weight
 
 # row 2 misses a feature, row 3 misses a feature and the first label
 CSV_3ROW = (
@@ -280,11 +281,11 @@ def test_standardizer_json_round_trip(tmp_path):
 
 # ------------------------------------------------------------- windows
 
-def make_record(n, n_feat=3, n_lab=2, gap_at=None, sid="w"):
+def make_record(n, n_feat=3, n_lab=2, gap_at=None, sid="w", seed=0):
     ts = 1000 + 60 * np.arange(n, dtype=np.int64)
     if gap_at is not None:
         ts[gap_at:] += 3600  # one-hour hole
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     return D.SubjectRecord(
         sid, ts,
         rng.standard_normal((n, n_feat)).astype(np.float32),
@@ -293,43 +294,163 @@ def make_record(n, n_feat=3, n_lab=2, gap_at=None, sid="w"):
 
 def test_windows_lengths_and_padding():
     ws = D.make_windows(make_record(300), 128)
-    assert [int(w.pad_mask.sum()) for w in ws] == [128, 128, 44]
-    last = ws[-1]
-    assert np.array_equal(last.pad_mask[:44], np.ones(44))
-    assert np.array_equal(last.pad_mask[44:], np.zeros(84))
-    assert np.all(last.features[44:] == 0.0)
-    assert np.all(last.label_mask[44:] == 0.0)
+    assert ws.subject_ids.tolist() == ["w"] * 3
+    assert ws.features.shape == (3, 128, 3) and ws.features.dtype == np.float32
+    assert ws.targets.shape == ws.label_mask.shape == (3, 128, 2)
+    assert ws.pad_mask.shape == (3, 128)
+    assert ws.targets.dtype == ws.label_mask.dtype == ws.pad_mask.dtype == bool
+    assert ws.pad_mask.sum(axis=1).tolist() == [128, 128, 44]
+    assert np.array_equal(ws.pad_mask[-1], np.arange(128) < 44)
+    assert np.all(ws.features[-1, 44:] == 0.0)
+    assert not ws.label_mask[-1, 44:].any() and not ws.targets[-1, 44:].any()
 
 
 def test_windows_break_at_gaps():
     ws = D.make_windows(make_record(20, gap_at=5), 16)
     # 5-minute chunk, then a 15-minute chunk
-    assert [int(w.pad_mask.sum()) for w in ws] == [5, 15]
+    assert ws.pad_mask.sum(axis=1).tolist() == [5, 15]
 
 
 def test_windows_concatenate_back_to_record():
     rec = make_record(50, gap_at=20)
     ws = D.make_windows(rec, 16)
-    feats = np.concatenate([w.features[w.pad_mask > 0] for w in ws])
-    assert np.allclose(feats, np.nan_to_num(rec.features))
-    targets = np.concatenate([w.targets[w.pad_mask > 0] for w in ws])
-    assert np.array_equal(targets, rec.labels)
+    assert np.allclose(ws.features[ws.pad_mask], np.nan_to_num(rec.features))
+    assert np.array_equal(ws.targets[ws.pad_mask], rec.labels)
 
 
 def test_windows_missing_labels_masked():
     rec = make_record(4)
     rec.labels[1, 0] = np.nan
-    w = D.make_windows(rec, 4)[0]
-    assert w.label_mask[1, 0] == 0.0
-    assert w.targets[1, 0] == 0.0  # zero-filled, not NaN
-    assert w.label_mask[1, 1] == 1.0
+    ws = D.make_windows(rec, 4)
+    assert not ws.label_mask[0, 1, 0]
+    assert not ws.targets[0, 1, 0]  # zero-filled, not NaN
+    assert ws.label_mask[0, 1, 1]
 
 
 def test_windows_empty_record():
     rec = D.SubjectRecord("e", np.array([], dtype=np.int64),
                           np.zeros((0, 2), dtype=np.float32),
                           np.zeros((0, 1), dtype=np.float32))
-    assert D.make_windows(rec, 8) == []
+    ws = D.make_windows(rec, 8)
+    assert len(ws) == 0 and not ws
+    assert ws.features.shape == (0, 8, 2) and ws.targets.shape == (0, 8, 1)
+
+
+def test_windows_index_like_a_sequence_of_one_window_sets():
+    ws = D.make_windows(make_record(50, gap_at=20), 8)  # 3 + 4 windows
+    assert len(ws) == 7
+    last = ws[-1]
+    assert len(last) == 1 and last.features.shape == (1, 8, 3)
+    assert last.features.tobytes() == ws.features[6:].tobytes()
+    assert ws[2:4].pad_mask.sum(axis=1).tolist() == [4, 8]
+    picked = ws[np.array([5, 0])]
+    assert picked.features.tobytes() == ws.features[[5, 0]].tobytes()
+    assert len(ws[ws.pad_mask.sum(axis=1) < 8]) == 2
+    with pytest.raises(IndexError):
+        ws[7]
+    # what list.extend and a for loop see: one-window sets, in order
+    parts = []
+    parts.extend(ws)
+    assert [len(p) for p in parts] == [1] * 7
+    assert D.Windows.concat(parts).features.tobytes() == ws.features.tobytes()
+    with pytest.raises(ConfigError, match="no window sets"):
+        D.Windows.concat([])
+
+
+def test_windows_split_and_pos_weight_keep_the_per_window_bytes():
+    """make_windows, split_train_test, carve_validation and compute_pos_weight
+    against the per-window loops they replaced, byte for byte, on subjects
+    with a gap, missing labels, NaN features and padded tails, given out of
+    id order (0/1 masks then were float32)."""
+    b = make_record(70, gap_at=23, sid="b", seed=1)  # chunks of 23 and 47 minutes
+    b.features[5, 1] = np.nan
+    b.features[40] = np.nan
+    b.labels[3, 0] = np.nan
+    b.labels[50:, 1] = np.nan
+    recs = [b, make_record(20, sid="a", seed=2), make_record(5, sid="c", seed=3)]
+
+    def old_windows(record, n_positions):
+        gaps = np.diff(record.timestamps)
+        breaks = np.flatnonzero(gaps > D.GAP_FACTOR * float(np.median(gaps))) + 1
+        starts = [0, *breaks.tolist(), record.n_minutes]
+        out = []
+        for c0, c1 in zip(starts[:-1], starts[1:]):
+            for w0 in range(c0, c1, n_positions):
+                w1 = min(w0 + n_positions, c1)
+                length = w1 - w0
+                feats = np.zeros((n_positions, record.features.shape[1]), dtype=np.float32)
+                targets = np.zeros((n_positions, record.labels.shape[1]), dtype=np.float32)
+                mask = np.zeros_like(targets)
+                pad = np.zeros(n_positions, dtype=np.float32)
+                feats[:length] = np.nan_to_num(record.features[w0:w1], nan=0.0)
+                raw = record.labels[w0:w1]
+                present = ~np.isnan(raw)
+                targets[:length] = np.where(present, raw, 0.0)
+                mask[:length] = present.astype(np.float32)
+                pad[:length] = 1.0
+                out.append((record.subject_id, feats, targets, mask, pad))
+        return out
+
+    def by_subject(windows):
+        groups = {}
+        for i, w in enumerate(windows):
+            groups.setdefault(w[0], []).append(i)
+        return sorted(groups.items())
+
+    def old_split(windows, ratio, seed):
+        train, test = [], []
+        for sid, idx in by_subject(windows):
+            if len(idx) < 2:
+                train.extend(idx)
+                continue
+            perm = np.random.default_rng(D.derive_seed(seed, "split", sid)).permutation(len(idx))
+            n_train = min(max(int(round(ratio * len(idx))), 1), len(idx) - 1)
+            train.extend(idx[j] for j in sorted(perm[:n_train]))
+            test.extend(idx[j] for j in sorted(perm[n_train:]))
+        return [windows[i] for i in train], [windows[i] for i in test]
+
+    def old_carve(windows, frac):
+        keep, val = [], []
+        for _, idx in by_subject(windows):
+            if len(idx) < 2:
+                keep.extend(idx)
+                continue
+            n_val = max(1, int(round(frac * len(idx))))
+            keep.extend(idx[:-n_val])
+            val.extend(idx[-n_val:])
+        return [windows[i] for i in sorted(keep)], [windows[i] for i in sorted(val)]
+
+    def old_pos_weight(windows):
+        pos = np.zeros(windows[0][2].shape[-1], dtype=np.float64)
+        neg = np.zeros_like(pos)
+        for _, _, targets, mask, _ in windows:
+            m, t = mask > 0, targets > 0
+            pos += (m & t).sum(axis=0)
+            neg += (m & ~t).sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(pos > 0, neg / np.maximum(pos, 1e-300), 100.0)
+        return np.clip(ratio, 0.1, 100.0).astype(np.float32)
+
+    def assert_same(new, old):
+        assert new.subject_ids.tolist() == [w[0] for w in old]
+        for k, arr in enumerate((new.features, new.targets, new.label_mask, new.pad_mask), 1):
+            assert arr.astype(np.float32).tobytes() == np.stack([w[k] for w in old]).tobytes()
+
+    parts = [D.make_windows(r, 8) for r in recs]
+    old = [w for r in recs for w in old_windows(r, 8)]
+    assert [len(p) for p in parts] == [9, 3, 1]
+    assert_same(D.Windows.concat(parts), old)
+    with pytest.warns(D.SplitWarning, match="subject c has 1 window"):
+        train, test = D.split_train_test(parts, 0.8, seed=3)
+    old_train, old_test = old_split(old, 0.8, seed=3)
+    assert_same(train, old_train)
+    assert_same(test, old_test)
+    fit, val = D.carve_validation(train, 0.3)
+    old_fit, old_val = old_carve(old_train, 0.3)
+    assert_same(fit, old_fit)
+    assert_same(val, old_val)
+    for new_set, old_set in ((train, old_train), (fit, old_fit), (D.Windows.concat(parts), old)):
+        assert compute_pos_weight(new_set).tobytes() == old_pos_weight(old_set).tobytes()
 
 
 # --------------------------------------------------------------- split
@@ -338,24 +459,26 @@ def test_split_80_20_counts_and_order():
     ws = D.make_windows(make_record(300), 32)  # 10 windows: 9 full + pad
     train, test = D.split_train_test(ws, 0.8, seed=0)
     assert len(train) == 8 and len(test) == 2
-    # chronological inside each half: pad_mask totals only break ties,
-    # so compare first feature of first row
-    firsts = [w.features[0, 0] for w in train]
-    order = [list(np.round(w.features[0, 0], 6) for w in ws).index(round(f, 6))
-             for f in np.round(firsts, 6)]
-    assert order == sorted(order)
+    # each half keeps the windows' chronological order
+    where = {w.features.tobytes(): i for i, w in enumerate(ws)}
+    order = [where[w.features.tobytes()] for w in train]
+    rest = [where[w.features.tobytes()] for w in test]
+    assert order == sorted(order) and rest == sorted(rest)
+    assert sorted(order + rest) == list(range(10))
 
 
 def test_split_deterministic_and_per_subject():
-    ws = D.make_windows(make_record(300, sid="a"), 32) + \
-         D.make_windows(make_record(300, sid="b"), 32)
-    t1, e1 = D.split_train_test(ws, 0.8, seed=5)
-    t2, e2 = D.split_train_test(ws, 0.8, seed=5)
-    assert [id(w) for w in t1] == [id(w) for w in t2]
-    assert [id(w) for w in e1] == [id(w) for w in e2]
-    t3, _ = D.split_train_test(ws, 0.8, seed=6)
-    assert [id(w) for w in t1] != [id(w) for w in t3]
-    assert {w.subject_id for w in e1} == {"a", "b"}  # both subjects held out
+    a = D.make_windows(make_record(300, sid="a", seed=1), 32)
+    b = D.make_windows(make_record(300, sid="b", seed=2), 32)
+    t1, e1 = D.split_train_test([b, a], 0.8, seed=5)
+    t2, e2 = D.split_train_test(D.Windows.concat([a, b]), 0.8, seed=5)
+    for x, y in ((t1, t2), (e1, e2)):
+        assert x.subject_ids.tolist() == y.subject_ids.tolist()
+        assert x.features.tobytes() == y.features.tobytes()
+    t3, _ = D.split_train_test([a, b], 0.8, seed=6)
+    assert t1.features.tobytes() != t3.features.tobytes()
+    assert t1.subject_ids.tolist() == ["a"] * 8 + ["b"] * 8  # subjects in id order
+    assert set(e1.subject_ids.tolist()) == {"a", "b"}  # both subjects held out
 
 
 def test_split_single_window_subject_warns_all_train():
@@ -381,7 +504,8 @@ def test_carve_validation_takes_chronological_tail():
     ws = D.make_windows(make_record(320), 32)  # 10 windows
     fit, val = D.carve_validation(ws, 0.1)
     assert len(fit) == 9 and len(val) == 1
-    assert val[0] is ws[-1]
+    assert val.features.tobytes() == ws[-1].features.tobytes()
+    assert fit.features.tobytes() == ws[:-1].features.tobytes()
 
 
 # ----------------------------------------------------------- synthetic

@@ -11,7 +11,7 @@ import pytest
 import fedhar.data as D
 import fedhar.fedavg as fedavg
 from fedhar.errors import (AggregationError, AvailabilityError, ConfigError,
-                           DivergenceError)
+                           DegenerateReportError, DivergenceError)
 from fedhar.fedavg import (ClientUpdate, FedConfig, aggregate, client_fit, drive_fold,
                            run_fold)
 from fedhar.model import ModelConfig, WeightSet, init_model, parameter_shapes
@@ -340,6 +340,28 @@ def test_run_fold_skips_empty_clients_in_training():
         client_fit(init_model(MC), [], cfg, cid, fold=0, round_idx=1)
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("no test window", "evaluation needs at least one window"),
+    ("no positive label", "no label has a defined balanced accuracy"),
+])
+def test_run_fold_names_a_client_it_cannot_score(fault, message):
+    """A client without test windows (a subject whose one window went to
+    train) or without a label that shows both classes ends the fold with an
+    error naming it, as client_failed names it over TCP."""
+    clients = client_data()
+    cid = sorted(clients)[1]
+    train_w, test_w = clients[cid]
+    if fault == "no test window":
+        test_w = test_w[:0]
+    else:
+        test_w = dataclasses.replace(test_w, targets=np.zeros_like(test_w.targets))
+    clients[cid] = (train_w, test_w)
+    cfg = FedConfig(rounds=1, min_available_clients=4, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    with pytest.raises(DegenerateReportError, match=f"^subject {cid}: {message}$"):
+        run_fold(0, clients, init_model(MC), cfg)
+
+
 # ------------------------------------------------------- worker processes
 
 def child_pids():
@@ -405,8 +427,8 @@ def test_a_failing_client_reaches_the_caller_after_the_clients_before_it():
     clients = uneven_clients()
     last = sorted(clients)[-1]
     train_w, test_w = clients[last]
-    clients[last] = ([dataclasses.replace(w, features=np.full_like(w.features, np.nan))
-                      for w in train_w], test_w)
+    clients[last] = (dataclasses.replace(train_w, features=np.full_like(train_w.features, np.nan)),
+                     test_w)
     cfg = FedConfig(rounds=1, min_available_clients=5, local_epochs=1,
                     batch_size=2, local_lr=1e-2, seed=0)
     before = child_pids()

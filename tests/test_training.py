@@ -39,10 +39,7 @@ def corpus(n_subjects=2, minutes=64, seed=0):
 
 
 def all_windows(recs, n_positions=8):
-    ws = []
-    for r in recs:
-        ws.extend(D.make_windows(r, n_positions))
-    return ws
+    return D.Windows.concat(D.make_windows(r, n_positions) for r in recs)
 
 
 def test_train_loss_descends():
@@ -82,13 +79,13 @@ def test_train_seed_changes_result():
 
 
 def test_train_validates_inputs():
+    ws = all_windows(corpus())
     with pytest.raises(ConfigError):
-        train(init_model(MC), [], TrainConfig(epochs=1, learning_rate=1e-2))
+        train(init_model(MC), ws[:0], TrainConfig(epochs=1, learning_rate=1e-2))
     with pytest.raises(ConfigError):
         TrainConfig(epochs=0, learning_rate=1e-2)
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, learning_rate=0.0)
-    ws = all_windows(corpus())
     wrong = ModelConfig(n_features=9, n_labels=3, transformers_layers=1,
                         hidden_size=8, n_positions=8, seed=0)
     with pytest.raises(ConfigError):
@@ -101,7 +98,8 @@ def test_train_holds_one_graph_at_a_time():
                       hidden_size=32, n_positions=16, dropout=0.1, seed=0)
     ws = all_windows(corpus(minutes=800), n_positions=16)[:48]
     weights = init_model(cfg)
-    x, pad, tgt, mask = D.batch_arrays(ws[:16])
+    first = ws[:16]
+    x, pad, tgt, mask = first.features, first.pad_mask, first.targets, first.label_mask
     pos_weight = compute_pos_weight(ws)
     tracemalloc.start()
     try:
@@ -141,7 +139,7 @@ def test_repeated_train_reuses_freed_memory():
                            n_labels=8, alpha=0.5, seed=0)
     recs = D.gen_synthetic(spec)
     st = D.fit_standardizer(recs)
-    ws = [w for r in recs for w in D.make_windows(D.apply_standardizer(r, st), 32)]
+    ws = D.Windows.concat(D.make_windows(D.apply_standardizer(r, st), 32) for r in recs)
     weights = init_model(cfg)
     tc = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=64, seed=0)
     train(weights, ws, tc)
@@ -159,7 +157,7 @@ def test_train_returns_weights_without_grads_and_the_same_bits():
     # the loop train runs, replayed by hand: it ends holding the last grads
     w = init_model(MC)
     pos_weight = compute_pos_weight(ws)
-    x, pad, tgt, mask = D.batch_arrays(ws)
+    x, pad, tgt, mask = ws.features, ws.pad_mask, ws.targets, ws.label_mask
     shuffle_rng = np.random.default_rng(derive_seed(0, "shuffle"))
     drop_rng = np.random.default_rng(derive_seed(0, "dropout"))
     opt = Adam()
@@ -336,11 +334,11 @@ def test_pos_weight_ratio_and_clamp():
     ws = all_windows(corpus(n_subjects=3, minutes=96))
     pw = compute_pos_weight(ws)
     # recount by hand
-    t = np.concatenate([w.targets for w in ws]).reshape(-1, 3)
-    m = np.concatenate([w.label_mask for w in ws]).reshape(-1, 3) > 0
+    t = ws.targets.reshape(-1, 3)
+    m = ws.label_mask.reshape(-1, 3)
     for l in range(3):
-        pos = ((t[:, l] > 0) & m[:, l]).sum()
-        neg = ((t[:, l] <= 0) & m[:, l]).sum()
+        pos = (t[:, l] & m[:, l]).sum()
+        neg = (~t[:, l] & m[:, l]).sum()
         want = np.clip(neg / pos if pos else 100.0, 0.1, 100.0)
         assert pw[l] == pytest.approx(want, rel=1e-6)
 
@@ -377,9 +375,10 @@ def test_evaluate_perfect_oracle_weights():
 
     fw = np.zeros((4, 2), dtype=np.float32)
     fw[:, 0] = [2.0, -2.0, 2.0, -2.0]
-    tg = (fw[:, :1] > 0).astype(np.float32)
-    win = D.Window("s", fw, tg, np.ones_like(tg), np.ones(4, dtype=np.float32))
-    report = evaluate(w, [win], "s", ["label:X"])
+    tg = fw[:, :1] > 0
+    win = D.Windows(np.array(["s"]), fw[None], tg[None], np.ones((1, 4, 1), dtype=bool),
+                    np.ones((1, 4), dtype=bool))
+    report = evaluate(w, win, "s", ["label:X"])
     assert report.mean_ba == 1.0
 
 
@@ -391,20 +390,19 @@ def test_evaluate_counts_match_manual_confusion():
     big = corpus(n_subjects=3, minutes=200, seed=4)
     big_windows = all_windows(big)
     rng = np.random.default_rng(5)
-    for win in big_windows:
-        win.label_mask = win.label_mask * (rng.random(win.label_mask.shape) >= 0.2)
+    big_windows.label_mask &= rng.random(big_windows.label_mask.shape) >= 0.2
     assert len(big_windows) > TR.EVAL_BATCH
     for recs, ws in ((small, all_windows(small)), (big, big_windows)):
         rep = evaluate(w, ws, "pooled", recs[0].label_names)
-        x, pad, tgt, mask = D.batch_arrays(ws)
-        pred = predict(forward(w, x, pad)) > 0
+        tgt, mask = ws.targets, ws.label_mask
+        pred = predict(forward(w, ws.features, ws.pad_mask)) > 0
         want = []
         for l in range(tgt.shape[-1]):  # one label at a time, counted by case
-            p, t, m = pred[..., l], tgt[..., l] > 0, mask[..., l] > 0
+            p, t, m = pred[..., l], tgt[..., l], mask[..., l]
             want.append((int((p & t)[m].sum()), int((~p & ~t)[m].sum()),
                          int((p & ~t)[m].sum()), int((~p & t)[m].sum())))
         assert [(c.tp, c.tn, c.fp, c.fn) for c in rep.counts] == want
-        assert rep.n_eval_instances == int((mask > 0).sum())
+        assert rep.n_eval_instances == int(mask.sum())
 
 
 def test_evaluate_builds_no_graph_and_matches_grad_forward(monkeypatch):
@@ -424,16 +422,18 @@ def test_evaluate_builds_no_graph_and_matches_grad_forward(monkeypatch):
     assert all(t.grad is None for t in w.tensors.values())
     assert all(t.requires_grad for t in w.tensors.values())
 
-    x, pad, tgt, mask = D.batch_arrays(ws)
-    y = forward(w, x, pad)
+    y = forward(w, ws.features, ws.pad_mask)
     assert y.requires_grad  # the same forward over the weights themselves
-    counts = confusion_from_arrays(predict(y), tgt > 0, mask > 0)
+    counts = confusion_from_arrays(predict(y), ws.targets, ws.label_mask)
     assert rep == ClientReport.from_counts("pooled", counts, recs[0].label_names)
 
 
 def test_evaluate_empty_windows_raises():
-    with pytest.raises(DegenerateReportError):
-        evaluate(init_model(MC), [], "s")
+    empty = all_windows(corpus())[:0]
+    with pytest.raises(DegenerateReportError, match="^subject s: evaluation needs"):
+        evaluate(init_model(MC), empty, "s")
+    with pytest.raises(DegenerateReportError, match="^subject pooled: evaluation needs"):
+        evaluate(init_model(MC), empty)
 
 
 # -------------------------------------------------------------- search
