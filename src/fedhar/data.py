@@ -197,6 +197,7 @@ def load_subject_dir(path: str) -> list[SubjectRecord]:
 
     The first file's feature and label names, in order, are the schema every
     other file must match; a FormatError names the first column that differs.
+    So is a second file of one subject (``x.csv`` beside ``x.csv.gz``).
     """
     names = sorted(n for n in os.listdir(path)
                    if n.endswith(".csv") or n.endswith(".csv.gz"))
@@ -204,8 +205,12 @@ def load_subject_dir(path: str) -> list[SubjectRecord]:
         raise FormatError(f"no subject CSVs found in {path}")
     records = [parse_extrasensory_csv(os.path.join(path, names[0]))]
     schema = records[0].feature_names + records[0].label_names
+    files = {records[0].subject_id: names[0]}
     for name in names[1:]:
         rec = parse_extrasensory_csv(os.path.join(path, name))
+        first = files.setdefault(rec.subject_id, name)
+        if first != name:
+            raise FormatError(f"{path}: {first} and {name} are both subject {rec.subject_id}")
         columns = rec.feature_names + rec.label_names
         if columns != schema:
             k = next((k for k, (a, b) in enumerate(zip(columns, schema)) if a != b),

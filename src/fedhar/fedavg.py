@@ -7,10 +7,10 @@ transports: ``run_fold`` simulates them on this host, and
 ``wire.server_loop`` asks them over TCP. Clients train with ``client_fit``
 on either transport. In simulation a round's fits run at once in worker
 processes, one per usable core, each with its share of the BLAS threads,
-while the evaluations run in the calling process. Aggregation walks clients
-in canonical client-id order and accumulates in float64, so the result is
-independent of arrival order and a lone client (or all-identical updates)
-comes back bitwise unchanged.
+that take the round's clients from one queue; the evaluations run in the
+calling process. Aggregation walks clients in canonical client-id order
+and accumulates in float64, so the result is independent of arrival order
+and a lone client (or all-identical updates) comes back bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -298,10 +298,11 @@ def run_fold(
     """Drive all rounds for one fold in simulation mode.
 
     ``clients`` maps client_id -> (train_windows, test_windows); ``drive_fold``
-    runs the rounds. Each round's fits run in worker processes (``_Workers``)
-    and ``evaluate`` runs in this process. A fit that raises ends the fold
-    with its exception, once the clients before it in id order are filed.
-    Every worker has exited before this returns or raises.
+    runs the rounds. Each round queues its clients in id order for the
+    worker processes (``_Workers``), and ``evaluate`` runs in this process.
+    A fit that raises ends the fold with its exception, once the clients
+    before it in id order are filed. Every worker has exited before this
+    returns or raises.
     """
     workers = _Workers(clients, config, fold)
 
@@ -339,53 +340,43 @@ class _Workers:
     They start at the fold's first fit, so a fold that ``drive_fold``
     refuses starts none: ``min(usable cores, clients to fit)`` processes of
     this interpreter, each with ``OPENBLAS_NUM_THREADS`` set to ``max(1,
-    start // workers)`` of this process's starting BLAS threads. Clients go
-    to workers largest first, each to the worker with the fewest training
-    windows so far, and each worker takes its clients in id order. Tasks
-    and replies are pickles over the worker's stdin and stdout. A worker
-    gets its clients' training windows, the config and this process's
-    numpy error state once, then per round the broadcast weights with its
-    first task. It runs the unchanged ``client_fit`` and replies with the
-    update or the exception with its traceback, plus any warnings, which
-    are issued here. At most one task per worker is outstanding, so neither
-    pipe fills while its reader waits. ``fit`` hands a worker its next
-    client as soon as it replies and yields the replies in client-id order. ``close`` ends
-    every worker on every path: stdin is closed, which an idle worker reads
-    as its cue to exit, a worker with a task outstanding is killed, and
-    each is waited for. A worker starts no process of its own; that is why
-    these are plain subprocesses and not a ``multiprocessing`` pool, whose
-    resource tracker (or fork server) outlives the pool until this process
-    exits.
+    start // workers)`` of this process's starting BLAS threads. A worker
+    gets the config and this process's numpy error state once. Each round,
+    ``fit`` queues the clients in id order and gives the next one to
+    whichever worker is free; a task carries that client's training windows,
+    and a worker's first task of a round also carries the broadcast weights,
+    pickled once per round. Tasks and replies are pickles over the worker's
+    stdin and stdout. A worker keeps no client between tasks: it runs the
+    unchanged ``client_fit`` and replies with the update or the exception
+    with its traceback, plus any warnings, which are issued here. At most
+    one task per worker is outstanding, so neither pipe fills while its
+    reader waits. ``fit`` yields the replies in client-id order. ``close``
+    ends every worker on every path: stdin is closed, which an idle worker
+    reads as its cue to exit, a worker with a task outstanding is killed,
+    and each is waited for. A worker starts no process of its own; that is
+    why these are plain subprocesses and not a ``multiprocessing`` pool,
+    whose resource tracker (or fork server) outlives the pool until this
+    process exits.
     """
 
     def __init__(self, clients: dict, config: FedConfig, fold: int):
         self.clients, self.config, self.fold = clients, config, fold
         self.procs: list[subprocess.Popen] = []
-        self.owned: list[list[str]] = []  # per worker, its client ids in id order
-        self.busy: set[subprocess.Popen] = set()  # workers with a task outstanding
+        self.running: dict[int, tuple[subprocess.Popen, str]] = {}  # stdout fd -> (worker, client)
         self.blas_threads: list[int | None] = []
 
-    def _start(self, fit_ids: list[str]) -> None:
-        n = min(_usable_cores(), len(fit_ids))
+    def _start(self, n: int) -> None:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p or os.getcwd() for p in sys.path))
         if tensor._blas_start is not None:
             env["OPENBLAS_NUM_THREADS"] = str(max(1, tensor._blas_start // n))
-        loads, self.owned = [0] * n, [[] for _ in range(n)]
-        for cid in sorted(fit_ids, key=lambda c: (-len(self.clients[c][0]), c)):
-            w = loads.index(min(loads))
-            self.owned[w].append(cid)
-            loads[w] += len(self.clients[cid][0])
-        for owned in self.owned:
-            owned.sort()
+        for _ in range(n):  # one at a time, so that close() ends those started if one fails
             self.procs.append(subprocess.Popen([sys.executable, "-c", _WORKER_MAIN], env=env,
                                                stdin=subprocess.PIPE, stdout=subprocess.PIPE))
-        for proc, owned in zip(self.procs, self.owned):
-            self._send(proc, (self.config, self.fold, np.geterr(),
-                              {cid: self.clients[cid][0] for cid in owned}))
+        for proc in self.procs:
+            self._send(proc, (self.config, self.fold, np.geterr()))
         self.blas_threads = [self._receive(proc, "start") for proc in self.procs]
 
     def _send(self, proc: subprocess.Popen, task, blob: bytes = b"") -> None:
-        self.busy.add(proc)
         try:
             proc.stdin.write(pickle.dumps(task, pickle.HIGHEST_PROTOCOL))
             proc.stdin.write(blob)
@@ -395,35 +386,35 @@ class _Workers:
 
     def _receive(self, proc: subprocess.Popen, what: str):
         try:
-            reply = pickle.load(proc.stdout)
+            return pickle.load(proc.stdout)
         except (EOFError, pickle.UnpicklingError):
             raise FedharError(f"client worker {proc.pid} exited during {what}") from None
-        self.busy.discard(proc)
-        return reply
 
     def fit(self, weights: WeightSet, round_idx: int, fit_ids: list[str]):
         """``drive_fold``'s fit: (client_id, ClientUpdate) pairs in id order."""
         if fit_ids and not self.procs:
-            self._start(fit_ids)
+            self._start(min(_usable_cores(), len(fit_ids)))
         blob = pickle.dumps(weights, pickle.HIGHEST_PROTOCOL)
-        running = {}  # stdout fd -> (worker, its remaining ids, the id it fits)
+        queue = iter(fit_ids)
 
-        def give(proc, ids, first):
-            cid = next(ids, None)
+        def give(proc, first):
+            cid = next(queue, None)
             if cid is not None:
-                self._send(proc, (round_idx, cid, first), blob if first else b"")
-                running[proc.stdout.fileno()] = proc, ids, cid
+                self.running[proc.stdout.fileno()] = proc, cid
+                self._send(proc, (round_idx, cid, self.clients[cid][0], first),
+                           blob if first else b"")
 
-        for proc, owned in zip(self.procs, self.owned):
-            give(proc, iter(owned), True)
+        for proc in self.procs:
+            give(proc, True)
         done = {}
         for cid in fit_ids:
             while cid not in done:
-                ready, _, _ = select.select(list(running), [], [])
+                ready, _, _ = select.select(list(self.running), [], [])
                 for fd in ready:
-                    proc, ids, got = running.pop(fd)
+                    proc, got = self.running[fd]
                     done[got] = self._receive(proc, f"the fit of client {got}")
-                    give(proc, ids, False)
+                    del self.running[fd]
+                    give(proc, False)
             ok, value, caught = done.pop(cid)
             for message, category, filename, lineno in caught:
                 warnings.warn_explicit(message, category, filename, lineno)
@@ -433,9 +424,9 @@ class _Workers:
             yield cid, value
 
     def close(self) -> None:
+        for proc, _cid in self.running.values():
+            proc.kill()
         for proc in self.procs:
-            if proc in self.busy:
-                proc.kill()
             with contextlib.suppress(OSError):
                 proc.stdin.close()
         for proc in self.procs:
@@ -461,12 +452,11 @@ def _worker_main() -> None:
         replies.write(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
         replies.flush()
 
-    config, fold, errstate, windows = pickle.load(tasks)
+    config, fold, errstate = pickle.load(tasks)
     reply(tensor._blas_start)
-    weights = None
     while True:
         try:
-            round_idx, cid, new_weights = pickle.load(tasks)
+            round_idx, cid, windows, new_weights = pickle.load(tasks)
         except EOFError:
             return
         if new_weights:
@@ -474,7 +464,7 @@ def _worker_main() -> None:
         with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
             warnings.simplefilter("default")
             try:
-                outcome = True, client_fit(weights, windows[cid], config, cid, fold, round_idx)
+                outcome = True, client_fit(weights, windows, config, cid, fold, round_idx)
             except Exception as exc:  # raised by the parent in client-id order
                 outcome = False, (exc, traceback.format_exc())
         reply((*outcome, [(str(w.message), w.category, w.filename, w.lineno)

@@ -32,15 +32,16 @@ as the simulation does. A message out of order gets ERROR ``out_of_order``,
 one that fails to decode ``bad_message`` with "<message type>: <reason>";
 either drops the connection and ends the fold with a ProtocolError naming
 the client. A client whose own fit or evaluation fails sends ERROR
-``client_failed`` with the reason before it hangs up; the server ends the
-fold with a ProtocolError naming that client and the reason, and sends it
-no ERROR back. When the server ends a fold with an error, every client still
-connected gets an ERROR frame with code ``aborted`` first; a write that
-fails, because the peer vanished, is such an error, naming that client. So
-is a frame not written whole within ``round_timeout_s``, when that is set:
-one deadline per exchange covers the writes of its frame and the replies,
-so a peer that stops reading, or reads too slowly, is cut off. A peer whose
-frame is half-written is closed without an ERROR, as it could not read one.
+``client_failed`` with the reason, one that refuses a frame ``bad_message``,
+before it hangs up; the server ends the fold with a ProtocolError naming
+that client and the reason, and sends it no ERROR back. When the server
+ends a fold with an error, every client still connected gets an ERROR
+frame with code ``aborted`` first; a write that fails, because the peer
+vanished, is such an error, naming that client. So is a frame not written
+whole within ``round_timeout_s``, when that is set: one deadline per
+exchange covers the writes of its frame and the replies, so a peer that
+stops reading, or reads too slowly, is cut off. A peer whose frame is
+half-written is closed without an ERROR, as it could not read one.
 
 Buffers: a received frame is read into one bytearray of its declared
 length, allocated once the header is in. Decoders slice memoryviews of it,
@@ -714,13 +715,13 @@ def server_loop(
 
 
 @contextlib.contextmanager
-def _failure_told(sock: socket.socket):
-    """Tell the server of a ``FedharError`` raised inside with ERROR ``client_failed``."""
+def _failure_told(sock: socket.socket, code: str = "client_failed", what: str = ""):
+    """Send ERROR ``code``, ``what`` + its message, for a ``FedharError`` raised inside."""
     try:
         yield
     except FedharError as exc:
         with contextlib.suppress(OSError):
-            sock.sendall(frame_encode(MSG_ERROR, encode_error("client_failed", str(exc))))
+            sock.sendall(frame_encode(MSG_ERROR, encode_error(code, f"{what}{exc}")))
         raise
 
 
@@ -740,9 +741,10 @@ def client_loop(
     weights it carries) and ROUND_CONFIG (local fine-tune of the weights of
     the last EVAL_REQUEST) until DONE. An ERROR frame, a lost connection, a
     frame out of protocol and a ROUND_CONFIG that carries weights or comes
-    with none held raise ``ProtocolError``. A ``FedharError`` from its own
-    fit or evaluation (a ``DivergenceError``, say) is sent to the server as
-    ERROR ``client_failed`` with its message, then re-raised.
+    with none held raise ``ProtocolError``. Before re-raising, it tells the
+    server of a ``FedharError`` from a frame it refuses with ERROR
+    ``bad_message`` and "<message type>: <reason>", and of one from its own
+    fit or evaluation (a ``DivergenceError``, say) with ``client_failed``.
     """
     caps = _frame_caps(model_config)
     max_len = max(caps[MSG_EVAL_REQUEST], caps[MSG_HELLO])  # an ERROR may be HELLO-sized
@@ -755,16 +757,16 @@ def client_loop(
         while True:
             msg_type, payload = read_frame(rfile, max_len)
             if msg_type == MSG_ROUND_CONFIG:
-                (round_idx, fold, seed, local_epochs,
-                 batch_size, local_lr, blob) = decode_round_config(payload)
-                if len(blob):
-                    raise ProtocolError(
-                        "ROUND_CONFIG carries weights; they travel only in EVAL_REQUEST")
-                if held is None:
-                    raise ProtocolError("ROUND_CONFIG, but no EVAL_REQUEST's weights are held")
+                with _failure_told(sock, "bad_message", "ROUND_CONFIG: "):
+                    (round_idx, fold, seed, local_epochs,
+                     batch_size, local_lr, blob) = decode_round_config(payload)
+                    if len(blob):
+                        raise ProtocolError("carries weights; they travel only in EVAL_REQUEST")
+                    if held is None:
+                        raise ProtocolError("no EVAL_REQUEST's weights are held")
+                    local = FedConfig(local_epochs=local_epochs, batch_size=batch_size,
+                                      local_lr=local_lr, seed=seed)
                 weights, held = held, None
-                local = FedConfig(local_epochs=local_epochs, batch_size=batch_size,
-                                  local_lr=local_lr, seed=seed)
                 with _failure_told(sock):
                     update = client_fit(weights, train_windows, local, client_id,
                                         fold, round_idx)
@@ -774,7 +776,8 @@ def client_loop(
                 rounds_done += 1
             elif msg_type == MSG_EVAL_REQUEST:
                 held = None  # the old weights go before the new ones are decoded
-                held = decode_weights(_decode_blob_message(payload, "<")[0], model_config)
+                with _failure_told(sock, "bad_message", "EVAL_REQUEST: "):
+                    held = decode_weights(_decode_blob_message(payload, "<")[0], model_config)
                 del payload  # the frame's buffer goes before evaluating
                 with _failure_told(sock):
                     report = evaluate(held, test_windows, client_id, label_names)
@@ -785,7 +788,8 @@ def client_loop(
                 code, message = decode_error(payload)
                 raise ProtocolError(f"server error {code}: {message}")
             else:
-                raise ProtocolError(f"unexpected message type {msg_type}")
+                with _failure_told(sock, "bad_message", f"{_MSG_NAMES.get(msg_type, 'frame')}: "):
+                    raise ProtocolError(f"unexpected message type {msg_type}")
     except OSError as exc:  # only the socket calls raise it here
         raise ProtocolError(f"lost the server at {host}:{port}: {exc}") from None
     finally:

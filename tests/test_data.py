@@ -180,6 +180,16 @@ def test_load_subject_dir_sorted_and_consistent(tmp_path):
         D.load_subject_dir(str(empty))
 
 
+def test_load_subject_dir_refuses_two_files_for_one_subject(tmp_path):
+    """``x.csv`` and ``x.csv.gz`` both parse to subject ``x``; neither is kept."""
+    rec = parse(CSV_3ROW)
+    D.write_subject_csv(rec, str(tmp_path / "a.csv"))
+    D.write_subject_csv(rec, str(tmp_path / "x.csv"))
+    D.write_subject_csv(rec, str(tmp_path / "x.csv.gz"))
+    with pytest.raises(FormatError, match=r"x\.csv and x\.csv\.gz are both subject x$"):
+        D.load_subject_dir(str(tmp_path))
+
+
 # ------------------------------------------------------------ fold plan
 
 def test_fold_plan_60_subjects():

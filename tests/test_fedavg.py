@@ -376,11 +376,12 @@ def child_pids():
     return pids
 
 
-def uneven_clients():
+def uneven_clients(largest_first=False):
     """Five clients, more than this host has cores, with 1 to 5 training
-    windows, so the workers get unequal shares."""
+    windows in id order (or 5 to 1 with ``largest_first``), so the workers
+    free up at different times."""
     clients = client_data(n_subjects=5)
-    for k, cid in enumerate(sorted(clients)):
+    for k, cid in enumerate(sorted(clients, reverse=largest_first)):
         train_w, test_w = clients[cid]
         clients[cid] = (train_w[:k + 1], test_w)
     return clients
@@ -405,20 +406,50 @@ def without_ts(events):
 
 
 def test_pooled_fold_equals_fitting_every_client_in_process_bitwise():
-    clients = uneven_clients()
-    assert len(clients) > fedavg._usable_cores()
     cfg = FedConfig(rounds=2, min_available_clients=5, local_epochs=2,
                     batch_size=2, local_lr=1e-2, seed=6)
     base = init_model(MC)
-    before = child_pids()
-    pooled_events, local_events = [], []
-    pooled = run_fold(0, clients, base, cfg, audit=pooled_events.append)
-    assert child_pids() == before
-    local = in_process_fold(clients, base, cfg, local_events.append)
-    assert pooled.final_weights.equals_bitwise(local.final_weights)
-    assert pooled.to_json_dict() == local.to_json_dict()
-    assert without_ts(pooled_events) == without_ts(local_events)
-    assert len(pooled.worker_blas_threads) == fedavg._usable_cores()
+    for largest_first in (False, True):
+        clients = uneven_clients(largest_first)
+        assert len(clients) > fedavg._usable_cores()
+        before = child_pids()
+        pooled_events, local_events = [], []
+        pooled = run_fold(0, clients, base, cfg, audit=pooled_events.append)
+        assert child_pids() == before
+        local = in_process_fold(clients, base, cfg, local_events.append)
+        assert pooled.final_weights.equals_bitwise(local.final_weights)
+        assert pooled.to_json_dict() == local.to_json_dict()
+        assert without_ts(pooled_events) == without_ts(local_events)
+        assert len(pooled.worker_blas_threads) == fedavg._usable_cores()
+
+
+def test_each_worker_gets_the_weights_and_each_client_its_windows_once_per_round(
+        monkeypatch):
+    """The pool's traffic: a start message per worker, then per round one task
+    per client in id order, and the round's weights with each worker's first."""
+    clients = uneven_clients()
+    cfg = FedConfig(rounds=3, min_available_clients=5, local_epochs=1,
+                    batch_size=2, local_lr=1e-2, seed=0)
+    sent = []  # (worker pid, task, whether the weights came with it)
+    real_send = fedavg._Workers._send
+
+    def send(self, proc, task, blob=b""):
+        sent.append((proc.pid, task, bool(blob)))
+        real_send(self, proc, task, blob)
+
+    monkeypatch.setattr(fedavg._Workers, "_send", send)
+    result = run_fold(0, clients, init_model(MC), cfg)
+    starts = [pid for pid, task, _weighed in sent if len(task) == 3]
+    assert len(starts) == len(result.worker_blas_threads) \
+        == min(fedavg._usable_cores(), len(clients))
+    tasks = [(pid, *task, weighed) for pid, task, weighed in sent if len(task) == 4]
+    for round_idx in range(1, cfg.rounds + 1):
+        this_round = [t for t in tasks if t[1] == round_idx]
+        assert [cid for _pid, _r, cid, *_ in this_round] == sorted(clients)
+        for _pid, _r, cid, windows, first, weighed in this_round:
+            assert windows.features.tobytes() == clients[cid][0].features.tobytes()
+            assert first == weighed
+        assert sorted(pid for pid, *_, weighed in this_round if weighed) == sorted(starts)
 
 
 def test_a_failing_client_reaches_the_caller_after_the_clients_before_it():

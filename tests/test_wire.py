@@ -1,6 +1,7 @@
 """Wire format: framing, weight blobs, checkpoints, and the TCP loop."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -1162,7 +1163,10 @@ def eval_request(weights):
 ])
 def test_client_refuses_a_round_config_it_cannot_train_from(evaluated, weights, local_lr,
                                                             error, match):
+    """The client answers the frame with ERROR bad_message and its reason, then
+    hangs up and raises."""
     (cid, windows), = synthetic_clients(1).items()
+    replies = []
 
     def handler(sock, rfile):
         assert W.read_frame(rfile)[0] == W.MSG_HELLO
@@ -1172,6 +1176,7 @@ def test_client_refuses_a_round_config_it_cannot_train_from(evaluated, weights, 
         sock.sendall(round_config(weights, local_lr))
         sock.settimeout(10.0)  # a client that trains answers, then waits for us
         with contextlib.suppress(TimeoutError):
+            replies.append(W.read_frame(rfile))
             rfile.read()  # until the client hangs up
 
     port, server = fake_server(handler)
@@ -1179,6 +1184,38 @@ def test_client_refuses_a_round_config_it_cannot_train_from(evaluated, weights, 
         W.client_loop("127.0.0.1", port, cid, MC, *windows)
     server.join(10.0)
     assert not server.is_alive()
+    (msg_type, payload), = replies
+    assert msg_type == W.MSG_ERROR
+    code, reason = W.decode_error(payload)
+    assert code == "bad_message"
+    assert re.match(f"ROUND_CONFIG: .*{match}", reason)
+
+
+@pytest.mark.parametrize("frame, error, what", [
+    # a narrower model's weights: the frame fits the cap, its shapes do not
+    pytest.param(eval_request(init_model(dataclasses.replace(MC, hidden_size=4))),
+                 ShapeError, "EVAL_REQUEST", id="another-models-weights"),
+    pytest.param(W.frame_encode(W.MSG_HELLO, W.encode_hello("server", 1)),
+                 ProtocolError, "HELLO", id="out-of-protocol"),
+])
+def test_client_tells_the_server_why_it_refuses_a_frame(frame, error, what):
+    (cid, windows), = synthetic_clients(1).items()
+    replies = []
+
+    def handler(sock, rfile):
+        assert W.read_frame(rfile)[0] == W.MSG_HELLO
+        sock.sendall(frame)
+        replies.append(W.read_frame(rfile))
+        assert not rfile.read()  # then the client hangs up
+
+    port, server = fake_server(handler)
+    with pytest.raises(error) as err:
+        W.client_loop("127.0.0.1", port, cid, MC, *windows)
+    server.join(10.0)
+    assert not server.is_alive()
+    (msg_type, payload), = replies
+    assert msg_type == W.MSG_ERROR
+    assert W.decode_error(payload) == ("bad_message", f"{what}: {err.value}")
 
 
 # 14.8 MB weight frames: more than a loopback connection's send buffer plus
