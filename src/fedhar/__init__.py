@@ -27,9 +27,8 @@ from .training import (SearchSpace, TrainConfig, Trial, compute_pos_weight,
                        evaluate, random_search, train)
 from .fedavg import (ClientUpdate, FedConfig, FoldResult, aggregate,
                      client_fit, drive_fold, run_fold)
-from .wire import (client_loop, decode_weights, encode_weights,
-                   load_checkpoint, save_checkpoint, server_loop,
-                   standardizer_path)
+from .wire import (client_loop, decode_weights, load_checkpoint,
+                   save_checkpoint, server_loop, standardizer_path)
 from .util import derive_seed
 
 __all__ = [
@@ -60,8 +59,8 @@ __all__ = [
     "FedConfig", "ClientUpdate", "FoldResult", "aggregate", "client_fit",
     "drive_fold", "run_fold",
     # wire
-    "encode_weights", "decode_weights", "save_checkpoint", "load_checkpoint",
-    "standardizer_path", "server_loop", "client_loop",
+    "decode_weights", "save_checkpoint", "load_checkpoint", "standardizer_path",
+    "server_loop", "client_loop",
     # util
     "derive_seed",
 ]

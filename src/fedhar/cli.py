@@ -221,43 +221,36 @@ def cmd_simulate(args):
     plan = D.FoldPlan.load(args.fold_plan)
     folds = ([_check_fold(plan, k) for k in args.folds] if args.folds
              else list(range(plan.n_folds)))
-
-    base_weights = {}
-    standardizers = {}
-    for k in folds:
-        ckpt = os.path.join(args.base_ckpt_dir, f"base_fold{k}.ckpt")
-        if not os.path.exists(ckpt):
-            raise FedharError(f"missing base checkpoint {ckpt}")
-        base_weights[k], standardizers[k] = _checkpoint(ckpt, None)
+    ckpts = {k: os.path.join(args.base_ckpt_dir, f"base_fold{k}.ckpt") for k in folds}
+    for ckpt in ckpts.values():
+        for path in (ckpt, standardizer_path(ckpt)):
+            if not os.path.exists(path):
+                raise FedharError(f"missing base checkpoint {path}")
 
     config = _fed_config(args, min(len(plan.folds[k]) for k in folds))
     os.makedirs(args.out, exist_ok=True)
-
-    def data_for_fold(k: int):
-        n_positions = base_weights[k].config.n_positions
-        return {rec.subject_id: _split_windows(rec, standardizers[k], n_positions, args.seed)
-                for rec in _subject_subset(records, plan.folds[k])}
-
     audit_path = os.path.join(args.out, "audit.jsonl")
-    results = []
+    outputs, fold_means, all_client_bas, workers = [audit_path], [], [], []
     with open(audit_path, "w", encoding="utf-8") as audit_fh:
-        for k in folds:
+        for k in folds:  # one fold's weights, windows and result held at a time
+            base, standardizer = _checkpoint(ckpts[k], None)
             log.info("fold %d: starting %d federated rounds", k, config.rounds)
-            results.append(run_fold(k, data_for_fold(k), base_weights[k], config,
-                                    audit=lambda e: append_jsonl(audit_fh, e),
-                                    label_names=records[0].label_names))
-
-    outputs = [audit_path]
-    fold_means = []
-    all_client_bas = []
-    for res in results:
-        path = os.path.join(args.out, f"fold{res.fold}.json")
-        atomic_write_json(path, res.to_json_dict())
-        outputs.append(path)
-        fold_means.append({"fold": res.fold,
-                           "mean_ba": res.final_report.summary["mean"],
-                           "base_mean_ba": res.base_report.summary["mean"]})
-        all_client_bas.extend(c.mean_ba for c in res.final_report.clients)
+            res = run_fold(k, {rec.subject_id: _split_windows(
+                                   rec, standardizer, base.config.n_positions, args.seed)
+                               for rec in _subject_subset(records, plan.folds[k])},
+                           base, config, audit=lambda e: append_jsonl(audit_fh, e),
+                           label_names=records[0].label_names)
+            path = os.path.join(args.out, f"fold{k}.json")
+            atomic_write_json(path, res.to_json_dict())
+            outputs.append(path)
+            fold_means.append({"fold": k, "mean_ba": res.final_report.summary["mean"],
+                               "base_mean_ba": res.base_report.summary["mean"]})
+            print(f"fold {k}: base mean BA {res.base_report.summary['mean']:.4f} -> "
+                  f"federated {res.final_report.summary['mean']:.4f}")
+            all_client_bas.extend(c.mean_ba for c in res.final_report.clients)
+            workers.append({"fold": k, "count": len(res.worker_blas_threads),
+                            "blas_threads": res.worker_blas_threads})
+            del base, res
 
     means_path = os.path.join(args.out, "fold_means.json")
     atomic_write_json(means_path, {"folds": fold_means})
@@ -267,15 +260,10 @@ def cmd_simulate(args):
         "best_fold_mean": max(f["mean_ba"] for f in fold_means),
         "best_client": max(all_client_bas),
     })
-    outputs += [means_path, summary_path]
-    for f in fold_means:
-        print(f"fold {f['fold']}: base mean BA {f['base_mean_ba']:.4f} -> "
-              f"federated {f['mean_ba']:.4f}")
     return (os.path.join(args.out, "manifest.json"),
             {"fed": config.__dict__, "folds": folds},
-            [args.data, args.fold_plan, args.base_ckpt_dir], outputs,
-            {"workers": [{"fold": res.fold, "count": len(res.worker_blas_threads),
-                          "blas_threads": res.worker_blas_threads} for res in results]})
+            [args.data, args.fold_plan, args.base_ckpt_dir],
+            outputs + [means_path, summary_path], {"workers": workers})
 
 
 def cmd_fed_server(args):
@@ -345,7 +333,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-synthetic", help="generate a non-IID synthetic cohort")
+    # options shared by several commands, each declared once
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    base = argparse.ArgumentParser(add_help=False)  # the base model's data and training
+    base.add_argument("--data", required=True, help="subject CSV directory (or one file)")
+    base.add_argument("--fold-plan", help="restrict to a fold's base subjects")
+    base.add_argument("--fold", type=int, default=0)
+    base.add_argument("--epochs", type=_positive(int), default=DESK_EPOCHS)
+    base.add_argument("--batch-size", type=_positive(int), default=64)
+    rounds = argparse.ArgumentParser(add_help=False)  # a federated fold's rounds
+    rounds.add_argument("--rounds", type=_positive(int), default=4)
+    rounds.add_argument("--local-epochs", type=_positive(int), default=DESK_LOCAL_EPOCHS)
+    rounds.add_argument("--local-lr", type=_positive(float), default=1e-3)
+    rounds.add_argument("--batch-size", type=_positive(int), default=64)
+
+    p = sub.add_parser("gen-synthetic", parents=[seed],
+                       help="generate a non-IID synthetic cohort")
     p.add_argument("--out", required=True, help="output directory for subject CSVs")
     p.add_argument("--subjects", type=_positive(int), default=60)
     p.add_argument("--minutes", type=_positive(int), default=240)
@@ -354,45 +358,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_positive(float), default=0.2,
                    help="Dirichlet concentration; smaller = more skewed subjects")
     p.add_argument("--noise-std", type=_nonnegative(float), default=0.1)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen_synthetic)
 
-    p = sub.add_parser("make-folds", help="partition subjects into client folds")
+    p = sub.add_parser("make-folds", parents=[seed], help="partition subjects into client folds")
     p.add_argument("--data", required=True, help="subject CSV directory")
     p.add_argument("--out", required=True, help="fold plan JSON path")
     p.add_argument("--n-folds", type=_positive(int), default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_make_folds)
 
-    p = sub.add_parser("pretrain", help="centralized base-model training")
-    p.add_argument("--data", required=True, help="subject CSV directory (or one file)")
+    p = sub.add_parser("pretrain", parents=[seed, base], help="centralized base-model training")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--fold-plan", help="restrict to a fold's base subjects")
-    p.add_argument("--fold", type=int, default=0)
     p.add_argument("--layers", type=_positive(int), default=4)
     p.add_argument("--hidden", type=_positive(int), default=384)
     p.add_argument("--n-positions", type=_positive(int), default=128)
     p.add_argument("--n-heads", type=_positive(int))
     p.add_argument("--dropout", type=_nonnegative(float), default=0.1)
-    p.add_argument("--epochs", type=_positive(int), default=DESK_EPOCHS)
     p.add_argument("--lr", type=_positive(float), default=4e-5)
-    p.add_argument("--batch-size", type=_positive(int), default=64)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("search", help="random hyperparameter search")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("search", parents=[seed, base], help="random hyperparameter search")
     p.add_argument("--out", required=True, help="trial log (JSON lines)")
     p.add_argument("--best-out", help="best-config JSON (default <out>.best.json)")
-    p.add_argument("--fold-plan")
-    p.add_argument("--fold", type=int, default=0)
     p.add_argument("--budget", type=_positive(int), default=DESK_BUDGET)
-    p.add_argument("--epochs", type=_positive(int), default=DESK_EPOCHS)
-    p.add_argument("--batch-size", type=_positive(int), default=64)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("simulate", help="in-process federated cross-validation")
+    p = sub.add_parser("simulate", parents=[seed, rounds],
+                       help="in-process federated cross-validation")
     p.add_argument("--data", required=True)
     p.add_argument("--fold-plan", required=True)
     p.add_argument("--base-ckpt-dir", required=True,
@@ -400,14 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--folds", type=_fold_list,
                    help="comma list of folds to run (default: all)")
-    p.add_argument("--rounds", type=_positive(int), default=4)
-    p.add_argument("--local-epochs", type=_positive(int), default=DESK_LOCAL_EPOCHS)
-    p.add_argument("--local-lr", type=_positive(float), default=1e-3)
-    p.add_argument("--batch-size", type=_positive(int), default=64)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fed-server", help="drive federation over TCP")
+    p = sub.add_parser("fed-server", parents=[seed, rounds], help="drive federation over TCP")
     p.add_argument("--base-ckpt", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--bind", default="127.0.0.1")
@@ -415,14 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clients", type=_positive(int), default=12,
                    help="clients to wait for before starting")
     p.add_argument("--fold", type=_nonnegative(int), default=0)
-    p.add_argument("--rounds", type=_positive(int), default=4)
-    p.add_argument("--local-epochs", type=_positive(int), default=DESK_LOCAL_EPOCHS)
-    p.add_argument("--local-lr", type=_positive(float), default=1e-3)
-    p.add_argument("--batch-size", type=_positive(int), default=64)
     p.add_argument("--timeout", type=_positive(float),
                    help="seconds each broadcast may take, its writes and replies included")
     p.add_argument("--accept-timeout", type=_positive(float), default=120.0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fed_server)
 
     p = sub.add_parser("fed-client", help="join a federation as one subject")

@@ -469,3 +469,4 @@ def _worker_main() -> None:
                 outcome = False, (exc, traceback.format_exc())
         reply((*outcome, [(str(w.message), w.category, w.filename, w.lineno)
                           for w in caught]))
+        del outcome, windows  # hold no client while the next task is read

@@ -91,8 +91,7 @@ __all__ = [
     "MSG_EVAL_RESULT", "MSG_DONE", "MSG_ERROR",
     "MAX_FRAME_LEN", "DEFAULT_PORT",
     "frame_encode", "read_frame", "read_exact",
-    "encode_weights", "decode_weights",
-    "save_checkpoint", "load_checkpoint", "standardizer_path",
+    "decode_weights", "save_checkpoint", "load_checkpoint", "standardizer_path",
     "server_loop", "client_loop", "connect_with_retry",
 ]
 
@@ -234,11 +233,6 @@ def _blob_parts(weights: WeightSet) -> list:
     return parts
 
 
-def encode_weights(weights: WeightSet) -> bytes:
-    """Serialize all tensors in canonical order as little-endian float32."""
-    return b"".join(_blob_parts(weights))
-
-
 def decode_weights(blob, config: ModelConfig) -> WeightSet:
     """Rebuild a WeightSet; names, order, and shapes must match the config."""
     cur = _Cursor(blob)
@@ -343,7 +337,7 @@ def save_checkpoint(path: str, weights: WeightSet) -> None:
     """Write config + weights; the write is atomic (``atomic_write_bytes``)."""
     head = (CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION)
             + _encode_config(weights.config))
-    atomic_write_bytes(path, b"".join(_blob_message(head, [encode_weights(weights)])))
+    atomic_write_bytes(path, b"".join(_blob_message(head, _blob_parts(weights))))
 
 
 def load_checkpoint(path: str) -> WeightSet:

@@ -301,7 +301,7 @@ def test_7_serialization_round_trips_and_golden_bytes():
                       hidden_size=4, n_positions=2, seed=0)
     ws = WeightSet(cfg)
     ws.tensors["b"] = Tensor(np.array([1.0, -1.0], dtype=np.float32))
-    assert W.encode_weights(ws) == bytes.fromhex(
+    assert b"".join(W._blob_parts(ws)) == bytes.fromhex(
         "0100620102000000" "0000803f" "000080bf")
     assert W.frame_encode(W.MSG_DONE) == bytes.fromhex("0100000006")
 
@@ -322,7 +322,7 @@ def test_7_serialization_round_trips_and_golden_bytes():
         if i % 50 == 0:  # specials must survive too
             full.tensors["pos_emb"].data.reshape(-1)[:3] = [
                 np.inf, -np.inf, np.nan]
-        back = W.decode_weights(W.encode_weights(full), mc)
+        back = W.decode_weights(b"".join(W._blob_parts(full)), mc)
         assert back.equals_bitwise(full)
     print("check 7: PASS (200 round-trips bitwise + golden fixtures)")
 

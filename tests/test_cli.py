@@ -1,5 +1,6 @@
 """CLI: every subcommand end to end on a tiny synthetic corpus."""
 
+import argparse
 import datetime
 import json
 import shutil
@@ -9,7 +10,8 @@ import threading
 import pytest
 
 import fedhar.data as D
-from fedhar.cli import main
+from fedhar.cli import build_parser, main
+from fedhar.errors import DecodeError
 from fedhar.fedavg import _usable_cores
 from fedhar.wire import load_checkpoint
 
@@ -134,6 +136,115 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         assert err.value.code == 2, argv
         assert message in capsys.readouterr().err, argv
+
+
+# Every subcommand's options: option strings -> (dest, default, required).
+# A shared option is declared once in the parser; this table holds what each
+# subcommand must accept regardless.
+OPTIONS = {
+    "gen-synthetic": {
+        ("--out",): ("out", None, True),
+        ("--subjects",): ("subjects", 60, False),
+        ("--minutes",): ("minutes", 240, False),
+        ("--features",): ("features", 225, False),
+        ("--labels",): ("labels", 51, False),
+        ("--alpha",): ("alpha", 0.2, False),
+        ("--noise-std",): ("noise_std", 0.1, False),
+        ("--seed",): ("seed", 0, False),
+    },
+    "make-folds": {
+        ("--data",): ("data", None, True),
+        ("--out",): ("out", None, True),
+        ("--n-folds",): ("n_folds", 5, False),
+        ("--seed",): ("seed", 0, False),
+    },
+    "pretrain": {
+        ("--data",): ("data", None, True),
+        ("--out",): ("out", None, True),
+        ("--fold-plan",): ("fold_plan", None, False),
+        ("--fold",): ("fold", 0, False),
+        ("--layers",): ("layers", 4, False),
+        ("--hidden",): ("hidden", 384, False),
+        ("--n-positions",): ("n_positions", 128, False),
+        ("--n-heads",): ("n_heads", None, False),
+        ("--dropout",): ("dropout", 0.1, False),
+        ("--epochs",): ("epochs", 50, False),
+        ("--lr",): ("lr", 4e-5, False),
+        ("--batch-size",): ("batch_size", 64, False),
+        ("--seed",): ("seed", 0, False),
+    },
+    "search": {
+        ("--data",): ("data", None, True),
+        ("--out",): ("out", None, True),
+        ("--best-out",): ("best_out", None, False),
+        ("--fold-plan",): ("fold_plan", None, False),
+        ("--fold",): ("fold", 0, False),
+        ("--budget",): ("budget", 8, False),
+        ("--epochs",): ("epochs", 50, False),
+        ("--batch-size",): ("batch_size", 64, False),
+        ("--seed",): ("seed", 0, False),
+    },
+    "simulate": {
+        ("--data",): ("data", None, True),
+        ("--fold-plan",): ("fold_plan", None, True),
+        ("--base-ckpt-dir",): ("base_ckpt_dir", None, True),
+        ("--out",): ("out", None, True),
+        ("--folds",): ("folds", None, False),
+        ("--rounds",): ("rounds", 4, False),
+        ("--local-epochs",): ("local_epochs", 20, False),
+        ("--local-lr",): ("local_lr", 1e-3, False),
+        ("--batch-size",): ("batch_size", 64, False),
+        ("--seed",): ("seed", 0, False),
+    },
+    "fed-server": {
+        ("--base-ckpt",): ("base_ckpt", None, True),
+        ("--out",): ("out", None, True),
+        ("--bind",): ("bind", "127.0.0.1", False),
+        ("--port",): ("port", 8099, False),
+        ("--clients",): ("clients", 12, False),
+        ("--fold",): ("fold", 0, False),
+        ("--rounds",): ("rounds", 4, False),
+        ("--local-epochs",): ("local_epochs", 20, False),
+        ("--local-lr",): ("local_lr", 1e-3, False),
+        ("--batch-size",): ("batch_size", 64, False),
+        ("--timeout",): ("timeout", None, False),
+        ("--accept-timeout",): ("accept_timeout", 120.0, False),
+        ("--seed",): ("seed", 0, False),
+    },
+    "fed-client": {
+        ("--server",): ("server", None, True),
+        ("--port",): ("port", 8099, False),
+        ("--subject-data", "--data"): ("data", None, True),
+        ("--base-ckpt",): ("base_ckpt", None, True),
+        ("--standardizer",): ("standardizer", None, False),
+        ("--client-id",): ("client_id", None, False),
+        ("--seed",): ("seed", 0, False),
+    },
+    "evaluate": {
+        ("--ckpt",): ("ckpt", None, True),
+        ("--data",): ("data", None, True),
+        ("--out",): ("out", None, True),
+        ("--standardizer",): ("standardizer", None, False),
+        ("--fold",): ("fold", 0, False),
+        ("--split-seed",): ("split_seed", None, False),
+    },
+}
+
+
+def test_every_subcommand_keeps_its_options(capsys):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(OPTIONS)
+    for command, parser in sub.choices.items():
+        got = {tuple(a.option_strings): (a.dest, a.default, a.required)
+               for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        assert got == OPTIONS[command], command
+    # the round settings' checks hold for both commands that share them
+    for command in ("simulate", "fed-server"):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--local-lr", "0"])
+        assert err.value.code == 2
+        assert "must be positive and finite, got 0" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------- make-folds
@@ -290,6 +401,37 @@ def test_simulate_requires_base_checkpoints(workspace, tmp_path, capsys, folds, 
     assert "missing base checkpoint" in capsys.readouterr().err
     assert not (out / "audit.jsonl").exists()
     assert not (out / "fold0.json").exists()
+
+
+def test_simulate_keeps_the_folds_before_one_that_fails(workspace, tmp_path, capsys):
+    """Folds run one at a time, and each writes its report when it ends.
+
+    Fold 1's checkpoint exists but is cut short, so it fails to decode only
+    when its turn comes: fold 0's report stays, byte-identical to a run of
+    fold 0 alone, and the cross-fold files are never written.
+    """
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    blob = workspace["base"].read_bytes()
+    for k, data in [(0, blob), (1, blob[:len(blob) // 2])]:
+        (ckpts / f"base_fold{k}.ckpt").write_bytes(data)
+        shutil.copyfile(f"{workspace['base']}.stdz.json", ckpts / f"base_fold{k}.ckpt.stdz.json")
+    with pytest.raises(DecodeError) as err:
+        load_checkpoint(str(ckpts / "base_fold1.ckpt"))
+    codes = {}
+    for folds in ["0", "0,1"]:
+        codes[folds] = main(["simulate", "--data", str(workspace["corpus"]),
+                             "--fold-plan", str(workspace["plan"]),
+                             "--base-ckpt-dir", str(ckpts),
+                             "--out", str(tmp_path / folds), "--folds", folds,
+                             "--rounds", "1", "--local-epochs", "1",
+                             "--batch-size", "8", "--seed", "0"])
+    assert codes == {"0": 0, "0,1": 1}
+    assert f"error: {err.value}" in capsys.readouterr().err
+    failed = tmp_path / "0,1"
+    assert (failed / "fold0.json").read_bytes() == (tmp_path / "0" / "fold0.json").read_bytes()
+    for name in ["fold1.json", "fold_means.json", "summary.json", "manifest.json"]:
+        assert not (failed / name).exists(), name
 
 
 @pytest.mark.parametrize("argv", [

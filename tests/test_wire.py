@@ -186,7 +186,7 @@ def test_frame_caps_are_the_longest_frames_a_peer_can_send():
 def test_weight_blob_golden_bytes_single_tensor():
     ws = WeightSet(MC)
     ws.tensors["b"] = Tensor(np.array([1.0, -1.0], dtype=np.float32))
-    got = W.encode_weights(ws)
+    got = b"".join(W._blob_parts(ws))
     # u16 name len, "b", rank 1, dim 2, then 1.0f and -1.0f little-endian
     assert got == bytes.fromhex("0100620102000000" "0000803f" "000080bf")
 
@@ -202,14 +202,14 @@ def test_weight_blob_round_trips_bitwise():
             n_positions=int(rng.integers(2, 12)),
             seed=i)
         ws = random_weights(cfg, seed=100 + i)
-        back = W.decode_weights(W.encode_weights(ws), cfg)
+        back = W.decode_weights(b"".join(W._blob_parts(ws)), cfg)
         assert back.equals_bitwise(ws)
 
 
 def test_weight_blob_preserves_nonfinite_floats():
     ws = WeightSet(MC)
     ws.tensors["b"] = Tensor(np.array([np.inf, -np.inf, np.nan], dtype=np.float32))
-    blob = W.encode_weights(ws)
+    blob = b"".join(W._blob_parts(ws))
     # the last 12 bytes are the three raw floats
     vals = np.frombuffer(blob[-12:], dtype="<f4")
     assert vals[0] == np.inf and vals[1] == -np.inf and np.isnan(vals[2])
@@ -217,7 +217,7 @@ def test_weight_blob_preserves_nonfinite_floats():
 
 def test_decode_weights_enforces_name_order_and_shape():
     ws = random_weights(MC, seed=0)
-    blob = W.encode_weights(ws)
+    blob = b"".join(W._blob_parts(ws))
     with pytest.raises(DecodeError, match="expected tensor"):
         W.decode_weights(b"\x01\x00z" + blob[3:], MC)
     small = ModelConfig(n_features=6, n_labels=3, transformers_layers=1,
@@ -227,14 +227,14 @@ def test_decode_weights_enforces_name_order_and_shape():
 
 
 def test_decode_weights_rejects_truncation_with_offset():
-    blob = W.encode_weights(random_weights(MC, seed=0))
+    blob = b"".join(W._blob_parts(random_weights(MC, seed=0)))
     with pytest.raises(DecodeError, match="byte offset") as err:
         W.decode_weights(blob[:-5], MC)
     assert err.value.offset is not None
 
 
 def test_decode_weights_rejects_trailing_bytes():
-    blob = W.encode_weights(random_weights(MC, seed=0))
+    blob = b"".join(W._blob_parts(random_weights(MC, seed=0)))
     with pytest.raises(DecodeError, match="trailing"):
         W.decode_weights(blob + b"\x00", MC)
 
@@ -370,7 +370,7 @@ def test_hello_round_trip():
 
 def test_round_config_round_trip():
     ws = random_weights(MC, seed=5)
-    blob = W.encode_weights(ws)
+    blob = b"".join(W._blob_parts(ws))
     payload = b"".join(W._blob_message(W._ROUND_HEAD.pack(3, 1, 12345, 20, 64, 2.5e-4),
                                        W._blob_parts(ws)))
     r, f, s, ep, bs, lr, back = W.decode_round_config(payload)
@@ -381,7 +381,7 @@ def test_round_config_round_trip():
 
 def test_fit_result_round_trip():
     ws = random_weights(MC, seed=6)
-    blob = W.encode_weights(ws)
+    blob = b"".join(W._blob_parts(ws))
     payload = b"".join(W._blob_message(struct.pack("<d", 0.6931), W._blob_parts(ws)))
     assert payload[:8] == struct.pack("<d", 0.6931)
     assert payload[8:] == struct.pack("<I", len(blob)) + blob + struct.pack("<I", zlib.crc32(blob))
@@ -823,7 +823,7 @@ def test_nan_fit_result_aborts_the_fold_naming_client_and_parameter():
         weights = W.decode_weights(answer_base_eval(rogue, rfile, "rogue", 1), MC)
         assert W.read_frame(rfile)[0] == W.MSG_ROUND_CONFIG
         weights[name].data[0] = np.nan
-        blob = W.encode_weights(weights)
+        blob = b"".join(W._blob_parts(weights))
         rogue.sendall(W.frame_encode(W.MSG_FIT_RESULT,
                                      *W._blob_message(struct.pack("<d", 0.0), [blob])))
         msg_type, payload = W.read_frame(rfile)
