@@ -82,18 +82,23 @@ def _check_fold(plan, k: int) -> int:
     return k
 
 
-def _load_records(path: str) -> list[D.SubjectRecord]:
+def _load_records(path: str, subject_ids=None) -> list[D.SubjectRecord]:
+    """The records of a subject CSV or of a directory of them.
+
+    With ``subject_ids``, those subjects' records in that order; a directory's
+    other files are not parsed.
+    """
     if os.path.isdir(path):
-        return D.load_subject_dir(path)
-    return [D.parse_extrasensory_csv(path)]
-
-
-def _subject_subset(records, wanted_ids):
+        records = D.load_subject_dir(path, subject_ids)
+    else:
+        records = [D.parse_extrasensory_csv(path)]
+    if subject_ids is None:
+        return records
     by_id = {r.subject_id: r for r in records}
-    missing = [s for s in wanted_ids if s not in by_id]
+    missing = [s for s in subject_ids if s not in by_id]
     if missing:
         raise FedharError(f"subjects missing from data: {missing}")
-    return [by_id[s] for s in wanted_ids]
+    return [by_id[s] for s in subject_ids]
 
 
 def _base_records(args):
@@ -101,10 +106,11 @@ def _base_records(args):
 
     Returns the standardizer fit to them and the standardized records.
     """
-    records = _load_records(args.data)
+    subject_ids = None
     if args.fold_plan:
         plan = D.FoldPlan.load(args.fold_plan)
-        records = _subject_subset(records, plan.base_subjects[_check_fold(plan, args.fold)])
+        subject_ids = plan.base_subjects[_check_fold(plan, args.fold)]
+    records = _load_records(args.data, subject_ids)
     standardizer = D.fit_standardizer(records)
     return standardizer, [D.apply_standardizer(r, standardizer) for r in records]
 
@@ -217,7 +223,6 @@ def cmd_search(args):
 
 
 def cmd_simulate(args):
-    records = _load_records(args.data)
     plan = D.FoldPlan.load(args.fold_plan)
     folds = ([_check_fold(plan, k) for k in args.folds] if args.folds
              else list(range(plan.n_folds)))
@@ -232,12 +237,13 @@ def cmd_simulate(args):
     audit_path = os.path.join(args.out, "audit.jsonl")
     outputs, fold_means, all_client_bas, workers = [audit_path], [], [], []
     with open(audit_path, "w", encoding="utf-8") as audit_fh:
-        for k in folds:  # one fold's weights, windows and result held at a time
+        for k in folds:  # one fold's records, weights, windows and result held at a time
             base, standardizer = _checkpoint(ckpts[k], None)
+            records = _load_records(args.data, plan.folds[k])
             log.info("fold %d: starting %d federated rounds", k, config.rounds)
             res = run_fold(k, {rec.subject_id: _split_windows(
                                    rec, standardizer, base.config.n_positions, args.seed)
-                               for rec in _subject_subset(records, plan.folds[k])},
+                               for rec in records},
                            base, config, audit=lambda e: append_jsonl(audit_fh, e),
                            label_names=records[0].label_names)
             path = os.path.join(args.out, f"fold{k}.json")
@@ -250,7 +256,7 @@ def cmd_simulate(args):
             all_client_bas.extend(c.mean_ba for c in res.final_report.clients)
             workers.append({"fold": k, "count": len(res.worker_blas_threads),
                             "blas_threads": res.worker_blas_threads})
-            del base, res
+            del base, records, res
 
     means_path = os.path.join(args.out, "fold_means.json")
     atomic_write_json(means_path, {"folds": fold_means})

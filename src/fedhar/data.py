@@ -87,12 +87,7 @@ def parse_extrasensory_csv(source, subject_id: str | None = None) -> SubjectReco
     if isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)
         if subject_id is None:
-            base = os.path.basename(path)
-            for ext in (".csv.gz", ".csv"):
-                if base.endswith(ext):
-                    base = base[: -len(ext)]
-                    break
-            subject_id = base
+            subject_id = _subject_of(os.path.basename(path))
         opener = gzip.open if path.endswith(".gz") else open
         with opener(path, "rt", encoding="utf-8", newline="") as fh:
             return parse_extrasensory_csv(fh, subject_id)
@@ -192,27 +187,43 @@ def write_subject_csv(record: SubjectRecord, path: str) -> None:
                              *["" if v != v else int(v) for v in lrow.tolist()]])
 
 
-def load_subject_dir(path: str) -> list[SubjectRecord]:
-    """Parse every *.csv / *.csv.gz in a directory, sorted by filename.
+def _subject_of(file_name: str) -> str:
+    """The subject a CSV's file name names: the name without ``.csv`` or ``.csv.gz``."""
+    for ext in (".csv.gz", ".csv"):
+        if file_name.endswith(ext):
+            return file_name[: -len(ext)]
+    return file_name
 
-    The first file's feature and label names, in order, are the schema every
-    other file must match; a FormatError names the first column that differs.
-    So is a second file of one subject (``x.csv`` beside ``x.csv.gz``).
+
+def load_subject_dir(path: str, subject_ids=None) -> list[SubjectRecord]:
+    """Parse the *.csv / *.csv.gz files in a directory, sorted by filename.
+
+    With ``subject_ids``, only the files of those subjects are parsed, and
+    an id without a file is left for the caller to refuse. The first file
+    parsed sets the feature and label names, in order, that every other
+    parsed file must match; a FormatError names the first column that
+    differs. So is a second file of one subject (``x.csv`` beside
+    ``x.csv.gz``).
     """
     names = sorted(n for n in os.listdir(path)
                    if n.endswith(".csv") or n.endswith(".csv.gz"))
     if not names:
         raise FormatError(f"no subject CSVs found in {path}")
-    records = [parse_extrasensory_csv(os.path.join(path, names[0]))]
-    schema = records[0].feature_names + records[0].label_names
-    files = {records[0].subject_id: names[0]}
-    for name in names[1:]:
+    if subject_ids is not None:
+        wanted = set(subject_ids)
+        names = [n for n in names if _subject_of(n) in wanted]
+    records: list[SubjectRecord] = []
+    files: dict[str, str] = {}
+    schema = None
+    for name in names:
         rec = parse_extrasensory_csv(os.path.join(path, name))
         first = files.setdefault(rec.subject_id, name)
         if first != name:
             raise FormatError(f"{path}: {first} and {name} are both subject {rec.subject_id}")
         columns = rec.feature_names + rec.label_names
-        if columns != schema:
+        if schema is None:
+            schema = columns
+        elif columns != schema:
             k = next((k for k, (a, b) in enumerate(zip(columns, schema)) if a != b),
                      min(len(columns), len(schema)))
             got = repr(columns[k]) if k < len(columns) else "missing"

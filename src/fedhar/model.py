@@ -222,8 +222,8 @@ def forward(
         )
         h = T.add(h, att)
         pre = T.layer_norm(h, w[f"block{i}.ln2.w"], w[f"block{i}.ln2.b"], LN_EPS)
-        mid = T.gelu(T.linear(pre, w[f"block{i}.mlp.fc.w"], w[f"block{i}.mlp.fc.b"]))
-        mid = T.linear(mid, w[f"block{i}.mlp.proj.w"], w[f"block{i}.mlp.proj.b"])
+        mid = T.linear(pre, w[f"block{i}.mlp.fc.w"], w[f"block{i}.mlp.fc.b"])
+        mid = T.gelu_linear(mid, w[f"block{i}.mlp.proj.w"], w[f"block{i}.mlp.proj.b"])
         if drop > 0.0:
             mid = T.dropout(mid, drop, rng)
         h = T.add(h, mid)

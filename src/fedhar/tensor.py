@@ -6,22 +6,37 @@ op is dtype-generic: feeding float64 leaves runs the identical graph in
 
 ``linear`` is the op for weight projections (``x @ w + b`` with a 2-D
 weight): it runs each of the forward product and both gradients as one 2-D
-GEMM over the flattened rows of ``x``. Two ops are whole sub-graphs in one
-node with a hand-written VJP. Between its two ``linear`` projections,
-``causal_self_attention`` does the score and context products, the masked
-softmax and the attention dropout. ``weighted_bce`` is the training loss on
-the tanh head: the clip, both logs, the two weighted sums and the
-normalisation. Its sums accumulate in float64 regardless of the graph
-dtype, so repeated runs compare stably.
+GEMM over the flattened rows of ``x``. ``gelu_linear`` is ``linear`` over
+``gelu`` in one node, the MLP's activation and output projection. Two ops
+are whole sub-graphs in one node with a hand-written VJP. Between its two
+``linear`` projections, ``causal_self_attention`` does the score and
+context products, the masked softmax and the attention dropout.
+``weighted_bce`` is the training loss on the tanh head: the clip, both logs,
+the two weighted sums and the normalisation. Its sums accumulate in float64
+regardless of the graph dtype, so repeated runs compare stably.
 
-The backward graph holds only the arrays its VJPs read. An op output that
-a gradient can reach points to a ``_Node``: its inputs' nodes plus a VJP
-closure over exactly the arrays and shapes that VJP reads, never over a
-``Tensor``. So an activation no VJP reads (a residual sum, the raw
+The backward graph holds only the arrays its VJPs read, each once. An op
+output that a gradient can reach points to a ``_Node``: its inputs' nodes
+plus a VJP closure over exactly the arrays and shapes that VJP reads, never
+over a ``Tensor``. So an activation no VJP reads (a residual sum, the raw
 attention scores) is freed as soon as the forward drops it. A leaf is its
 own node, so there is no Tensor-node reference cycle. An op whose inputs
 all lack ``requires_grad`` builds no node, so a forward over no-grad
 weights keeps no graph at all.
+
+What a training step keeps per block: layer norm's xhat and inverse
+deviation (twice), attention's qkv, bias and row statistics (and its
+probabilities when small, see ``_KEEP_PROBS``) and bool dropout mask, the
+context the output projection reads, the MLP's pre-activation and the
+bool dropout mask of its output. No GELU or layer-norm output is kept.
+``gelu_linear`` keeps only the pre-activation and rebuilds the GELU output
+in its VJP. A node may carry a ``rebuild`` recipe that recomputes its
+output bit for bit from arrays its own VJP keeps; ``layer_norm``'s is its
+forward expression ``xhat * gain + bias``. A ``linear`` whose input has a
+recipe keeps the recipe, not the input, and runs it in its VJP for dW.
+The recipe reads the gain and bias arrays the forward read, so this relies
+on a parameter's array never being written in place: ``Adam.step`` binds
+each parameter to a new array instead.
 
 The elementwise chains of a training step (GELU and its VJP, attention's
 scale/bias/softmax/dropout chain, the dropout draw and Adam) run over
@@ -62,6 +77,7 @@ __all__ = [
     "narrow0",
     "tanh",
     "gelu",
+    "gelu_linear",
     "relu",
     "layer_norm",
     "dropout",
@@ -184,14 +200,18 @@ class _Node:
     ``parents`` holds, per op input, the node its gradient flows into: a
     ``_Node``, a grad-requiring leaf ``Tensor`` (its own node), or None when
     no gradient flows there. ``vjp`` maps the output's gradient to one
-    gradient per input and closes over arrays and shapes only.
+    gradient per input and closes over arrays and shapes only. ``rebuild``,
+    when not None, recomputes the op's output array, bit for bit, from what
+    ``vjp`` keeps anyway; an op that keeps its input for its own VJP keeps
+    this recipe instead when the input's node has one.
     """
 
-    __slots__ = ("parents", "vjp")
+    __slots__ = ("parents", "vjp", "rebuild")
 
-    def __init__(self, parents: tuple, vjp):
+    def __init__(self, parents: tuple, vjp, rebuild=None):
         self.parents = parents
         self.vjp = vjp
+        self.rebuild = rebuild
 
 
 class Tensor:
@@ -244,12 +264,21 @@ def _graph_ref(t: Tensor):
     return t if t.requires_grad else None
 
 
-def _result(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
+def _result(data: np.ndarray, inputs: tuple, vjp, rebuild=None) -> Tensor:
     """An op output; it gets a node only if a gradient can reach an input."""
     parents = tuple([_graph_ref(t) for t in inputs])
     if parents.count(None) == len(parents):
         return Tensor(data)
-    return Tensor(data, _node=_Node(parents, vjp))
+    return Tensor(data, _node=_Node(parents, vjp, rebuild))
+
+
+def _kept_input(x: Tensor):
+    """A callable giving ``x.data`` when a VJP runs: the recipe of ``x``'s
+    node when it has one, so the graph does not hold that array twice."""
+    if x._node is not None and x._node.rebuild is not None:
+        return x._node.rebuild
+    xd = x.data
+    return lambda: xd
 
 
 def _topo_order(root) -> list:
@@ -357,30 +386,37 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(ad * bd, (a, b), vjp)
 
 
+def _linear_dims(op: str, x: Tensor, w: Tensor, b: Tensor) -> tuple[int, int]:
+    """``w``'s (in, out), once ``x``, ``w`` and ``b`` are checked to fit ``x @ w + b``."""
+    if w.data.ndim != 2:
+        raise ShapeError(f"{op}: weight must be 2-D [in, out], got {w.shape}")
+    n_in, n_out = w.data.shape
+    if x.data.ndim < 1 or x.data.shape[-1] != n_in:
+        raise ShapeError(f"{op}: inner dimensions disagree: {x.shape} @ {w.shape}")
+    if b.data.shape != (n_out,):
+        raise ShapeError(f"{op}: bias {b.shape} does not match weight {w.shape}")
+    return n_in, n_out
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for ``x`` of shape [..., in], ``w`` [in, out], ``b`` [out].
 
     The leading axes of ``x`` are flattened into rows, so the forward product,
     dx and dW are each one 2-D GEMM; dW reduces over all rows at once instead
-    of summing one product per batch entry.
+    of summing one product per batch entry. For dW the node keeps ``x``, or
+    the ``rebuild`` recipe of ``x``'s node when it has one.
     """
-    if w.data.ndim != 2:
-        raise ShapeError(f"linear: weight must be 2-D [in, out], got {w.shape}")
-    n_in, n_out = w.data.shape
-    if x.data.ndim < 1 or x.data.shape[-1] != n_in:
-        raise ShapeError(f"linear: inner dimensions disagree: {x.shape} @ {w.shape}")
-    if b.data.shape != (n_out,):
-        raise ShapeError(f"linear: bias {b.shape} does not match weight {w.shape}")
+    n_in, n_out = _linear_dims("linear", x, w, b)
     x_shape, wd, need_gx = x.data.shape, w.data, x.requires_grad
-    x2 = x.data.reshape(-1, n_in)
-    out = x2 @ wd
+    kept = _kept_input(x)
+    out = x.data.reshape(-1, n_in) @ wd
     out += b.data
     data = out.reshape(x_shape[:-1] + (n_out,))
 
     def vjp(g):
         g2 = g.reshape(-1, n_out)
         gx = (g2 @ wd.T).reshape(x_shape) if need_gx else None
-        return gx, x2.T @ g2, _unbroadcast(g, (n_out,))
+        return gx, kept().reshape(-1, n_in).T @ g2, _unbroadcast(g, (n_out,))
 
     return _result(data, (x, w, b), vjp)
 
@@ -420,6 +456,28 @@ def _gelu_tanh(xb: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.tanh(out, out=out)
 
 
+def _gelu_slope(xb: np.ndarray, tb: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """GELU's derivative over one block, into ``out``.
+
+    0.5 * x * (1 - t*t) * c * (1 + 3 * 0.044715 * x*x) + 0.5 * (1 + t), with
+    ``tb`` holding t from ``_gelu_tanh``; ``tb`` is left holding 1 + t, and
+    ``tmp`` is scratch of the block's size.
+    """
+    np.multiply(tb, tb, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    np.multiply(xb, 0.5, out=out)
+    out *= tmp
+    # 1 - t*t is spent: the same block holds the inner derivative
+    np.multiply(xb, 3.0 * 0.044715, out=tmp)
+    tmp *= xb
+    tmp += 1.0
+    tmp *= _GELU_C
+    out *= tmp
+    tb += 1.0
+    out += np.multiply(tb, 0.5, out=tmp)
+    return out
+
+
 def gelu(x: Tensor) -> Tensor:
     """GPT-2 style tanh-approximated GELU.
 
@@ -440,36 +498,69 @@ def gelu(x: Tensor) -> Tensor:
         ob *= tb
 
     def vjp(g):
-        # g * (0.5 * x * (1 - t*t) * c * (1 + 3 * 0.044715 * x*x) + 0.5 * (1 + t))
         flat, gf = xd.reshape(-1), g.reshape(-1)
         dx = np.empty(xd.shape, dtype=xd.dtype)
         out = dx.reshape(-1)
         t = np.empty(min(flat.size, _BLOCK), dtype=xd.dtype)
         tmp = np.empty_like(t)
         for lo, hi in _spans(flat.size):
-            xb, db = flat[lo:hi], out[lo:hi]
-            tb = _gelu_tanh(xb, t[:hi - lo])
-            sb = np.multiply(tb, tb, out=tmp[:hi - lo])
-            np.subtract(1.0, sb, out=sb)
-            np.multiply(xb, 0.5, out=db)
-            db *= sb
-            # 1 - t*t is spent: the same block holds the inner derivative
-            np.multiply(xb, 3.0 * 0.044715, out=sb)
-            sb *= xb
-            sb += 1.0
-            sb *= _GELU_C
-            db *= sb
-            tb += 1.0
-            tb *= 0.5
-            db += tb
-            db *= gf[lo:hi]
+            xb, n = flat[lo:hi], hi - lo
+            _gelu_slope(xb, _gelu_tanh(xb, t[:n]), tmp[:n], out[lo:hi])
+            out[lo:hi] *= gf[lo:hi]
         return (dx,)
 
     return _result(data, (x,), vjp)
 
 
+def gelu_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``linear(gelu(x), w, b)`` as one node that keeps only ``x``.
+
+    The forward runs ``gelu`` on a graph-free tensor over ``x``'s array and
+    drops its output once the product is taken, so the result has the
+    two-op form's bits. The VJP computes the tanh once per block. From it
+    it writes the GELU output into one transient array for dW, and it
+    multiplies dy, the gradient at the GELU output, by GELU's derivative in
+    place, which turns dy into dx. Every element goes through the two-op
+    form's operations, so dx, dW and db have its bits too. The VJP
+    allocates its block scratch once, not per block.
+    """
+    n_in, n_out = _linear_dims("gelu_linear", x, w, b)
+    xd, wd, need_gx = x.data, w.data, x.requires_grad
+    out = gelu(Tensor(xd)).data.reshape(-1, n_in) @ wd
+    out += b.data
+    data = out.reshape(xd.shape[:-1] + (n_out,))
+
+    def vjp(g):
+        g2 = g.reshape(-1, n_out)
+        dx = g2 @ wd.T if need_gx else None
+        h = np.empty(xd.shape, dtype=xd.dtype)
+        xf, hf = xd.reshape(-1), h.reshape(-1)
+        df = None if dx is None else dx.reshape(-1)
+        t = np.empty(min(xf.size, _BLOCK), dtype=xd.dtype)
+        tmp, slope = np.empty_like(t), np.empty_like(t)
+        for lo, hi in _spans(xf.size):
+            xb, n = xf[lo:hi], hi - lo
+            tb = _gelu_tanh(xb, t[:n])
+            if df is not None:
+                df[lo:hi] *= _gelu_slope(xb, tb, tmp[:n], slope[:n])
+            else:
+                tb += 1.0
+            hb = np.multiply(xb, 0.5, out=hf[lo:hi])
+            hb *= tb
+        return (None if dx is None else dx.reshape(xd.shape),
+                h.reshape(-1, n_in).T @ g2, _unbroadcast(g, (n_out,)))
+
+    return _result(data, (x, w, b), vjp)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The node keeps xhat and the inverse deviation for its VJP. Its
+    ``rebuild`` recipe recomputes the output as the forward does, ``xhat *
+    gain + bias``, so a ``linear`` that reads this output keeps the recipe,
+    not a second array of the output's size.
+    """
     width = x.data.shape[-1]
     if gain.data.shape != (width,) or bias.data.shape != (width,):
         raise ShapeError(
@@ -482,8 +573,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    gd = gain.data
-    data = xhat * gd + bias.data
+    gd, bd = gain.data, bias.data
+
+    def rebuild():
+        return xhat * gd + bd
 
     def vjp(g):
         reduce_axes = tuple(range(g.ndim - 1))
@@ -495,7 +588,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         dx = inv * (dxhat - m1 - xhat * m2)
         return dx, dgain, dbias
 
-    return _result(data, (x, gain, bias), vjp)
+    return _result(rebuild(), (x, gain, bias), vjp, rebuild)
 
 
 def _keep_rate(p: float, rng) -> float:

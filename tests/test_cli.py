@@ -11,7 +11,7 @@ import pytest
 
 import fedhar.data as D
 from fedhar.cli import build_parser, main
-from fedhar.errors import DecodeError
+from fedhar.errors import DecodeError, FormatError
 from fedhar.fedavg import _usable_cores
 from fedhar.wire import load_checkpoint
 
@@ -432,6 +432,50 @@ def test_simulate_keeps_the_folds_before_one_that_fails(workspace, tmp_path, cap
     assert (failed / "fold0.json").read_bytes() == (tmp_path / "0" / "fold0.json").read_bytes()
     for name in ["fold1.json", "fold_means.json", "summary.json", "manifest.json"]:
         assert not (failed / name).exists(), name
+
+
+def test_commands_parse_only_the_subjects_they_use(workspace, tmp_path, capsys):
+    """``pretrain --fold-plan`` parses only the fold's base subjects, and
+    ``simulate`` only the chosen folds' clients. A corrupt CSV of another
+    subject stops neither, and their outputs are those of the intact corpus.
+    A subject the plan names but the directory lacks is still refused."""
+    plan = D.FoldPlan.load(str(workspace["plan"]))
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace["corpus"], corpus)
+
+    def corrupt(subject):
+        path = corpus / f"{subject}.csv"
+        intact = path.read_bytes()
+        path.write_text("timestamp,label:X\n1000,1\n")  # no feature column
+        with pytest.raises(FormatError, match="need at least one feature"):
+            D.load_subject_dir(str(corpus))
+        return lambda: path.write_bytes(intact)
+
+    restore = corrupt(plan.folds[0][0])  # a fold-0 client, outside its base pool
+    base = tmp_path / "base_fold0.ckpt"
+    assert main(["pretrain", "--data", str(corpus), "--out", str(base),
+                 "--fold-plan", str(workspace["plan"]), "--fold", "0",
+                 "--epochs", "3", "--lr", "1e-2", "--batch-size", "8",
+                 "--seed", "0"] + TINY_MODEL) == 0
+    assert base.read_bytes() == workspace["base"].read_bytes()
+    restore()
+
+    def simulate(data, out):
+        return main(["simulate", "--data", str(data), "--fold-plan", str(workspace["plan"]),
+                     "--base-ckpt-dir", str(workspace["ckpts"]), "--out", str(out),
+                     "--folds", "0", "--rounds", "1", "--local-epochs", "1",
+                     "--batch-size", "8", "--seed", "0"])
+    assert simulate(workspace["corpus"], tmp_path / "intact") == 0
+    corrupt(plan.folds[1][0])  # a subject of another fold
+    assert simulate(corpus, tmp_path / "sim") == 0
+    for name in ["fold0.json", "fold_means.json", "summary.json"]:
+        assert (tmp_path / "sim" / name).read_bytes() == \
+            (tmp_path / "intact" / name).read_bytes(), name
+
+    (corpus / f"{plan.folds[0][1]}.csv").unlink()
+    capsys.readouterr()
+    assert simulate(corpus, tmp_path / "missing") == 1
+    assert f"subjects missing from data: ['{plan.folds[0][1]}']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

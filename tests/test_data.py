@@ -190,6 +190,22 @@ def test_load_subject_dir_refuses_two_files_for_one_subject(tmp_path):
         D.load_subject_dir(str(tmp_path))
 
 
+def test_load_subject_dir_parses_only_the_wanted_subjects(tmp_path):
+    """Files of other subjects are not opened, so a broken one is no error;
+    the records come in file-name order, and an id without a file is left
+    out for the caller to refuse."""
+    rec = parse(CSV_3ROW)
+    for name in ("b", "c", "x"):
+        D.write_subject_csv(rec, str(tmp_path / f"{name}.csv"))
+    (tmp_path / "a.csv").write_text("not a subject CSV")
+    records = D.load_subject_dir(str(tmp_path), ["c", "b", "z"])
+    assert [r.subject_id for r in records] == ["b", "c"]
+    assert D.load_subject_dir(str(tmp_path), []) == []
+    D.write_subject_csv(rec, str(tmp_path / "x.csv.gz"))
+    with pytest.raises(FormatError, match=r"x\.csv and x\.csv\.gz are both subject x$"):
+        D.load_subject_dir(str(tmp_path), ["x"])
+
+
 # ------------------------------------------------------------ fold plan
 
 def test_fold_plan_60_subjects():

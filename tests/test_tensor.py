@@ -123,10 +123,43 @@ def test_op_on_no_grad_inputs_builds_no_node():
     assert a.grad is None
 
 
+def _graph_nodes(root):
+    """Every ``_Node`` below ``root``, each once."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or isinstance(node, Tensor):
+            continue
+        seen.add(id(node))
+        yield node
+        stack.extend(p for p in node.parents if p is not None)
+
+
+def _closed_over(fn, seen=None):
+    """What a closure holds, through the closures it holds in turn (a
+    ``linear`` keeps the ``rebuild`` recipe of a layer norm's node)."""
+    seen = set() if seen is None else seen
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if callable(value) and getattr(value, "__closure__", None) and id(value) not in seen:
+            seen.add(id(value))
+            yield from _closed_over(value, seen)
+        else:
+            yield value
+
+
+def _root(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory ``a`` views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
 def test_graph_nodes_hold_arrays_not_tensors():
-    """Every VJP closes over arrays and shapes only, and every parent entry
-    is a node or a grad-requiring leaf, so a node never keeps an op output
-    alive and the graph has no Tensor-node cycle."""
+    """Every VJP closes over arrays and shapes only (directly or through a
+    ``rebuild`` recipe it keeps), and every parent entry is a node or a
+    grad-requiring leaf, so a node never keeps an op output alive and the
+    graph has no Tensor-node cycle."""
     from fedhar.model import ModelConfig, forward, init_model, masked_weighted_loss
     cfg = ModelConfig(n_features=3, n_labels=2, transformers_layers=2,
                       hidden_size=8, n_positions=6, dropout=0.1, seed=0)
@@ -149,47 +182,118 @@ def test_graph_nodes_hold_arrays_not_tensors():
             assert id(node) in leaves and node._node is None
             continue
         nodes += 1
-        for cell in node.vjp.__closure__ or ():
-            assert not isinstance(cell.cell_contents, Tensor), node.vjp.__qualname__
+        for value in _closed_over(node.vjp):
+            assert not isinstance(value, Tensor), node.vjp.__qualname__
         stack.extend(p for p in node.parents if p is not None)
-    assert nodes == 31  # 11 per block, 8 around the blocks, 1 in the loss
+    assert nodes == 29  # 10 per block, 8 around the blocks, 1 in the loss
     assert leaves <= seen  # every weight is reached
 
 
 def test_attention_and_gelu_nodes_keep_no_derived_activations():
     """Above ``_KEEP_PROBS`` scores attention keeps row statistics, not its
     [B, nh, T, T] probabilities (only the bool dropout mask is that size);
-    at or below it, it keeps the float probabilities too. GELU keeps only x.
-    Both VJPs recompute the rest."""
+    at or below it, it keeps the float probabilities too. The MLP's
+    ``gelu_linear`` keeps only x and its weight. Both VJPs recompute the
+    rest."""
     from fedhar.model import ModelConfig, forward, init_model
     cfg = ModelConfig(n_features=3, n_labels=2, transformers_layers=2,
                       hidden_size=8, n_positions=64, n_heads=2, dropout=0.1, seed=0)
-    nh, S = cfg.n_heads, cfg.n_positions
+    nh, S, H = cfg.n_heads, cfg.n_positions, cfg.hidden_size
     at_limit = T._KEEP_PROBS // (nh * S * S)
     for B, want in [(at_limit + 1, ["bool"]), (at_limit, ["bool", "float32"])]:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((B, S, 3)).astype(np.float32)
         pad = np.ones((B, S), dtype=np.float32)
         pad[1, 4:] = 0
-        y = forward(init_model(cfg), x, pad, train_mode=True, rng=rng)
-        seen, stack, kinds = set(), [y._node], {"attention": 0, "gelu": 0}
-        while stack:
-            node = stack.pop()
-            if id(node) in seen or isinstance(node, Tensor):
-                continue
-            seen.add(id(node))
-            stack.extend(p for p in node.parents if p is not None)
+        weights = init_model(cfg)
+        y = forward(weights, x, pad, train_mode=True, rng=rng)
+        kinds = {"attention": 0, "gelu_linear": 0}
+        for node in _graph_nodes(y._node):
             name = node.vjp.__qualname__
-            arrays = [c.cell_contents for c in node.vjp.__closure__ or ()
-                      if isinstance(c.cell_contents, np.ndarray)]
+            arrays = [v for v in _closed_over(node.vjp) if isinstance(v, np.ndarray)]
             if name.startswith("causal_self_attention."):
                 kinds["attention"] += 1
                 big = [a for a in arrays if a.shape == (B, nh, S, S)]
                 assert sorted(a.dtype.name for a in big) == want, (B, name)
-            elif name.startswith("gelu."):
-                kinds["gelu"] += 1
-                assert len(arrays) == 1 and arrays[0].shape == (B, S, 4 * cfg.hidden_size)
-        assert kinds == {"attention": 2, "gelu": 2}
+            elif name.startswith("gelu_linear."):
+                kinds["gelu_linear"] += 1
+                x_kept, w_kept = sorted(arrays, key=lambda a: a.ndim, reverse=True)
+                assert x_kept.shape == (B, S, 4 * H)
+                assert any(w_kept is weights[f"block{i}.mlp.proj.w"].data
+                           for i in range(cfg.transformers_layers))
+            assert not name.startswith("gelu."), name
+        assert kinds == {"attention": 2, "gelu_linear": 2}
+
+
+def _random_weights(cfg, seed):
+    """``init_model(cfg)`` with every array redrawn, so that no layer norm
+    is the identity affine and its output differs from the xhat it keeps."""
+    from fedhar.model import init_model
+    rng = np.random.default_rng(seed)
+    weights = init_model(cfg)
+    for t in weights.tensors.values():
+        t.data = (rng.standard_normal(t.data.shape) * 0.5).astype(np.float32)
+    return weights
+
+
+def _graph_float_bytes(cfg, B, monkeypatch=None):
+    """(float bytes the graph of a training forward keeps, apart from the
+    weights, and the GELU and layer-norm outputs that forward made)."""
+    from fedhar.model import forward
+    outputs = []
+    if monkeypatch is not None:
+        for name in ("gelu", "layer_norm"):
+            def recording(*args, _op=getattr(T, name), **kwargs):
+                out = _op(*args, **kwargs)
+                outputs.append(out.data)
+                return out
+            monkeypatch.setattr(T, name, recording)
+    weights = _random_weights(cfg, seed=1)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((B, cfg.n_positions, cfg.n_features)).astype(np.float32)
+    pad = np.ones((B, cfg.n_positions), dtype=np.float32)
+    pad[1, 4:] = 0
+    y = forward(weights, x, pad, train_mode=True, rng=rng)
+    params = {id(t.data) for t in weights.tensors.values()}
+    roots, held = {}, []
+    for node in _graph_nodes(y._node):
+        for value in _closed_over(node.vjp):
+            if isinstance(value, np.ndarray):
+                held.append(value)
+                root = _root(value)
+                if root.dtype.kind == "f" and id(root) not in params:
+                    roots[id(root)] = root
+    for a in held:
+        for out in outputs:
+            assert not np.shares_memory(a, out)
+            assert a.size != out.size or a.tobytes() != out.tobytes()
+    return sum(r.nbytes for r in roots.values()), outputs
+
+
+def test_graph_keeps_no_gelu_or_layer_norm_output(monkeypatch):
+    """No node holds a GELU or layer-norm output, or a copy of one, and a
+    block keeps exactly these float arrays: layer norm's xhat and inverse
+    deviation (twice), attention's qkv, causal/pad bias, row max (float32),
+    row sum (float64) and probabilities (kept whole at this size), the
+    attention context for the output projection, and the MLP's hidden
+    pre-activation for ``gelu_linear``. The two-op form also kept the GELU
+    output (4 B T H floats) and each layer-norm output read by a ``linear``
+    (B T H floats, twice)."""
+    from fedhar.model import ModelConfig
+    B, S, H, nh = 2, 6, 8, 2
+
+    def config(layers):
+        return ModelConfig(n_features=3, n_labels=2, transformers_layers=layers,
+                           hidden_size=H, n_positions=S, n_heads=nh, dropout=0.1, seed=0)
+    one, _ = _graph_float_bytes(config(1), B)
+    two, outputs = _graph_float_bytes(config(2), B, monkeypatch)
+    assert len(outputs) == 2 * 3 + 1  # two layer norms and a GELU per block, ln_f
+    f32 = 4 * (B * S * H * (1 + 3 + 1 + 1 + 4)  # xhat, qkv, context, xhat, MLP pre-activation
+               + 2 * B * S                      # two inverse deviations
+               + B * S * S                      # the bias, one [S, S] per batch entry
+               + B * nh * S                     # row max
+               + B * nh * S * S)                # probabilities
+    assert two - one == f32 + 8 * B * nh * S    # and the float64 row sums
 
 
 def test_backward_requires_scalar():
@@ -304,6 +408,13 @@ def test_grad_gelu():
     check_grad(lambda x: probe(T.gelu(x)), [(9,)], seed=4)
 
 
+def test_grad_gelu_linear():
+    def build(x, w, b):
+        y = T.gelu_linear(x, w, b)
+        return probe(T.mul(y, y))
+    check_grad(build, [(2, 3, 4), (4, 5), (5,)], seed=23)
+
+
 def test_grad_weighted_bce():
     """The loss node through tanh, against finite differences in float64."""
     rng = np.random.default_rng(5)
@@ -416,6 +527,68 @@ def test_gelu_bitwise_equals_reference_expression(dtype, shape):
     assert got.dtype == got_dx.dtype == dtype
     assert got.tobytes() == want.tobytes()
     assert got_dx.tobytes() == want_dx.tobytes()
+
+
+@pytest.mark.parametrize("dtype, shape", ELEMENTWISE_CASES)
+def test_gelu_linear_bitwise_equals_linear_of_gelu(dtype, shape):
+    xd, g = _probe_inputs(dtype, shape)
+    rng = np.random.default_rng(20)
+    wd = rng.standard_normal((shape[-1], 5)).astype(dtype)
+    bd = rng.standard_normal(5).astype(dtype)
+    gy = rng.standard_normal(shape[:-1] + (5,)).astype(dtype)
+    got, want = [], []
+    for op, into in ((T.gelu_linear, got), (lambda x, w, b: T.linear(T.gelu(x), w, b), want)):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (xd, wd, bd)]
+        y = op(*leaves)
+        backward(probe(y, gy))
+        into += [y.data] + [leaf.grad for leaf in leaves]
+    for name, a, b in zip(["y", "dx", "dW", "db"], got, want):
+        assert a.dtype == b.dtype == dtype, name
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_gelu_linear_input_without_requires_grad_gets_no_gradient():
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.standard_normal((2, 3, 4)))
+    w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
+    backward(probe(T.gelu_linear(x, w, b)))
+    assert x.grad is None
+    want = T.gelu(Tensor(x.data)).data.reshape(-1, 4).T @ np.ones((6, 2))
+    assert w.grad.tobytes() == want.tobytes()
+    with pytest.raises(ShapeError, match="gelu_linear: bias"):
+        T.gelu_linear(x, w, Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("dtype, shape", ELEMENTWISE_CASES)
+def test_linear_over_layer_norm_rebuilds_its_input_bitwise(dtype, shape):
+    """A ``linear`` that reads a layer norm's output keeps the norm's recipe,
+    not the output: its dW equals that of a ``linear`` over a detached copy
+    of the output. The recipe holds the arrays it read, so rebinding the
+    gain's ``data`` before the backward pass, as Adam does, changes nothing."""
+    xd, _ = _probe_inputs(dtype, shape)
+    rng = np.random.default_rng(22)
+    width = shape[-1]
+    gain, bias = (Tensor(rng.standard_normal(width).astype(dtype), requires_grad=True)
+                  for _ in range(2))
+    wd = rng.standard_normal((width, 5)).astype(dtype)
+    bd = rng.standard_normal(5).astype(dtype)
+    gy = rng.standard_normal(shape[:-1] + (5,)).astype(dtype)
+    normed = T.layer_norm(Tensor(xd, requires_grad=True), gain, bias)
+    detached = Tensor(normed.data.copy())
+    w, b = Tensor(wd.copy(), requires_grad=True), Tensor(bd.copy(), requires_grad=True)
+    y = T.linear(normed, w, b)
+    assert not any(isinstance(v, np.ndarray) and np.shares_memory(v, normed.data)
+                   for v in _closed_over(y._node.vjp))
+    del normed
+    gain.data = gain.data + 1.0
+    backward(probe(y, gy))
+    w2, b2 = Tensor(wd.copy(), requires_grad=True), Tensor(bd.copy(), requires_grad=True)
+    y2 = T.linear(detached, w2, b2)
+    backward(probe(y2, gy))
+    assert y.data.tobytes() == y2.data.tobytes()
+    assert w.grad.dtype == dtype and w.grad.tobytes() == w2.grad.tobytes()
+    assert b.grad.tobytes() == b2.grad.tobytes()
 
 
 @pytest.mark.parametrize("dtype, shape", ELEMENTWISE_CASES)

@@ -92,8 +92,14 @@ def test_train_validates_inputs():
         train(init_model(wrong), ws, TrainConfig(epochs=1, learning_rate=1e-2))
 
 
-def test_train_holds_one_graph_at_a_time():
-    """A step's graph is gone before the next forward builds its own."""
+def test_train_holds_one_graph_at_a_time(monkeypatch):
+    """A step's graph is gone before the next forward builds its own.
+
+    ``train`` peaks below one step's own peak (its forward, the graph, the
+    backward pass and the gradients) plus the trained copy and Adam's two
+    moments, with half a graph to spare. The negative control keeps the
+    previous step's output, and so its graph, alive through each step; with
+    two graphs at once the same bound fails."""
     cfg = ModelConfig(n_features=6, n_labels=3, transformers_layers=2,
                       hidden_size=32, n_positions=16, dropout=0.1, seed=0)
     ws = all_windows(corpus(minutes=800), n_positions=16)[:48]
@@ -101,24 +107,43 @@ def test_train_holds_one_graph_at_a_time():
     first = ws[:16]
     x, pad, tgt, mask = first.features, first.pad_mask, first.targets, first.label_mask
     pos_weight = compute_pos_weight(ws)
+    tc = TrainConfig(epochs=1, learning_rate=1e-3, batch_size=16, seed=0)
+
+    def train_peak():
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _, history = train(weights, ws, tc)
+        assert len(history) == 1
+        return tracemalloc.get_traced_memory()[1] - before
+
+    held = []
+
+    def holding_forward(*args, **kwargs):
+        held.append(forward(*args, **kwargs))
+        del held[:-2]  # the previous step's output lives through this step
+        return held[-1]
+
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         y = forward(weights, x, pad, train_mode=True, rng=np.random.default_rng(0))
         loss = masked_weighted_loss(y, tgt, mask, pos_weight)
         graph = tracemalloc.get_traced_memory()[0] - before
+        backward(loss)
+        step = tracemalloc.get_traced_memory()[1] - before
         del y, loss
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        _, history = train(weights, ws, TrainConfig(epochs=1, learning_rate=1e-3,
-                                                    batch_size=16, seed=0))
-        peak = tracemalloc.get_traced_memory()[1] - before
+        weights.zero_grads()
+        peak = train_peak()
+        monkeypatch.setattr(TR, "forward", holding_forward)
+        two_graphs = train_peak()
+        held.clear()
     finally:
         tracemalloc.stop()
-    assert len(history) == 1
-    # the trained copy, its grads and Adam's two moments
-    state = 4 * sum(t.data.nbytes for t in weights.tensors.values())
-    assert peak < 1.5 * graph + state, (peak, graph, state)
+    # the trained copy and Adam's two moments; ``step`` has the gradients
+    state = 3 * sum(t.data.nbytes for t in weights.tensors.values())
+    bound = step + state + graph // 2
+    assert peak < bound, (peak, step, state, graph)
+    assert two_graphs > bound, (two_graphs, step, state, graph)
 
 
 def _glibc() -> bool:
