@@ -4,13 +4,15 @@ The base model is pretrained centrally elsewhere; this module runs the
 federated fine-tuning phase, in which every client of a fold fits and is
 scored in every round. One round driver, ``drive_fold``, serves both
 transports: ``run_fold`` simulates them on this host, and
-``wire.server_loop`` asks them over TCP. Clients train with ``client_fit``
-on either transport. In simulation a round's fits run at once in worker
-processes, one per usable core, each with its share of the BLAS threads,
-that take the round's clients from one queue; the evaluations run in the
-calling process. Aggregation walks clients in canonical client-id order
-and accumulates in float64, so the result is independent of arrival order
-and a lone client (or all-identical updates) comes back bitwise unchanged.
+``wire.server_loop`` asks them over TCP. The fold's state is the
+``FoldResult`` it returns, and each round is one ``_run_round`` over it.
+Clients train with ``client_fit`` on either transport. In simulation a
+round's fits run at once in worker processes, one per usable core, each
+with its share of the BLAS threads, that take the round's clients from one
+queue; the evaluations run in the calling process. Aggregation walks
+clients in canonical client-id order and accumulates in float64, so the
+result is independent of arrival order and a lone client (or all-identical
+updates) comes back bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -101,11 +103,15 @@ class ClientUpdate:
 
 @dataclass
 class FoldResult:
-    """Everything one fold produced: base eval, per-round evals, final weights.
+    """One fold's state while ``drive_fold`` runs it, then everything it produced.
 
-    ``worker_blas_threads`` has one entry per worker process that ``run_fold``
-    fitted the clients in: the BLAS thread count that worker started with
-    (None without numpy's OpenBLAS). It stays empty over TCP.
+    ``member_ids`` are the clients still in the fold, in id order.
+    ``final_weights`` holds the global weights throughout: the base weights
+    themselves before round 1, then each round's aggregate. The rounds run
+    so far are ``len(round_reports)``. ``worker_blas_threads`` has one entry
+    per worker process that ``run_fold`` fitted the clients in: the BLAS
+    thread count that worker started with (None without numpy's OpenBLAS).
+    It stays empty over TCP.
     """
 
     fold: int
@@ -113,6 +119,7 @@ class FoldResult:
     round_reports: list[FoldReport] = field(default_factory=list)
     final_weights: WeightSet | None = None
     worker_blas_threads: list[int | None] = field(default_factory=list)
+    member_ids: list[str] = field(default_factory=list)
 
     @property
     def final_report(self) -> FoldReport:
@@ -233,57 +240,61 @@ def drive_fold(fold: int, num_examples: dict, fit, evaluate_clients,
                eval_base: bool = True) -> FoldResult:
     """Drive all rounds of one fold over any transport.
 
-    ``num_examples`` maps each client id to its training-window count; fewer
-    than ``config.min_available_clients`` clients raise ``AvailabilityError``
-    before any client is asked anything. Each round, ``fit(weights,
-    round_idx, ids)`` and then ``evaluate_clients(weights, round_idx, ids)``
-    yield ``(client_id, result)``, a ClientUpdate and a ClientReport, in
-    client-id order. Aggregation, fold summaries and audit events happen
-    here. A client with no training windows is skipped (a ``skip`` event
-    right after ``broadcast``) and never reaches ``fit``; every client is
-    evaluated. ``eval_base`` first evaluates the base weights as round 0;
-    with it, every fit starts from the weights the eval phase before it
-    scored, which ``wire.server_loop`` relies on.
+    ``num_examples`` maps each client id to its training-window count. Fewer
+    than ``config.min_available_clients`` clients, or no client with a
+    training window, raise ``AvailabilityError`` before any client is asked
+    anything. Each round, ``fit(weights, round_idx, ids)`` and then
+    ``evaluate_clients(weights, round_idx, ids)`` yield ``(client_id,
+    result)``, a ClientUpdate and a ClientReport, in client-id order.
+    Aggregation, fold summaries and audit events happen here. A client with
+    no training windows is skipped (a ``skip`` event right after
+    ``broadcast``) and never reaches ``fit``; every client is evaluated.
+    ``eval_base`` first evaluates the base weights as round 0; with it, every
+    fit starts from the weights the eval phase before it scored, which
+    ``wire.server_loop`` relies on. Neither phase may write the weights it
+    is given: the fold starts from ``base_weights`` itself.
     """
     ids = sorted(num_examples)
     if len(ids) < config.min_available_clients:
         raise AvailabilityError(
             f"{len(ids)} clients available, {config.min_available_clients} required")
-    result = FoldResult(fold=fold, base_report=None)
+    if max(num_examples.values()) < 1:
+        raise AvailabilityError(f"fold {fold}: no client has a training window")
+    state = FoldResult(fold, None, final_weights=base_weights, member_ids=ids)
+    state.base_report = _eval_phase(state, 0, evaluate_clients, audit) if eval_base else None
+    for _ in range(config.rounds):
+        _run_round(state, num_examples, fit, evaluate_clients, audit)
+    return state
 
-    def eval_phase(weights, round_idx):
-        reports = []
-        for cid, rep in evaluate_clients(weights, round_idx, ids):
-            _audit(audit, fold=fold, round=round_idx, event="eval_result",
-                   client_id=cid, mean_ba=rep.mean_ba)
-            reports.append(rep)
-        return fold_summary(reports, fold)
 
-    weights = base_weights.copy()
-    if eval_base:
-        result.base_report = eval_phase(weights, 0)
+def _run_round(state: FoldResult, num_examples: dict, fit, evaluate_clients, audit) -> None:
+    """The next round of ``state``'s fold: broadcast, fits, aggregate, evals."""
+    fold, ids, round_idx = state.fold, state.member_ids, len(state.round_reports) + 1
+    _audit(audit, fold=fold, round=round_idx, event="broadcast", n_clients=len(ids))
+    for cid in ids:
+        if num_examples[cid] < 1:
+            log.warning("fold %d round %d: client %s has no data, skipped",
+                        fold, round_idx, cid)
+            _audit(audit, fold=fold, round=round_idx, event="skip", client_id=cid)
+    updates = []
+    for cid, update in fit(state.final_weights, round_idx,
+                           [cid for cid in ids if num_examples[cid] >= 1]):
+        _audit(audit, fold=fold, round=round_idx, event="fit_result", client_id=cid,
+               num_examples=update.num_examples, train_loss=update.train_loss)
+        updates.append(update)
+    state.final_weights = aggregate(updates)
+    _audit(audit, fold=fold, round=round_idx, event="aggregate", n_updates=len(updates))
+    state.round_reports.append(_eval_phase(state, round_idx, evaluate_clients, audit))
 
-    for round_idx in range(1, config.rounds + 1):
-        _audit(audit, fold=fold, round=round_idx, event="broadcast", n_clients=len(ids))
-        for cid in ids:
-            if num_examples[cid] < 1:
-                log.warning("fold %d round %d: client %s has no data, skipped",
-                            fold, round_idx, cid)
-                _audit(audit, fold=fold, round=round_idx, event="skip", client_id=cid)
-        fit_ids = [cid for cid in ids if num_examples[cid] >= 1]
-        updates = []
-        for cid, update in fit(weights, round_idx, fit_ids):
-            _audit(audit, fold=fold, round=round_idx, event="fit_result",
-                   client_id=cid, num_examples=update.num_examples,
-                   train_loss=update.train_loss)
-            updates.append(update)
-        weights = aggregate(updates)
-        _audit(audit, fold=fold, round=round_idx, event="aggregate",
-               n_updates=len(updates))
-        result.round_reports.append(eval_phase(weights, round_idx))
 
-    result.final_weights = weights
-    return result
+def _eval_phase(state: FoldResult, round_idx: int, evaluate_clients, audit) -> FoldReport:
+    """Score ``state``'s weights on every member: round ``round_idx``'s FoldReport."""
+    reports = []
+    for cid, rep in evaluate_clients(state.final_weights, round_idx, state.member_ids):
+        _audit(audit, fold=state.fold, round=round_idx, event="eval_result",
+               client_id=cid, mean_ba=rep.mean_ba)
+        reports.append(rep)
+    return fold_summary(reports, state.fold)
 
 
 def run_fold(

@@ -113,8 +113,10 @@ def _is_bias(name: str) -> bool:
 class WeightSet:
     """All model parameters in canonical order, bound to their config.
 
-    A WeightSet is exclusively owned by one training loop at a time; use
-    ``copy()`` before handing it to another.
+    Training writes neither a WeightSet's tensors nor their arrays:
+    ``training.train`` trains new leaf tensors over the arrays, and
+    ``Adam.step`` binds each to a new array, so one WeightSet may start any
+    number of trainings.
     """
 
     config: ModelConfig

@@ -36,7 +36,9 @@ forward expression ``xhat * gain + bias``. A ``linear`` whose input has a
 recipe keeps the recipe, not the input, and runs it in its VJP for dW.
 The recipe reads the gain and bias arrays the forward read, so this relies
 on a parameter's array never being written in place: ``Adam.step`` binds
-each parameter to a new array instead.
+each parameter to a new array instead. ``training.train`` relies on the
+same rule: it trains over the caller's parameter arrays without copying
+them.
 
 The elementwise chains of a training step (GELU and its VJP, attention's
 scale/bias/softmax/dropout chain, the dropout draw and Adam) run over

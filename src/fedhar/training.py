@@ -77,21 +77,24 @@ def train(
     windows: Windows,
     config: TrainConfig,
 ) -> tuple[WeightSet, list[float]]:
-    """Adam-train a copy of the weights; returns (trained copy, loss history).
+    """Adam-train from the weights; returns (trained weights, loss history).
 
     Pure in (initial weights, windows, config): the input WeightSet is left
     untouched, shuffling and dropout draw from generators derived from
-    config.seed, and history holds one mean batch loss per epoch. The copy
-    carries no gradients. The first NaN or infinite batch loss raises
-    ``DivergenceError`` naming its epoch and batch (both from 1), before its
-    backward pass. Trainings and evaluations running at once in one process
-    share the BLAS threads (``tensor._BlasShare``), with the same bits as one
-    at a time.
+    config.seed, and history holds one mean batch loss per epoch. Training
+    starts from new leaf tensors over the input's arrays, not a copy of
+    them, and ``Adam.step`` binds each to a new array, so the trained
+    weights share no memory with the input and carry no gradients. The
+    first NaN or infinite batch loss raises ``DivergenceError`` naming its
+    epoch and batch (both from 1), before its backward pass. Trainings and
+    evaluations running at once in one process share the BLAS threads
+    (``tensor._BlasShare``), with the same bits as one at a time.
     """
     if not windows:
         raise ConfigError("training needs at least one window")
     with _blas_share:
-        w = weights.copy()
+        w = WeightSet(weights.config, {name: Tensor(t.data, requires_grad=True)
+                                       for name, t in weights.items()})
         pos_weight = compute_pos_weight(windows)
         if windows.features.shape[-1] != w.config.n_features:
             raise ConfigError(f"windows have {windows.features.shape[-1]} features, "
@@ -119,7 +122,7 @@ def train(
                 del y, loss
                 opt.step(w.tensors, config.learning_rate)
             history.append(float(np.mean(losses)))
-        # the last step's gradients would double what the trained copy holds
+        # the last step's gradients would double what the trained weights hold
         w.zero_grads()
         return w, history
 

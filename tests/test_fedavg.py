@@ -14,6 +14,7 @@ from fedhar.errors import (AggregationError, AvailabilityError, ConfigError,
                            DegenerateReportError, DivergenceError)
 from fedhar.fedavg import (ClientUpdate, FedConfig, aggregate, client_fit, drive_fold,
                            run_fold)
+from fedhar.metrics import ClientReport, ConfusionCounts
 from fedhar.model import ModelConfig, WeightSet, init_model, parameter_shapes
 from fedhar.tensor import Tensor
 from fedhar.training import TrainConfig, evaluate, train
@@ -301,6 +302,60 @@ def test_run_fold_below_min_available_clients_fails_before_any_client(monkeypatc
     with pytest.raises(AvailabilityError, match="2 clients available, 3 required"):
         run_fold(0, client_data(n_subjects=2), init_model(MC), cfg, audit=events.append)
     assert events == []
+
+
+def test_a_fold_without_training_windows_fails_before_any_client():
+    """Clients that all report 0 training windows (TCP peers that HELLO with
+    count 0, say) end the fold before the base eval, not at round 1's
+    aggregate."""
+    def asked(*args):
+        raise AssertionError("a client was asked in a fold with no training window")
+
+    cfg = FedConfig(rounds=1, min_available_clients=2, local_epochs=1, seed=0)
+    events = []
+    with pytest.raises(AvailabilityError, match="^fold 3: no client has a training window$"):
+        drive_fold(3, {"a": 0, "b": 0}, asked, asked, init_model(MC), cfg,
+                   audit=events.append)
+    assert events == []
+
+
+def test_run_round_aggregates_the_stub_updates_and_files_one_report():
+    """One round over the fold state: the state's weights become aggregate()
+    of what fit yielded, bit for bit, one report is added, and the audit
+    events come in the driver's order."""
+    fills = {"a": (0.25, 3), "b": (0.5, 1), "c": (2.0, 2)}
+    base = weight_set(1.0)
+    asked = []
+
+    def fit(weights, round_idx, ids):
+        asked.append(("fit", weights, round_idx, ids))
+        for cid in ids:
+            yield cid, update(cid, *fills[cid])
+
+    def evaluate_clients(weights, round_idx, ids):
+        asked.append(("eval", weights, round_idx, ids))
+        for cid in ids:
+            yield cid, ClientReport.from_counts(cid, [ConfusionCounts(2, 1, 1, 1)] * 3,
+                                                ["x", "y", "z"])
+
+    state = fedavg.FoldResult(7, None, final_weights=base, member_ids=["a", "b", "c", "d"])
+    events = []
+    fedavg._run_round(state, {"a": 3, "b": 1, "c": 2, "d": 0}, fit, evaluate_clients,
+                      events.append)
+
+    want = aggregate([update(cid, *fills[cid]) for cid in "abc"])
+    assert state.final_weights.equals_bitwise(want)
+    assert [(kind, r, ids) for kind, _w, r, ids in asked] == [
+        ("fit", 1, ["a", "b", "c"]), ("eval", 1, ["a", "b", "c", "d"])]
+    assert asked[0][1] is base and asked[1][1] is state.final_weights
+    assert len(state.round_reports) == 1 and state.round_reports[0].fold == 7
+    assert [c.subject_id for c in state.round_reports[0].clients] == ["a", "b", "c", "d"]
+    assert [(e["event"], e.get("client_id")) for e in events] == [
+        ("broadcast", None), ("skip", "d"),
+        ("fit_result", "a"), ("fit_result", "b"), ("fit_result", "c"),
+        ("aggregate", None),
+        ("eval_result", "a"), ("eval_result", "b"), ("eval_result", "c"), ("eval_result", "d")]
+    assert all(e["fold"] == 7 and e["round"] == 1 for e in events)
 
 
 def test_run_fold_deterministic_end_to_end():

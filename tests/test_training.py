@@ -60,6 +60,21 @@ def test_train_does_not_mutate_input_weights():
         assert np.array_equal(start[name].data, data), name
 
 
+def test_train_starts_over_the_input_arrays_and_returns_none_of_them():
+    """No defensive copy: training reads the caller's arrays in place, and the
+    optimizer's first step rebinds every parameter, so the input keeps its
+    bytes and no trained array is a view of it."""
+    ws = all_windows(corpus())
+    start = init_model(MC)
+    snapshot = {n: t.data.tobytes() for n, t in start.items()}
+    trained, _ = train(start, ws, TrainConfig(epochs=1, learning_rate=1e-2, seed=0))
+    for name, t in start.items():
+        assert t.data.tobytes() == snapshot[name], name
+        assert t.grad is None, name
+        for other in trained.tensors.values():
+            assert not np.shares_memory(other.data, t.data), name
+
+
 def test_train_bitwise_deterministic():
     ws = all_windows(corpus())
     tc = TrainConfig(epochs=2, learning_rate=1e-2, batch_size=8, seed=11)
