@@ -53,7 +53,7 @@ attention probabilities small enough to stay in one core's cache
 
 Importing this module raises glibc's malloc trim and mmap thresholds; see
 ``_keep_freed_heap`` for why. It also looks up the thread-count functions
-of the OpenBLAS numpy's wheel bundles, so that trainings running at once
+of the OpenBLAS numpy's wheel bundles, so that threads training at once
 share its thread pool; see ``_BlasShare``.
 """
 
@@ -153,28 +153,40 @@ _blas_start = _openblas[1]() if _openblas is not None else None
 
 
 class _BlasShare:
-    """Split the BLAS thread pool between the trainings running at once.
+    """Split the BLAS thread pool between the threads that train at once.
 
     Clients that share a process (TCP client threads) would otherwise each
-    run their GEMMs on the whole pool and oversubscribe the cores. Entry
-    and exit count the calls in flight and set the pool to
-    ``max(1, start // active)``, with ``start`` the count at import, only
-    when that value changes: a lone training never calls the setter, and a
-    process started at 1 thread stays there. The lock covers the counter
-    and the setter, never the training. OpenBLAS splits a GEMM over output
-    rows and columns, not the summed axis, so the bits do not depend on the
-    count. Without numpy's OpenBLAS this does nothing. Across processes
-    the share is set at start: ``fedavg.run_fold`` starts each of its
-    worker processes with ``OPENBLAS_NUM_THREADS`` at ``max(1, start //
-    workers)``, which the worker reads as its own ``start``. Processes
-    started apart, such as several ``fed-client`` on one host, are not
-    coordinated: each should set ``OPENBLAS_NUM_THREADS`` itself.
+    run their GEMMs on the whole pool and oversubscribe the cores. The
+    share counts threads, not calls: a thread's first entry makes it a
+    holder and its matching last exit releases it, while entries nested
+    inside (``train`` and ``evaluate`` within ``wire.client_loop``'s
+    lifetime share) add nothing. Each change in the number of holders sets
+    the pool to ``max(1, start // holders)``, with ``start`` the count at
+    import, only when that value changes: a lone holder never calls the
+    setter, and a process started at 1 thread stays there. The lock covers
+    the counter and the setter, never the training.
+
+    Holding a share across a whole connection matters because OpenBLAS's
+    idle worker spins: after one 512x512 float32 product, a 0.2 s sleep
+    burned about 0.13 s of CPU (none after 1 s idle). A pool restored to
+    full size between one client's fit and the next thus wakes a worker
+    that takes a core from the other client and the server.
+
+    OpenBLAS splits a GEMM over output rows and columns, not the summed
+    axis, so the bits do not depend on the count. Without numpy's OpenBLAS
+    this does nothing. Across processes the share is set at start:
+    ``fedavg.run_fold`` starts each of its worker processes with
+    ``OPENBLAS_NUM_THREADS`` at ``max(1, start // workers)``, which the
+    worker reads as its own ``start``. Processes started apart, such as
+    several ``fed-client`` on one host, are not coordinated: each should
+    set ``OPENBLAS_NUM_THREADS`` to its share of the cores itself.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._active = 0
+        self._active = 0  # threads holding a share
         self._threads = _blas_start
+        self._depth = threading.local()  # this thread's nesting depth
 
     def _change(self, delta: int) -> None:
         if _openblas is None:
@@ -187,10 +199,15 @@ class _BlasShare:
                 self._threads = threads
 
     def __enter__(self):
-        self._change(1)
+        depth = getattr(self._depth, "n", 0)
+        if depth == 0:
+            self._change(1)
+        self._depth.n = depth + 1
 
     def __exit__(self, *exc):
-        self._change(-1)
+        self._depth.n -= 1
+        if self._depth.n == 0:
+            self._change(-1)
 
 
 _blas_share = _BlasShare()

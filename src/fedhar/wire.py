@@ -82,7 +82,7 @@ from .errors import AvailabilityError, DecodeError, FedharError, ProtocolError, 
 from .fedavg import ClientUpdate, FedConfig, FoldResult, _audit, client_fit, drive_fold
 from .metrics import ClientReport, ConfusionCounts
 from .model import ModelConfig, WeightSet, parameter_shapes
-from .tensor import Tensor
+from .tensor import Tensor, _blas_share
 from .training import evaluate
 from .util import atomic_write_bytes
 
@@ -739,56 +739,65 @@ def client_loop(
     server of a ``FedharError`` from a frame it refuses with ERROR
     ``bad_message`` and "<message type>: <reason>", and of one from its own
     fit or evaluation (a ``DivergenceError``, say) with ``client_failed``.
+
+    From before it connects until it returns or raises, the calling thread
+    holds one share of numpy's OpenBLAS pool (``tensor._BlasShare``), and
+    every ``train`` and ``evaluate`` within runs on it. So client threads
+    that share a process split the pool once and restore it once, not at
+    every fit and evaluation, where the restored pool would wake OpenBLAS's
+    spinning idle worker; a lone client never changes it.
     """
     caps = _frame_caps(model_config)
     max_len = max(caps[MSG_EVAL_REQUEST], caps[MSG_HELLO])  # an ERROR may be HELLO-sized
-    sock = connect_with_retry(host, port)
-    rfile = sock.makefile("rb")
-    rounds_done = 0
-    held = None  # the last EVAL_REQUEST's weights, until the next ROUND_CONFIG
-    try:
-        sock.sendall(frame_encode(MSG_HELLO, encode_hello(client_id, len(train_windows))))
-        while True:
-            msg_type, payload = read_frame(rfile, max_len)
-            if msg_type == MSG_ROUND_CONFIG:
-                with _failure_told(sock, "bad_message", "ROUND_CONFIG: "):
-                    (round_idx, fold, seed, local_epochs,
-                     batch_size, local_lr, blob) = decode_round_config(payload)
-                    if len(blob):
-                        raise ProtocolError("carries weights; they travel only in EVAL_REQUEST")
-                    if held is None:
-                        raise ProtocolError("no EVAL_REQUEST's weights are held")
-                    local = FedConfig(local_epochs=local_epochs, batch_size=batch_size,
-                                      local_lr=local_lr, seed=seed)
-                weights, held = held, None
-                with _failure_told(sock):
-                    update = client_fit(weights, train_windows, local, client_id,
-                                        fold, round_idx)
-                sock.sendall(frame_encode(MSG_FIT_RESULT, *_blob_message(
-                    struct.pack("<d", update.train_loss), _blob_parts(update.weights))))
-                del update, weights  # before the next frame is read
-                rounds_done += 1
-            elif msg_type == MSG_EVAL_REQUEST:
-                held = None  # the old weights go before the new ones are decoded
-                with _failure_told(sock, "bad_message", "EVAL_REQUEST: "):
-                    held = decode_weights(_decode_blob_message(payload, "<")[0], model_config)
-                del payload  # the frame's buffer goes before evaluating
-                with _failure_told(sock):
-                    report = evaluate(held, test_windows, client_id, label_names)
-                sock.sendall(frame_encode(MSG_EVAL_RESULT, encode_eval_result(report)))
-            elif msg_type == MSG_DONE:
-                return rounds_done
-            elif msg_type == MSG_ERROR:
-                code, message = decode_error(payload)
-                raise ProtocolError(f"server error {code}: {message}")
-            else:
-                with _failure_told(sock, "bad_message", f"{_MSG_NAMES.get(msg_type, 'frame')}: "):
-                    raise ProtocolError(f"unexpected message type {msg_type}")
-    except OSError as exc:  # only the socket calls raise it here
-        raise ProtocolError(f"lost the server at {host}:{port}: {exc}") from None
-    finally:
-        rfile.close()
+    with _blas_share:  # one share of the BLAS pool for the whole connection
+        sock = connect_with_retry(host, port)
+        rfile = sock.makefile("rb")
+        rounds_done = 0
+        held = None  # the last EVAL_REQUEST's weights, until the next ROUND_CONFIG
         try:
-            sock.close()
-        except OSError:
-            pass
+            sock.sendall(frame_encode(MSG_HELLO, encode_hello(client_id, len(train_windows))))
+            while True:
+                msg_type, payload = read_frame(rfile, max_len)
+                if msg_type == MSG_ROUND_CONFIG:
+                    with _failure_told(sock, "bad_message", "ROUND_CONFIG: "):
+                        (round_idx, fold, seed, local_epochs,
+                         batch_size, local_lr, blob) = decode_round_config(payload)
+                        if len(blob):
+                            raise ProtocolError("carries weights; they travel only in EVAL_REQUEST")
+                        if held is None:
+                            raise ProtocolError("no EVAL_REQUEST's weights are held")
+                        local = FedConfig(local_epochs=local_epochs, batch_size=batch_size,
+                                          local_lr=local_lr, seed=seed)
+                    weights, held = held, None
+                    with _failure_told(sock):
+                        update = client_fit(weights, train_windows, local, client_id,
+                                            fold, round_idx)
+                    sock.sendall(frame_encode(MSG_FIT_RESULT, *_blob_message(
+                        struct.pack("<d", update.train_loss), _blob_parts(update.weights))))
+                    del update, weights  # before the next frame is read
+                    rounds_done += 1
+                elif msg_type == MSG_EVAL_REQUEST:
+                    held = None  # the old weights go before the new ones are decoded
+                    with _failure_told(sock, "bad_message", "EVAL_REQUEST: "):
+                        held = decode_weights(_decode_blob_message(payload, "<")[0], model_config)
+                    del payload  # the frame's buffer goes before evaluating
+                    with _failure_told(sock):
+                        report = evaluate(held, test_windows, client_id, label_names)
+                    sock.sendall(frame_encode(MSG_EVAL_RESULT, encode_eval_result(report)))
+                elif msg_type == MSG_DONE:
+                    return rounds_done
+                elif msg_type == MSG_ERROR:
+                    code, message = decode_error(payload)
+                    raise ProtocolError(f"server error {code}: {message}")
+                else:
+                    what = f"{_MSG_NAMES.get(msg_type, 'frame')}: "
+                    with _failure_told(sock, "bad_message", what):
+                        raise ProtocolError(f"unexpected message type {msg_type}")
+        except OSError as exc:  # only the socket calls raise it here
+            raise ProtocolError(f"lost the server at {host}:{port}: {exc}") from None
+        finally:
+            rfile.close()
+            try:
+                sock.close()
+            except OSError:
+                pass

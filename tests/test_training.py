@@ -323,6 +323,40 @@ def test_blas_share_counts_every_entry_and_exit_under_contention(monkeypatch):
     assert seen <= {4, 2, 1}
 
 
+def test_blas_share_counts_a_thread_once_however_deeply_it_enters(monkeypatch):
+    """Entries nested in one thread (a train inside a client's lifetime share)
+    add no holder, and only the outermost exit releases the thread's share."""
+    pool, calls = [4], []
+    monkeypatch.setattr(T, "_openblas", ("fake", lambda: pool[0],
+                                         lambda n: (calls.append(n), pool.__setitem__(0, n))))
+    monkeypatch.setattr(T, "_blas_start", 4)
+    share = T._BlasShare()
+    entered, leave = threading.Event(), threading.Event()
+
+    def hold():
+        with share:
+            entered.set()
+            leave.wait(60)
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert entered.wait(60)
+        with share:
+            assert share._active == 2 and pool[0] == 2
+            for _ in range(3):
+                with share:
+                    with share:
+                        assert share._active == 2 and pool[0] == 2
+            assert share._active == 2 and pool[0] == 2
+        # the outermost exit gave the pool back to the holder alone
+        assert share._active == 1 and pool[0] == 4
+    finally:
+        leave.set()
+        holder.join(60)
+    assert not holder.is_alive()
+    assert share._active == 0 and pool[0] == 4 and calls == [2, 4]
+
+
 # Two trainings in a process started at one BLAS thread: a barrier inside
 # each holds both in flight while the main thread polls the pool size.
 TWO_TRAININGS = """

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import fedhar.data as D
+import fedhar.tensor as T
 import fedhar.wire as W
 from fedhar.errors import (AggregationError, AvailabilityError, ConfigError, DecodeError,
                            DivergenceError, ProtocolError, ShapeError)
@@ -541,6 +542,28 @@ def test_tcp_audit_trail_counts():
     assert kinds.count("aggregate") == 2
     assert kinds.count("eval_result") == 9  # the base eval's 3, then 3 per round
     assert kinds.count("done") == 3
+
+
+@pytest.mark.skipif(T._openblas is None,
+                    reason="numpy's OpenBLAS thread-count functions not found")
+def test_co_hosted_clients_split_the_blas_pool_once_for_the_whole_fold(monkeypatch):
+    """Each client thread holds one share from before it connects until it
+    returns, so the pool is halved once and restored once, not at every fit
+    and evaluation, and the weights keep the simulation's bits."""
+    clients = synthetic_clients(2)
+    cfg = FedConfig(rounds=2, min_available_clients=2, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    name, get, set_threads = T._openblas
+    calls = []
+    monkeypatch.setattr(T, "_openblas",
+                        (name, get, lambda n: (calls.append(n), set_threads(n))))
+    tcp_result, base = run_tcp_federation(clients, cfg)
+    start = T._blas_start
+    # halved when the second client entered, restored when the first returned
+    assert calls == ([max(1, start // 2), start] if start > 1 else [])
+    assert T._blas_share._active == 0 and get() == start
+    sim_result = run_fold(0, clients, base, cfg)
+    assert tcp_result.final_weights.equals_bitwise(sim_result.final_weights)
 
 
 def test_server_rejects_message_out_of_turn():
@@ -1216,6 +1239,24 @@ def test_client_tells_the_server_why_it_refuses_a_frame(frame, error, what):
     (msg_type, payload), = replies
     assert msg_type == W.MSG_ERROR
     assert W.decode_error(payload) == ("bad_message", f"{what}: {err.value}")
+
+
+def test_a_client_the_server_aborts_releases_its_blas_share():
+    (cid, windows), = synthetic_clients(1).items()
+    held = []
+
+    def handler(sock, rfile):
+        assert W.read_frame(rfile)[0] == W.MSG_HELLO
+        held.append(T._blas_share._active)  # the client is connected and waiting
+        sock.sendall(W.frame_encode(W.MSG_ERROR, W.encode_error("aborted", "no quorum")))
+        assert not rfile.read()  # then the client hangs up
+
+    port, server = fake_server(handler)
+    with pytest.raises(ProtocolError, match="server error aborted: no quorum"):
+        W.client_loop("127.0.0.1", port, cid, MC, *windows)
+    server.join(10.0)
+    assert not server.is_alive()
+    assert held == [1] and T._blas_share._active == 0
 
 
 # 14.8 MB weight frames: more than a loopback connection's send buffer plus
