@@ -3,6 +3,7 @@
 import numpy as np
 
 import fedhar.tensor as T
+from fedhar.errors import FedharError
 from fedhar.tensor import Tensor, backward
 
 # a tiny tanh classifier on two samples, scored by the training loss: the
@@ -38,13 +39,23 @@ for i in range(2):
     fd.append((up - down) / (2 * h))
 print("dz/dw (fd) =", np.array(fd))
 
-# gradients accumulate until cleared: two backward passes double them
+# gradients accumulate until cleared: two graphs built from the same
+# leaves, one backward pass each, double them
 x.grad = None
-backward(z)
+backward(loss())
 once = x.grad.copy()
-backward(z)
-print("accumulation: second backward doubles the gradient:",
+backward(loss())
+print("accumulation: a second graph's backward doubles the gradient:",
       np.allclose(x.grad, 2 * once))
+
+# backward frees each graph's arrays as it consumes them, so a second pass
+# through the same graph is refused rather than adding nothing
+try:
+    backward(z)
+except FedharError as exc:
+    print("second pass through z's graph refused:", exc)
+else:
+    raise SystemExit("a second pass through one graph should have raised")
 
 # one Adam step moves each weight by roughly the learning rate,
 # regardless of the raw gradient scale

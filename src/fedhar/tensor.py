@@ -40,6 +40,17 @@ each parameter to a new array instead. ``training.train`` relies on the
 same rule: it trains over the caller's parameter arrays without copying
 them.
 
+When each array is freed: a node's arrays live from the forward until
+``backward`` has run its VJP, or has found that no gradient reaches it.
+The pass then drops the node's VJP and recipe, so a block's activations
+are freed as the pass moves below it, while the leaves' gradients fill
+in. A node runs only after every node that reads its recipe, so no VJP
+finds a recipe dropped. A graph can thus be backpropagated only once; a
+second pass through it raises. The gradients live until the optimizer
+step has read them: ``training.train`` clears them right after
+``Adam.step``, so no gradient is alive while the next forward builds its
+graph.
+
 The elementwise chains of a training step (GELU and its VJP, attention's
 scale/bias/softmax/dropout chain, the dropout draw and Adam) run over
 blocks of about ``_BLOCK`` elements, so each chain's temporaries are a few
@@ -67,7 +78,7 @@ import threading
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, FedharError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -240,9 +251,10 @@ class Tensor:
     ``backward`` runs on a scalar descendant. An op output has
     ``requires_grad`` iff some input does, and only then a ``_node``: the
     graph below it holds the arrays its VJPs read, not the op outputs, and
-    it lives as long as the output does. Backward keeps the graph, and calls
-    accumulate (two calls double the gradient); clear them between optimizer
-    steps with ``WeightSet.zero_grads``.
+    keeps them until ``backward`` consumes them, node by node; after that
+    the graph cannot be backpropagated again. Gradients of separate graphs
+    over the same leaves add up in ``.grad`` until it is cleared
+    (``WeightSet.zero_grads``).
     Tensors written by an op are treated as immutable.
     """
 
@@ -322,7 +334,15 @@ def _topo_order(root) -> list:
 
 
 def backward(loss: Tensor) -> None:
-    """Push d(loss)/d(leaf) into every reachable leaf's ``.grad``."""
+    """Push d(loss)/d(leaf) into every reachable leaf's ``.grad``.
+
+    Each node drops its VJP and ``rebuild`` recipe once the pass has run or
+    skipped it, so the arrays they close over are freed mid-pass, not when
+    the graph dies. A node runs after every node that reads its recipe, so
+    none is dropped before its last reader has run. A second pass through
+    the same graph raises ``FedharError``; gradients still add up over
+    separate graphs built from the same leaves.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     root = _graph_ref(loss)
@@ -332,12 +352,16 @@ def backward(loss: Tensor) -> None:
     flowing: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(order):
         g = flowing.pop(id(node), None)
+        if type(node) is not _Node:  # a leaf
+            if g is not None:
+                node.grad = g if node.grad is None else node.grad + g
+            continue
+        vjp, node.vjp, node.rebuild = node.vjp, None, None
         if g is None:
             continue
-        if type(node) is not _Node:  # a leaf
-            node.grad = g if node.grad is None else node.grad + g
-            continue
-        for parent, pg in zip(node.parents, node.vjp(g)):
+        if vjp is None:
+            raise FedharError("this graph's backward has already run; build it again")
+        for parent, pg in zip(node.parents, vjp(g)):
             if pg is None or parent is None:
                 continue
             pid = id(parent)

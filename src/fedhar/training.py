@@ -84,8 +84,11 @@ def train(
     config.seed, and history holds one mean batch loss per epoch. Training
     starts from new leaf tensors over the input's arrays, not a copy of
     them, and ``Adam.step`` binds each to a new array, so the trained
-    weights share no memory with the input and carry no gradients. The
-    first NaN or infinite batch loss raises ``DivergenceError`` naming its
+    weights share no memory with the input and carry no gradients. A step
+    holds one graph: ``backward`` frees each node's arrays as it consumes
+    them, and the gradients are cleared right after ``Adam.step`` reads
+    them, so each forward runs beside the weights and Adam's moments only.
+    The first NaN or infinite batch loss raises ``DivergenceError`` naming its
     epoch and batch (both from 1), before its backward pass. Trainings and
     evaluations running at once in one process share the BLAS threads
     (``tensor._BlasShare``), with the same bits as one at a time.
@@ -116,14 +119,11 @@ def train(
                 if not math.isfinite(losses[-1]):
                     raise DivergenceError(
                         f"training loss is {losses[-1]} at epoch {epoch}, batch {batch}")
-                w.zero_grads()
-                backward(loss)
-                # the graph dies here, not while the next forward builds another
+                backward(loss)  # frees the graph's arrays node by node
                 del y, loss
                 opt.step(w.tensors, config.learning_rate)
+                w.zero_grads()  # no gradient lives through the next forward
             history.append(float(np.mean(losses)))
-        # the last step's gradients would double what the trained weights hold
-        w.zero_grads()
         return w, history
 
 

@@ -1,12 +1,13 @@
 """Autodiff core: hand oracles, finite differences, and op edge cases."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fedhar.tensor as T
-from fedhar.errors import ConfigError, ShapeError
+from fedhar.errors import ConfigError, FedharError, ShapeError
 from fedhar.tensor import Tensor, backward
 
 
@@ -97,18 +98,24 @@ def test_backward_twice_doubles_leaf_grads():
     assert np.allclose(x.grad, 2 * first)
 
 
-def test_backward_twice_on_one_graph_doubles_leaf_grads():
-    # backward keeps the graph: a second call on the same loss adds again
+def test_backward_through_a_released_graph_raises():
+    # backward frees the graph as it consumes it: a second pass through it
+    # is refused, not run as a pass that adds nothing
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
     w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
-    loss = probe(T.tanh(T.linear(x, w, b)))
+    hidden = T.tanh(T.linear(x, w, b))
+    loss = probe(hidden)
     backward(loss)
     first = [t.grad.copy() for t in (x, w, b)]
-    backward(loss)
+    with pytest.raises(FedharError, match="backward has already run"):
+        backward(loss)
     for t, g in zip((x, w, b), first):
-        assert np.array_equal(t.grad, 2 * g)
+        assert np.array_equal(t.grad, g)
+    # a new loss over a consumed activation reaches the released part too
+    with pytest.raises(FedharError, match="backward has already run"):
+        backward(probe(hidden, rng.standard_normal(hidden.shape)))
 
 
 def test_op_on_no_grad_inputs_builds_no_node():
@@ -294,6 +301,47 @@ def test_graph_keeps_no_gelu_or_layer_norm_output(monkeypatch):
                + B * nh * S                     # row max
                + B * nh * S * S)                # probabilities
     assert two - one == f32 + 8 * B * nh * S    # and the float64 row sums
+
+
+def test_backward_frees_the_graph_as_it_consumes_it():
+    """After ``backward`` no node of a model's graph closes over an array,
+    and live memory ends the pass below where it started by most of the
+    bytes the graph kept, although the pass made the weights' gradients."""
+    from fedhar.model import ModelConfig, forward, masked_weighted_loss
+    cfg = ModelConfig(n_features=3, n_labels=2, transformers_layers=2,
+                      hidden_size=16, n_positions=32, n_heads=2, dropout=0.1, seed=0)
+    weights = _random_weights(cfg, seed=1)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((8, 32, 3)).astype(np.float32)
+    pad = np.ones((8, 32), dtype=np.float32)
+    pad[1, 20:] = 0
+    targets = (rng.random((8, 32, 2)) > 0.5).astype(np.float32)
+    tracemalloc.start()
+    try:
+        y = forward(weights, x, pad, train_mode=True, rng=rng)
+        loss = masked_weighted_loss(y, targets, np.ones_like(targets), np.ones(2))
+        nodes = list(_graph_nodes(loss._node))
+        # what only the graph holds: not the weights, the input or the output
+        outside = {id(_root(a)) for a in (x, pad, y.data, loss.data)}
+        outside |= {id(t.data) for t in weights.tensors.values()}
+        roots = {}
+        for node in nodes:
+            for value in _closed_over(node.vjp):
+                if isinstance(value, np.ndarray) and id(_root(value)) not in outside:
+                    roots[id(_root(value))] = _root(value)
+        kept = sum(r.nbytes for r in roots.values())
+        del roots, value
+        start = tracemalloc.get_traced_memory()[0]
+        backward(loss)
+        freed = start - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    for node in nodes:
+        for fn in (node.vjp, node.rebuild):
+            assert fn is None or not any(isinstance(v, np.ndarray) for v in _closed_over(fn))
+    grads = sum(t.grad.nbytes for t in weights.tensors.values())
+    assert grads < kept // 10, (grads, kept)  # so the gradients cannot hide a kept graph
+    assert freed > 0.8 * kept, (freed, kept, grads)
 
 
 def test_backward_requires_scalar():

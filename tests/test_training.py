@@ -107,13 +107,28 @@ def test_train_validates_inputs():
         train(init_model(wrong), ws, TrainConfig(epochs=1, learning_rate=1e-2))
 
 
+def _graph_closures(y):
+    """The VJP and ``rebuild`` closures of every node below ``y``: what
+    keeps the graph's arrays alive until ``backward`` drops them."""
+    closures, seen, stack = [], set(), [y._node]
+    while stack:
+        node = stack.pop()
+        if node is None or isinstance(node, Tensor) or id(node) in seen:
+            continue
+        seen.add(id(node))
+        closures += [node.vjp, node.rebuild]
+        stack.extend(node.parents)
+    return closures
+
+
 def test_train_holds_one_graph_at_a_time(monkeypatch):
     """A step's graph is gone before the next forward builds its own.
 
     ``train`` peaks below one step's own peak (its forward, the graph, the
     backward pass and the gradients) plus the trained copy and Adam's two
     moments, with half a graph to spare. The negative control keeps the
-    previous step's output, and so its graph, alive through each step; with
+    previous step's VJP closures, and so its graph's arrays, alive through
+    each step, although ``backward`` has dropped them from the nodes; with
     two graphs at once the same bound fails."""
     cfg = ModelConfig(n_features=6, n_labels=3, transformers_layers=2,
                       hidden_size=32, n_positions=16, dropout=0.1, seed=0)
@@ -134,9 +149,10 @@ def test_train_holds_one_graph_at_a_time(monkeypatch):
     held = []
 
     def holding_forward(*args, **kwargs):
-        held.append(forward(*args, **kwargs))
-        del held[:-2]  # the previous step's output lives through this step
-        return held[-1]
+        y = forward(*args, **kwargs)
+        held.append(_graph_closures(y))
+        del held[:-2]  # the previous step's graph lives through this step
+        return y
 
     tracemalloc.start()
     try:
@@ -159,6 +175,22 @@ def test_train_holds_one_graph_at_a_time(monkeypatch):
     bound = step + state + graph // 2
     assert peak < bound, (peak, step, state, graph)
     assert two_graphs > bound, (two_graphs, step, state, graph)
+
+
+def test_train_forward_never_sees_a_gradient(monkeypatch):
+    """Each step's gradients are cleared right after the optimizer reads
+    them, so none is alive while the next forward builds its graph."""
+    ws = all_windows(corpus())
+    calls = []
+
+    def checking_forward(weights, *args, **kwargs):
+        assert all(t.grad is None for t in weights.tensors.values()), len(calls)
+        calls.append(1)
+        return forward(weights, *args, **kwargs)
+
+    monkeypatch.setattr(TR, "forward", checking_forward)
+    train(init_model(MC), ws, TrainConfig(epochs=2, learning_rate=1e-2, batch_size=8, seed=0))
+    assert len(calls) > 2
 
 
 def _glibc() -> bool:
