@@ -270,6 +270,8 @@ class FoldPlan:
     def from_json_dict(cls, d: dict) -> "FoldPlan":
         n_folds, seed, folds, base = _fields(
             d, ("n_folds", "seed", "folds", "base_subjects"), "fold plan")
+        if type(n_folds) is not int or n_folds < 1:  # a bool is no count either
+            raise FormatError(f"fold plan n_folds must be a positive integer, got {n_folds!r}")
         if not (isinstance(folds, list) and isinstance(base, list)
                 and n_folds == len(folds) == len(base)):
             raise FormatError(f"fold plan has n_folds {n_folds!r} but does not list "
@@ -277,6 +279,10 @@ class FoldPlan:
         if not all(isinstance(ids, list) and all(isinstance(s, str) for s in ids)
                    for ids in folds + base):
             raise FormatError("fold plan folds and base_subjects must be lists of subject ids")
+        for ids in [[s for fold in folds for s in fold]] + base:  # all folds, each base list
+            twice = [s for i, s in enumerate(ids) if s in ids[:i]]
+            if twice:
+                raise FormatError(f"fold plan lists subject {twice[0]!r} twice")
         for k, (fold, base_ids) in enumerate(zip(folds, base)):
             leaked = [s for s in base_ids if s in fold]
             if leaked:

@@ -350,10 +350,10 @@ class _Workers:
 
     They start at the fold's first fit, so a fold that ``drive_fold``
     refuses starts none: ``min(usable cores, clients to fit)`` processes of
-    this interpreter, each with ``OPENBLAS_NUM_THREADS`` set to ``max(1,
-    start // workers)`` of this process's starting BLAS threads. A worker
-    gets the config and this process's numpy error state once. Each round,
-    ``fit`` queues the clients in id order and gives the next one to
+    this interpreter, each with ``OPENBLAS_NUM_THREADS`` set to its share of
+    this process's starting BLAS threads (``tensor._share_threads``). A
+    worker gets the config and this process's numpy error state once. Each
+    round, ``fit`` queues the clients in id order and gives the next one to
     whichever worker is free; a task carries that client's training windows,
     and a worker's first task of a round also carries the broadcast weights,
     pickled once per round. Tasks and replies are pickles over the worker's
@@ -379,7 +379,7 @@ class _Workers:
     def _start(self, n: int) -> None:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p or os.getcwd() for p in sys.path))
         if tensor._blas_start is not None:
-            env["OPENBLAS_NUM_THREADS"] = str(max(1, tensor._blas_start // n))
+            env["OPENBLAS_NUM_THREADS"] = str(tensor._share_threads(n))
         for _ in range(n):  # one at a time, so that close() ends those started if one fails
             self.procs.append(subprocess.Popen([sys.executable, "-c", _WORKER_MAIN], env=env,
                                                stdin=subprocess.PIPE, stdout=subprocess.PIPE))

@@ -64,8 +64,8 @@ attention probabilities small enough to stay in one core's cache
 
 Importing this module raises glibc's malloc trim and mmap thresholds; see
 ``_keep_freed_heap`` for why. It also looks up the thread-count functions
-of the OpenBLAS numpy's wheel bundles, so that threads training at once
-share its thread pool; see ``_BlasShare``.
+of the OpenBLAS numpy's wheel bundles, so that TCP client threads in one
+process share its thread pool; see ``_BlasShare``.
 """
 
 from __future__ import annotations
@@ -163,19 +163,24 @@ _openblas = _find_openblas()
 _blas_start = _openblas[1]() if _openblas is not None else None
 
 
-class _BlasShare:
-    """Split the BLAS thread pool between the threads that train at once.
+def _share_threads(holders: int) -> int:
+    """The BLAS threads each of ``holders`` sharers gets: ``max(1, start //
+    holders)``, with ``start`` the count at import; the whole pool for none."""
+    return max(1, _blas_start // max(1, holders))
 
-    Clients that share a process (TCP client threads) would otherwise each
-    run their GEMMs on the whole pool and oversubscribe the cores. The
-    share counts threads, not calls: a thread's first entry makes it a
-    holder and its matching last exit releases it, while entries nested
-    inside (``train`` and ``evaluate`` within ``wire.client_loop``'s
-    lifetime share) add nothing. Each change in the number of holders sets
-    the pool to ``max(1, start // holders)``, with ``start`` the count at
-    import, only when that value changes: a lone holder never calls the
-    setter, and a process started at 1 thread stays there. The lock covers
-    the counter and the setter, never the training.
+
+class _BlasShare:
+    """Split the BLAS thread pool between the TCP client threads of a process.
+
+    Clients that share a process (``wire.client_loop`` threads) would
+    otherwise each run their GEMMs on the whole pool and oversubscribe the
+    cores. Each client holds one share for its whole connection; nothing
+    else takes one, so two threads that call ``training.train`` directly do
+    not split the pool. Each entry and exit changes the holder count by one
+    and sets the pool to ``_share_threads(holders)``, only when that value
+    changes: a lone holder never calls the setter, and a process started at
+    1 thread stays there. The lock covers the counter and the setter, never
+    the training.
 
     Holding a share across a whole connection matters because OpenBLAS's
     idle worker spins: after one 512x512 float32 product, a 0.2 s sleep
@@ -187,7 +192,7 @@ class _BlasShare:
     axis, so the bits do not depend on the count. Without numpy's OpenBLAS
     this does nothing. Across processes the share is set at start:
     ``fedavg.run_fold`` starts each of its worker processes with
-    ``OPENBLAS_NUM_THREADS`` at ``max(1, start // workers)``, which the
+    ``OPENBLAS_NUM_THREADS`` at ``_share_threads(workers)``, which the
     worker reads as its own ``start``. Processes started apart, such as
     several ``fed-client`` on one host, are not coordinated: each should
     set ``OPENBLAS_NUM_THREADS`` to its share of the cores itself.
@@ -195,30 +200,22 @@ class _BlasShare:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._active = 0  # threads holding a share
-        self._threads = _blas_start
-        self._depth = threading.local()  # this thread's nesting depth
+        self._active = 0  # shares held
 
     def _change(self, delta: int) -> None:
         if _openblas is None:
             return
         with self._lock:
             self._active += delta
-            threads = max(1, _blas_start // max(1, self._active))
-            if threads != self._threads:
+            threads = _share_threads(self._active)
+            if threads != _share_threads(self._active - delta):
                 _openblas[2](threads)
-                self._threads = threads
 
     def __enter__(self):
-        depth = getattr(self._depth, "n", 0)
-        if depth == 0:
-            self._change(1)
-        self._depth.n = depth + 1
+        self._change(1)
 
     def __exit__(self, *exc):
-        self._depth.n -= 1
-        if self._depth.n == 0:
-            self._change(-1)
+        self._change(-1)
 
 
 _blas_share = _BlasShare()

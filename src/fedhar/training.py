@@ -14,7 +14,7 @@ from .errors import ConfigError, DegenerateReportError, DivergenceError
 from .metrics import ClientReport, _count
 from .model import (ModelConfig, WeightSet, forward, init_model,
                     masked_weighted_loss, predict)
-from .tensor import Adam, Tensor, _blas_share, backward
+from .tensor import Adam, Tensor, backward
 from .util import derive_seed
 
 log = logging.getLogger(__name__)
@@ -89,42 +89,40 @@ def train(
     them, and the gradients are cleared right after ``Adam.step`` reads
     them, so each forward runs beside the weights and Adam's moments only.
     The first NaN or infinite batch loss raises ``DivergenceError`` naming its
-    epoch and batch (both from 1), before its backward pass. Trainings and
-    evaluations running at once in one process share the BLAS threads
-    (``tensor._BlasShare``), with the same bits as one at a time.
+    epoch and batch (both from 1), before its backward pass. The bits do not
+    depend on the BLAS thread count (``tensor._BlasShare``).
     """
     if not windows:
         raise ConfigError("training needs at least one window")
-    with _blas_share:
-        w = WeightSet(weights.config, {name: Tensor(t.data, requires_grad=True)
-                                       for name, t in weights.items()})
-        pos_weight = compute_pos_weight(windows)
-        if windows.features.shape[-1] != w.config.n_features:
-            raise ConfigError(f"windows have {windows.features.shape[-1]} features, "
-                              f"model expects {w.config.n_features}")
+    w = WeightSet(weights.config, {name: Tensor(t.data, requires_grad=True)
+                                   for name, t in weights.items()})
+    pos_weight = compute_pos_weight(windows)
+    if windows.features.shape[-1] != w.config.n_features:
+        raise ConfigError(f"windows have {windows.features.shape[-1]} features, "
+                          f"model expects {w.config.n_features}")
 
-        shuffle_rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
-        drop_rng = np.random.default_rng(derive_seed(config.seed, "dropout"))
-        opt = Adam()
-        n = len(windows)
-        history: list[float] = []
-        for epoch in range(1, config.epochs + 1):
-            order = shuffle_rng.permutation(n)
-            losses = []
-            for batch, idx in enumerate(_batches(n, config.batch_size, order), start=1):
-                ws = windows[idx]
-                y = forward(w, ws.features, ws.pad_mask, train_mode=True, rng=drop_rng)
-                loss = masked_weighted_loss(y, ws.targets, ws.label_mask, pos_weight)
-                losses.append(loss.item())
-                if not math.isfinite(losses[-1]):
-                    raise DivergenceError(
-                        f"training loss is {losses[-1]} at epoch {epoch}, batch {batch}")
-                backward(loss)  # frees the graph's arrays node by node
-                del y, loss
-                opt.step(w.tensors, config.learning_rate)
-                w.zero_grads()  # no gradient lives through the next forward
-            history.append(float(np.mean(losses)))
-        return w, history
+    shuffle_rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
+    drop_rng = np.random.default_rng(derive_seed(config.seed, "dropout"))
+    opt = Adam()
+    n = len(windows)
+    history: list[float] = []
+    for epoch in range(1, config.epochs + 1):
+        order = shuffle_rng.permutation(n)
+        losses = []
+        for batch, idx in enumerate(_batches(n, config.batch_size, order), start=1):
+            ws = windows[idx]
+            y = forward(w, ws.features, ws.pad_mask, train_mode=True, rng=drop_rng)
+            loss = masked_weighted_loss(y, ws.targets, ws.label_mask, pos_weight)
+            losses.append(loss.item())
+            if not math.isfinite(losses[-1]):
+                raise DivergenceError(
+                    f"training loss is {losses[-1]} at epoch {epoch}, batch {batch}")
+            backward(loss)  # frees the graph's arrays node by node
+            del y, loss
+            opt.step(w.tensors, config.learning_rate)
+            w.zero_grads()  # no gradient lives through the next forward
+        history.append(float(np.mean(losses)))
+    return w, history
 
 
 def evaluate(
@@ -142,11 +140,10 @@ def evaluate(
     # no-grad tensors over the same arrays: the forward builds no graph
     frozen = WeightSet(weights.config, {n: Tensor(t.data) for n, t in weights.items()})
     pred = np.empty(test_windows.targets.shape, dtype=bool)
-    with _blas_share:
-        for start in range(0, len(test_windows), EVAL_BATCH):
-            sl = slice(start, start + EVAL_BATCH)
-            ws = test_windows[sl]
-            pred[sl] = predict(forward(frozen, ws.features, ws.pad_mask, train_mode=False))
+    for start in range(0, len(test_windows), EVAL_BATCH):
+        sl = slice(start, start + EVAL_BATCH)
+        ws = test_windows[sl]
+        pred[sl] = predict(forward(frozen, ws.features, ws.pad_mask, train_mode=False))
     counts = _count(pred, test_windows.targets, test_windows.label_mask)
     return ClientReport.from_counts(subject_id, counts, label_names)
 

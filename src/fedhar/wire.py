@@ -741,11 +741,9 @@ def client_loop(
     fit or evaluation (a ``DivergenceError``, say) with ``client_failed``.
 
     From before it connects until it returns or raises, the calling thread
-    holds one share of numpy's OpenBLAS pool (``tensor._BlasShare``), and
-    every ``train`` and ``evaluate`` within runs on it. So client threads
-    that share a process split the pool once and restore it once, not at
-    every fit and evaluation, where the restored pool would wake OpenBLAS's
-    spinning idle worker; a lone client never changes it.
+    holds one share of numpy's OpenBLAS pool (``tensor._BlasShare``), so
+    client threads that share a process split the pool once and restore it
+    once; a lone client never changes it.
     """
     caps = _frame_caps(model_config)
     max_len = max(caps[MSG_EVAL_REQUEST], caps[MSG_HELLO])  # an ERROR may be HELLO-sized

@@ -511,9 +511,11 @@ PLAN_9_OF_5 = ('{"n_folds": 9, "seed": 0, "folds": [[], [], [], [], []], '
     ("pretrain", '{"n_folds": 1, "seed": 0, "folds": ["abc"], "base_subjects": [7]}'),
     ("pretrain", '{"n_folds": 2, "seed": 0, "folds": [["a"], ["b"]], '
                  '"base_subjects": [["a", "b"], ["a"]]}'),
+    ("pretrain", '{"n_folds": 1, "seed": 0, "folds": [["a"]], '
+                 '"base_subjects": [["b", "b"]]}'),
 ], ids=["stdz_bad_json", "stdz_no_std", "stdz_short_std", "stdz_2d", "stdz_nan",
         "stdz_zero_std", "plan_bad_json", "plan_no_base_subjects", "plan_9_of_5",
-        "plan_ids_not_lists", "plan_fold_in_its_base"])
+        "plan_ids_not_lists", "plan_fold_in_its_base", "plan_base_subject_twice"])
 def test_malformed_standardizer_or_fold_plan_exits_1(workspace, tmp_path, capsys,
                                                      command, text):
     """A broken sidecar or fold plan is a FormatError, not a traceback."""

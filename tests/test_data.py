@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -242,6 +243,34 @@ def test_fold_plan_refuses_a_fold_subject_among_its_base_subjects():
          "base_subjects": [["a", "b"], ["a"]]}
     with pytest.raises(FormatError, match="fold 0 lists subject 'a' among its base"):
         D.FoldPlan.from_json_dict(d)
+
+
+@pytest.mark.parametrize("n_folds", [2.0, 0, -1, True, "2", None])
+def test_fold_plan_refuses_an_n_folds_that_is_not_a_positive_int(n_folds):
+    d = {"n_folds": n_folds, "seed": 0, "folds": [["a"], ["b"]],
+         "base_subjects": [["b"], ["a"]]}
+    with pytest.raises(FormatError, match=re.escape(f"positive integer, got {n_folds!r}")):
+        D.FoldPlan.from_json_dict(d)
+
+
+@pytest.mark.parametrize("folds, base", [
+    ([["a", "a"], ["b"]], [["b"], []]),
+    ([["a"], ["a"]], [["b"], ["b"]]),
+    ([["a"], ["b"]], [["b"], ["a", "c", "a"]]),
+], ids=["within-a-fold", "in-two-folds", "within-a-base-list"])
+def test_fold_plan_refuses_a_subject_listed_twice(folds, base):
+    d = {"n_folds": 2, "seed": 0, "folds": folds, "base_subjects": base}
+    with pytest.raises(FormatError, match="^fold plan lists subject 'a' twice$"):
+        D.FoldPlan.from_json_dict(d)
+
+
+def test_a_fold_plan_file_that_lists_a_base_subject_twice_is_refused_by_name(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text('{"n_folds": 1, "seed": 0, "folds": [["synth-000"]], '
+                    '"base_subjects": [["synth-001", "synth-001"]]}')
+    with pytest.raises(FormatError) as err:
+        D.FoldPlan.load(str(path))
+    assert str(err.value) == f"{path}: fold plan lists subject 'synth-001' twice"
 
 
 def test_fold_plan_json_round_trip(tmp_path):

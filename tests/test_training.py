@@ -16,7 +16,6 @@ import fedhar.data as D
 import fedhar.tensor as T
 import fedhar.training as TR
 from fedhar.errors import ConfigError, DegenerateReportError, DivergenceError
-from fedhar.fedavg import FedConfig, client_fit
 from fedhar.metrics import ClientReport, confusion_from_arrays
 from fedhar.model import (ModelConfig, forward, init_model, masked_weighted_loss,
                           parameter_shapes, predict)
@@ -280,51 +279,20 @@ def test_train_bits_do_not_depend_on_the_blas_thread_count():
     assert out[1] == out[2]
 
 
-@needs_openblas
-@pytest.mark.parametrize("second", ["trains", "raises"])
-def test_concurrent_client_fits_share_the_blas_pool_with_the_same_bits(monkeypatch, second):
-    base = init_model(ModelConfig(n_features=24, n_labels=8, transformers_layers=2,
-                                  hidden_size=96, n_positions=32, dropout=0.1, seed=0))
-    cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=2, batch_size=16,
-                    local_lr=1e-3, seed=3)
-    data = {"a": synthetic_windows(24, 8, 256, 32, seed=1),
-            "b": synthetic_windows(24, 8, 256, 32, seed=2)}
-    if second == "raises":
-        data["b"] = all_windows(corpus(), n_positions=32)  # 6 features, not 24
-    fitted = ["a"] if second == "raises" else ["a", "b"]
-    alone = {cid: client_fit(base, data[cid], cfg, cid, 0, 1) for cid in fitted}
-
-    name, get, set_threads = T._openblas
-    calls = []
-    monkeypatch.setattr(T, "_openblas",
-                        (name, get, lambda n: (calls.append(n), set_threads(n))))
-    # both trainings meet at a barrier inside train, so both are in flight
-    barrier = threading.Barrier(2, timeout=60)
-    real = TR.compute_pos_weight
-    monkeypatch.setattr(TR, "compute_pos_weight",
-                        lambda windows: (barrier.wait(), real(windows))[1])
-    results = {}
-
-    def fit(cid):
-        try:
-            results[cid] = client_fit(base, data[cid], cfg, cid, 0, 1)
-        except ConfigError as exc:
-            results[cid] = exc
-    threads = [threading.Thread(target=fit, args=(cid,)) for cid in data]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120)
-    assert not any(t.is_alive() for t in threads)
-
-    for cid, update in alone.items():
-        assert update.weights.equals_bitwise(results[cid].weights), cid
-    if second == "raises":
-        assert isinstance(results["b"], ConfigError)
-    start = T._blas_start
-    # halved while both ran, then back to where the process started
-    assert calls == ([max(1, start // 2), start] if start > 1 else [])
-    assert get() == start and T._blas_share._active == 0
+def test_direct_train_and_evaluate_take_no_blas_share(monkeypatch):
+    """Only a TCP client thread (``wire.client_loop``) holds a BLAS share; a
+    train or an evaluate called directly runs on the whole pool."""
+    active = []
+    real = TR.forward
+    monkeypatch.setattr(TR, "forward", lambda *args, **kwargs: (
+        active.append(T._blas_share._active), real(*args, **kwargs))[1])
+    ws = all_windows(corpus())
+    tc = TrainConfig(epochs=1, learning_rate=1e-2, batch_size=len(ws), seed=0)
+    trained, _ = train(init_model(MC), ws, tc)
+    assert active == [0]  # the one batch's forward
+    active.clear()
+    evaluate(trained, ws[:8])
+    assert active == [0]
 
 
 def test_blas_share_counts_every_entry_and_exit_under_contention(monkeypatch):
@@ -355,74 +323,51 @@ def test_blas_share_counts_every_entry_and_exit_under_contention(monkeypatch):
     assert seen <= {4, 2, 1}
 
 
-def test_blas_share_counts_a_thread_once_however_deeply_it_enters(monkeypatch):
-    """Entries nested in one thread (a train inside a client's lifetime share)
-    add no holder, and only the outermost exit releases the thread's share."""
-    pool, calls = [4], []
-    monkeypatch.setattr(T, "_openblas", ("fake", lambda: pool[0],
-                                         lambda n: (calls.append(n), pool.__setitem__(0, n))))
-    monkeypatch.setattr(T, "_blas_start", 4)
-    share = T._BlasShare()
-    entered, leave = threading.Event(), threading.Event()
-
-    def hold():
-        with share:
-            entered.set()
-            leave.wait(60)
-    holder = threading.Thread(target=hold)
-    holder.start()
-    try:
-        assert entered.wait(60)
-        with share:
-            assert share._active == 2 and pool[0] == 2
-            for _ in range(3):
-                with share:
-                    with share:
-                        assert share._active == 2 and pool[0] == 2
-            assert share._active == 2 and pool[0] == 2
-        # the outermost exit gave the pool back to the holder alone
-        assert share._active == 1 and pool[0] == 4
-    finally:
-        leave.set()
-        holder.join(60)
-    assert not holder.is_alive()
-    assert share._active == 0 and pool[0] == 4 and calls == [2, 4]
-
-
-# Two trainings in a process started at one BLAS thread: a barrier inside
-# each holds both in flight while the main thread polls the pool size.
-TWO_TRAININGS = """
-import json, threading, time
+# Two co-hosted TCP clients in a process started at one BLAS thread: each
+# client's fit records how many shares are held, and the main thread polls
+# the pool size while the clients run.
+TWO_CLIENTS = """
+import json, socket, threading, time
 import fedhar.data as D
 import fedhar.tensor as T
-import fedhar.training as TR
+import fedhar.wire as W
+from fedhar.fedavg import FedConfig
 from fedhar.model import ModelConfig, init_model
-from fedhar.training import TrainConfig, train
 
-calls = []
+calls, held = [], []
 name, get, set_threads = T._openblas
 T._openblas = (name, get, lambda n: (calls.append(n), set_threads(n)))
-barrier = threading.Barrier(2, timeout=60)
-real = TR.compute_pos_weight
-TR.compute_pos_weight = lambda windows: (barrier.wait(), real(windows))[1]
-spec = D.SyntheticSpec(n_subjects=1, minutes_per_subject=256, n_features=24,
-                       n_labels=8, alpha=0.5, seed=0)
-ws = D.make_windows(D.gen_synthetic(spec)[0], 32)
-cfg = ModelConfig(n_features=24, n_labels=8, transformers_layers=2,
-                  hidden_size=96, n_positions=32, dropout=0.1, seed=0)
-tc = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=16, seed=0)
-threads = [threading.Thread(target=train, args=(init_model(cfg), ws, tc))
-           for _ in range(2)]
+real_fit = W.client_fit
+W.client_fit = lambda *args: (held.append(T._blas_share._active), real_fit(*args))[1]
+spec = D.SyntheticSpec(n_subjects=2, minutes_per_subject=64, n_features=6,
+                       n_labels=3, alpha=0.5, seed=0)
+mc = ModelConfig(n_features=6, n_labels=3, transformers_layers=1,
+                 hidden_size=8, n_positions=8, dropout=0.1, seed=0)
+fed = FedConfig(rounds=1, min_available_clients=2, local_epochs=1, batch_size=8,
+                local_lr=1e-2, seed=0)
+with socket.socket() as s:
+    s.bind(("127.0.0.1", 0))
+    port = s.getsockname()[1]
+ready = threading.Event()
+server = threading.Thread(target=W.server_loop, args=("127.0.0.1", port, init_model(mc), fed),
+                          kwargs={"expected_clients": 2, "accept_timeout": 30.0,
+                                  "ready_event": ready})
+server.start()
+assert ready.wait(10.0)
+clients = [threading.Thread(target=W.client_loop, args=(
+               "127.0.0.1", port, rec.subject_id, mc,
+               *D.split_train_test(D.make_windows(rec, 8), 0.8, seed=0)))
+           for rec in D.gen_synthetic(spec)]
 seen = [get()]
-for t in threads:
+for t in clients:
     t.start()
-while any(t.is_alive() for t in threads):
+while any(t.is_alive() for t in clients):
     seen.append(get())
     time.sleep(0.001)
-for t in threads:
-    t.join()
+for t in clients + [server]:
+    t.join(60.0)
 seen.append(get())
-print(json.dumps({"start": T._blas_start, "max": max(seen), "calls": calls}))
+print(json.dumps({"start": T._blas_start, "max": max(seen), "held": held, "calls": calls}))
 """
 
 
@@ -430,10 +375,11 @@ print(json.dumps({"start": T._blas_start, "max": max(seen), "calls": calls}))
 def test_a_process_started_at_one_blas_thread_stays_there():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", TWO_TRAININGS], env=env,
+    proc = subprocess.run([sys.executable, "-c", TWO_CLIENTS], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"start": 1, "max": 1, "calls": []}
+    # both clients held a share at each fit, and the pool never moved
+    assert json.loads(proc.stdout) == {"start": 1, "max": 1, "held": [2, 2], "calls": []}
 
 
 def test_pos_weight_ratio_and_clamp():

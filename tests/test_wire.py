@@ -566,6 +566,59 @@ def test_co_hosted_clients_split_the_blas_pool_once_for_the_whole_fold(monkeypat
     assert tcp_result.final_weights.equals_bitwise(sim_result.final_weights)
 
 
+@pytest.mark.skipif(T._openblas is None,
+                    reason="numpy's OpenBLAS thread-count functions not found")
+def test_a_co_hosted_client_that_fails_gives_its_blas_share_back(monkeypatch):
+    """Of two client threads, one has windows with 4 features for a 6-feature
+    model. Its base evaluation fails, it tells the server and gives back its
+    share, and the server ends the fold naming it; the pool was halved while
+    both were connected and is whole again."""
+    clients = synthetic_clients(2)
+    bad = sorted(clients)[1]
+    clients[bad] = tuple(dataclasses.replace(ws, features=ws.features[..., :4])
+                         for ws in clients[bad])
+    cfg = FedConfig(rounds=1, min_available_clients=2, local_epochs=1,
+                    batch_size=8, local_lr=1e-2, seed=0)
+    name, get, set_threads = T._openblas
+    calls = []
+    monkeypatch.setattr(T, "_openblas",
+                        (name, get, lambda n: (calls.append(n), set_threads(n))))
+    port = free_port()
+    ready = threading.Event()
+    errors = {}
+
+    def run(who, target, *args, **kwargs):
+        try:
+            target(*args, **kwargs)
+        except Exception as exc:
+            errors[who] = exc
+
+    threads = [threading.Thread(target=run, args=("server", W.server_loop, "127.0.0.1", port,
+                                                  init_model(MC), cfg),
+                                kwargs={"expected_clients": 2, "accept_timeout": 30.0,
+                                        "ready_event": ready})]
+    threads[0].start()
+    assert ready.wait(10.0)
+    for cid, windows in clients.items():
+        threads.append(threading.Thread(target=run, args=(cid, W.client_loop, "127.0.0.1",
+                                                          port, cid, MC, *windows)))
+        threads[-1].start()
+    for t in threads:
+        t.join(60.0)
+        assert not t.is_alive()
+    server_error = errors.pop("server")
+    assert isinstance(server_error, ProtocolError)
+    assert str(server_error).startswith(f"client {bad} dropped")
+    assert "input has 4 features, model expects 6" in str(server_error)
+    assert isinstance(errors.pop(bad), ShapeError)
+    (_, exc), = errors.items()  # the other client is told the fold is aborted
+    assert isinstance(exc, ProtocolError) and str(exc) == f"server error aborted: {server_error}"
+    start = T._blas_start
+    # halved when the second client entered, restored when the first returned
+    assert calls == ([max(1, start // 2), start] if start > 1 else [])
+    assert T._blas_share._active == 0 and get() == start
+
+
 def test_server_rejects_message_out_of_turn():
     clients = synthetic_clients(2)
     cfg = FedConfig(rounds=1, min_available_clients=2, local_epochs=1,
