@@ -130,7 +130,7 @@ def _fed_config(args, min_clients: int, timeout: float | None = None) -> FedConf
 def _split_windows(record, standardizer, n_positions, seed):
     """Standardize and window one subject's data, then split it 80/20."""
     windows = D.make_windows(D.apply_standardizer(record, standardizer), n_positions)
-    return D.split_train_test(windows, 0.8, seed)
+    return D.split_train_test(windows, seed=seed)
 
 
 # ------------------------------------------------------------- commands
@@ -180,7 +180,7 @@ def cmd_pretrain(args):
     windows = []
     while standardized:  # each record is dropped once it is windowed
         windows.append(D.make_windows(standardized.pop(0), mc.n_positions))
-    train_w = D.split_train_test(windows, 0.8, args.seed)[0]
+    train_w = D.split_train_test(windows, seed=args.seed)[0]
     del windows
     tc = TrainConfig(epochs=args.epochs, learning_rate=args.lr,
                      batch_size=args.batch_size, seed=derive_seed(args.seed, "pretrain"))
@@ -319,7 +319,7 @@ def cmd_evaluate(args):
         standardized = D.apply_standardizer(rec, standardizer)
         windows = D.make_windows(standardized, weights.config.n_positions)
         if args.split_seed is not None:
-            _train_w, windows = D.split_train_test(windows, 0.8, args.split_seed)
+            _train_w, windows = D.split_train_test(windows, seed=args.split_seed)
         reports.append(evaluate(weights, windows, rec.subject_id, rec.label_names))
     report = fold_summary(reports, fold=args.fold)
     atomic_write_json(args.out, report.to_json_dict())

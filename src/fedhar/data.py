@@ -494,14 +494,15 @@ def split_train_test(windows, ratio: float = 0.8, seed: int = 0) -> tuple[Window
     return windows[order[train[order]]], windows[order[~train[order]]]
 
 
-def carve_validation(train_windows: Windows, frac: float = 0.1) -> tuple[Windows, Windows]:
-    """Hold out the last ``frac`` of each subject's train windows for scoring."""
-    if not 0.0 < frac < 1.0:
-        raise ConfigError(f"validation fraction must be in (0, 1), got {frac}")
+VALIDATION_FRAC = 0.1
+
+
+def carve_validation(train_windows: Windows) -> tuple[Windows, Windows]:
+    """Hold out the last ``VALIDATION_FRAC`` of each subject's train windows for scoring."""
     val = np.zeros(len(train_windows), dtype=bool)
     for _, idx in _by_subject(train_windows):
         if len(idx) >= 2:
-            val[idx[-max(1, int(round(frac * len(idx)))):]] = True
+            val[idx[-max(1, int(round(VALIDATION_FRAC * len(idx)))):]] = True
     return train_windows[~val], train_windows[val]
 
 

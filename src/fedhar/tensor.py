@@ -115,6 +115,13 @@ def _keep_freed_heap() -> None:
     on 64-bit) from the heap and trimming only above 1 GiB reuses the pages
     instead: 162 faults, and no higher peak, since each step reaches the
     same peak either way. Elsewhere than glibc this does nothing.
+
+    The faults cost time end to end. On a 2-core host, in five alternating
+    pairs of ``bench/run.py --workload all --seconds 10`` with and without
+    this call: desk ``wall_s`` 14.7 s against 15.9 s (medians; lower with it
+    in 4 of 5 pairs), full ``train_samples_per_s`` 16.2 against 15.7
+    (higher in 5 of 5) and tcp ``wall_s`` 1.44 against 1.67 s (lower in 4
+    of 5), with the same bits.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -593,8 +600,12 @@ def gelu_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(data, (x, w, b), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+LN_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (``LN_EPS``
+    added to the variance), then affine.
 
     The node keeps xhat and the inverse deviation for its VJP. Its
     ``rebuild`` recipe recomputes the output as the forward does, ``xhat *
@@ -611,7 +622,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = xd.mean(axis=-1, keepdims=True)
     centered = xd - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv
     gd, bd = gain.data, bias.data
 
@@ -697,7 +708,6 @@ def causal_self_attention(
     out_b: Tensor,
     n_heads: int,
     pad_mask: np.ndarray | None = None,
-    n_positions: int | None = None,
     dropout_p: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
@@ -723,8 +733,6 @@ def causal_self_attention(
     batch, seq, width = x.data.shape
     if width % n_heads != 0:
         raise ConfigError(f"hidden size {width} not divisible by n_heads {n_heads}")
-    if n_positions is not None and seq > n_positions:
-        raise ShapeError(f"sequence length {seq} exceeds n_positions {n_positions}")
     if pad_mask is not None and pad_mask.shape != (batch, seq):
         raise ShapeError(f"pad_mask shape {pad_mask.shape} != ({batch}, {seq})")
     head_dim = width // n_heads
@@ -802,11 +810,13 @@ def causal_self_attention(
     return linear(_result(ctx.reshape(batch, seq, width), (qkv,), vjp), out_w, out_b)
 
 
-def weighted_bce(y: Tensor, coef_pos: np.ndarray, coef_neg: np.ndarray, denom: float,
-                 p_clamp: float) -> Tensor:
+P_CLAMP = 1e-7
+
+
+def weighted_bce(y: Tensor, coef_pos: np.ndarray, coef_neg: np.ndarray, denom: float) -> Tensor:
     """-(sum(coef_pos * log p) + sum(coef_neg * log(1 - p))) / denom as one node.
 
-    p is (y + 1) / 2 clipped to [p_clamp, 1 - p_clamp]; y gets no gradient
+    p is (y + 1) / 2 clipped to [P_CLAMP, 1 - P_CLAMP]; y gets no gradient
     where the clip is active. The coefficients are constants of y's shape.
     Both sums accumulate in float64, so the loss is a float64 scalar. The
     node keeps y, which the tanh node that makes it keeps too; its VJP
@@ -817,7 +827,7 @@ def weighted_bce(y: Tensor, coef_pos: np.ndarray, coef_neg: np.ndarray, denom: f
     if coef_pos.shape != yd.shape or coef_neg.shape != yd.shape:
         raise ShapeError(f"weighted_bce: coefficients {coef_pos.shape}, {coef_neg.shape} "
                          f"!= y {yd.shape}")
-    lo, hi, scale = p_clamp, 1.0 - p_clamp, -1.0 / denom
+    lo, hi, scale = P_CLAMP, 1.0 - P_CLAMP, -1.0 / denom
     p = np.clip((yd + 1.0) * 0.5, lo, hi)
     total = (np.log(p) * coef_pos).sum(dtype=np.float64) \
         + (np.log(-p + 1.0) * coef_neg).sum(dtype=np.float64)

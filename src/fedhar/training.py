@@ -225,8 +225,8 @@ def random_search(
             seed=derive_seed(seed, "init", i),
         )
         train_w, _ = split_train_test([make_windows(rec, mc.n_positions) for rec in records],
-                                      0.8, seed=derive_seed(seed, "split"))
-        fit_w, val_w = carve_validation(train_w, 0.1)
+                                      seed=derive_seed(seed, "split"))
+        fit_w, val_w = carve_validation(train_w)
         # a trial that cannot be scored fails, not the search
         score, history = None, []
         if not fit_w or not val_w:  # n_positions too large for this corpus

@@ -420,20 +420,21 @@ def decode_error(payload) -> tuple[str, str]:
 
 # -------------------------------------------------------------- transport
 
-def connect_with_retry(host: str, port: int, attempts: int = CONNECT_ATTEMPTS,
-                       base_delay: float = CONNECT_BASE_DELAY) -> socket.socket:
-    """Dial with exponential backoff: base_delay, 2x, 4x, ... between tries."""
-    delay = base_delay
+def connect_with_retry(host: str, port: int) -> socket.socket:
+    """Dial ``CONNECT_ATTEMPTS`` times with exponential backoff between tries:
+    ``CONNECT_BASE_DELAY``, 2x, 4x, ..."""
+    delay = CONNECT_BASE_DELAY
     last: Exception | None = None
-    for attempt in range(attempts):
+    for attempt in range(CONNECT_ATTEMPTS):
         try:
             return socket.create_connection((host, port))
         except OSError as exc:
             last = exc
-            if attempt < attempts - 1:
+            if attempt < CONNECT_ATTEMPTS - 1:
                 time.sleep(delay)
                 delay *= 2.0
-    raise ProtocolError(f"could not reach {host}:{port} after {attempts} attempts: {last}")
+    raise ProtocolError(
+        f"could not reach {host}:{port} after {CONNECT_ATTEMPTS} attempts: {last}")
 
 
 class _Conn:

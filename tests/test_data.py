@@ -500,8 +500,8 @@ def test_windows_split_and_pos_weight_keep_the_per_window_bytes():
     old_train, old_test = old_split(old, 0.8, seed=3)
     assert_same(train, old_train)
     assert_same(test, old_test)
-    fit, val = D.carve_validation(train, 0.3)
-    old_fit, old_val = old_carve(old_train, 0.3)
+    fit, val = D.carve_validation(train)
+    old_fit, old_val = old_carve(old_train, D.VALIDATION_FRAC)
     assert_same(fit, old_fit)
     assert_same(val, old_val)
     for new_set, old_set in ((train, old_train), (fit, old_fit), (D.Windows.concat(parts), old)):
@@ -557,7 +557,7 @@ def test_split_rejects_bad_ratio():
 
 def test_carve_validation_takes_chronological_tail():
     ws = D.make_windows(make_record(320), 32)  # 10 windows
-    fit, val = D.carve_validation(ws, 0.1)
+    fit, val = D.carve_validation(ws)
     assert len(fit) == 9 and len(val) == 1
     assert val.features.tobytes() == ws[-1].features.tobytes()
     assert fit.features.tobytes() == ws[:-1].features.tobytes()

@@ -189,7 +189,7 @@ def test_round_with_a_non_finite_update_fails_naming_client_and_parameter(bad):
     """The round driver stops at a NaN or infinite update instead of averaging
     it into the global model; nothing is aggregated."""
     cfg = FedConfig(rounds=2, min_available_clients=1, local_epochs=1, seed=0)
-    name = parameter_shapes(MC)[3][0]
+    name = list(parameter_shapes(MC))[3][0]
 
     def fit(weights, round_idx, ids):
         for cid in ids:

@@ -123,10 +123,10 @@ def test_op_on_no_grad_inputs_builds_no_node():
     w = Tensor(np.ones((3, 2)))
     for out in (T.add(a, a), T.linear(a, w, Tensor(np.zeros(2))),
                 T.dropout(a, 0.5, np.random.default_rng(0)),
-                T.weighted_bce(T.tanh(a), a.data, a.data, 1.0, 1e-7)):
+                T.weighted_bce(T.tanh(a), a.data, a.data, 1.0)):
         assert not out.requires_grad
         assert out._node is None
-    backward(T.weighted_bce(a, a.data, a.data, 1.0, 1e-7))  # nothing to push into
+    backward(T.weighted_bce(a, a.data, a.data, 1.0))  # nothing to push into
     assert a.grad is None
 
 
@@ -365,7 +365,7 @@ def test_loss_accumulates_in_float64():
     y = np.zeros(1025, dtype=np.float32)
     coef = np.ones(1025, dtype=np.float32)
     coef[0] = 2.0 ** 25
-    loss = T.weighted_bce(Tensor(y), coef, np.zeros_like(coef), 1.0, 1e-7)
+    loss = T.weighted_bce(Tensor(y), coef, np.zeros_like(coef), 1.0)
     log_half = np.log(np.float32(0.5))
     assert loss.data.dtype == np.float64
     assert loss.item() == -(2.0 ** 25 + 1024.0) * float(log_half)
@@ -378,20 +378,22 @@ def test_loss_accumulates_in_float64():
 # ------------------------------------------------------- known values
 
 def test_layer_norm_two_point_row():
-    # row [1, 3]: mean 2, population var 1 -> normalized [-1, 1]
+    # row [1, 3]: mean 2, population var 1 -> normalized [-1, 1] / sqrt(1 + eps)
     x = Tensor(np.array([[1.0, 3.0]]))
     gain = Tensor(np.ones(2))
     bias = Tensor(np.zeros(2))
-    y = T.layer_norm(x, gain, bias, eps=0.0)
-    assert np.allclose(y.data, [[-1.0, 1.0]])
+    y = T.layer_norm(x, gain, bias)
+    assert np.allclose(y.data, np.array([[-1.0, 1.0]]) / math.sqrt(1.0 + T.LN_EPS),
+                       rtol=1e-12, atol=0.0)
 
 
 def test_layer_norm_gain_bias_applied():
     x = Tensor(np.array([[1.0, 3.0]]))
     gain = Tensor(np.array([2.0, 2.0]))
     bias = Tensor(np.array([10.0, 10.0]))
-    y = T.layer_norm(x, gain, bias, eps=0.0)
-    assert np.allclose(y.data, [[8.0, 12.0]])
+    y = T.layer_norm(x, gain, bias)
+    want = 10.0 + 2.0 * np.array([[-1.0, 1.0]]) / math.sqrt(1.0 + T.LN_EPS)
+    assert np.allclose(y.data, want, rtol=1e-12, atol=0.0)
 
 
 def test_tanh_log_clamp_values():
@@ -399,7 +401,7 @@ def test_tanh_log_clamp_values():
 
     def loss(y, coef_pos, coef_neg, denom=1.0):
         return T.weighted_bce(Tensor(np.array(y)), np.array(coef_pos),
-                              np.array(coef_neg), denom, 1e-7).item()
+                              np.array(coef_neg), denom).item()
     # p = 1/2 on either side: ln 2 per unit of weight
     assert loss([0.0], [1.0], [0.0]) == pytest.approx(math.log(2.0), rel=1e-15)
     assert loss([0.0, 0.0], [3.0, 0.0], [0.0, 1.0], 4.0) == pytest.approx(math.log(2.0),
@@ -407,7 +409,7 @@ def test_tanh_log_clamp_values():
     # p = 0.9 and 1 - p = 0.8, the logs of the clipped p and 1 - p
     assert loss([0.8, -0.6], [2.0, 0.0], [0.0, 1.0], 3.0) == pytest.approx(
         (2.0 * -math.log(0.9) - math.log(0.8)) / 3.0, rel=1e-14)
-    # saturated outputs clip to p_clamp and 1 - p_clamp instead of log(0)
+    # saturated outputs clip to P_CLAMP and 1 - P_CLAMP instead of log(0)
     assert loss([-1.0, 1.0, -2.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0], 3.0) == pytest.approx(
         -math.log(1e-7), rel=1e-9)
 
@@ -427,9 +429,10 @@ def test_relu_zero_gradient_in_negative_half():
 
 def test_clamp_gradient_zero_outside_range():
     """Saturated cells, where the loss clips p, get exactly zero gradient;
-    the others get d/dy of -(log p) / denom = -1 / (2 p denom)."""
+    the others get d/dy of -(log p) / denom = -1 / (2 p denom). At y = -1
+    and 1, p = 0 and 1 lie outside [P_CLAMP, 1 - P_CLAMP]."""
     y = Tensor(np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), requires_grad=True)
-    backward(T.weighted_bce(y, np.ones(5), np.zeros(5), 1.0, 0.1))
+    backward(T.weighted_bce(y, np.ones(5), np.zeros(5), 1.0))
     assert np.array_equal(y.grad, [0.0, 0.0, -1.0, 0.0, 0.0])
 
 
@@ -468,7 +471,7 @@ def test_grad_weighted_bce():
     rng = np.random.default_rng(5)
     coef_pos = rng.uniform(0.0, 3.0, (2, 3, 4)) * (rng.random((2, 3, 4)) < 0.5)
     coef_neg = (coef_pos == 0) * rng.uniform(0.0, 1.0, (2, 3, 4))
-    check_grad(lambda z: T.weighted_bce(T.tanh(z), coef_pos, coef_neg, 7.5, 1e-7),
+    check_grad(lambda z: T.weighted_bce(T.tanh(z), coef_pos, coef_neg, 7.5),
                [(2, 3, 4)], seed=5)
 
 
@@ -782,7 +785,7 @@ def test_loss_bitwise_equals_reference_chain(dtype, shape):
 def test_loss_rejects_coefficients_of_another_shape():
     y = Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeError, match="coefficients"):
-        T.weighted_bce(y, np.ones(3), np.ones((2, 3)), 1.0, 1e-7)
+        T.weighted_bce(y, np.ones(3), np.ones((2, 3)), 1.0)
 
 
 def test_attention_is_causal():
@@ -838,8 +841,8 @@ def test_attention_rejects_bad_heads_and_length():
     ws = [Tensor(np.zeros(s)) for s in [(4, 12), (12,), (4, 4), (4,)]]
     with pytest.raises(ConfigError):
         T.causal_self_attention(x, *ws, n_heads=3)
-    with pytest.raises(ShapeError):
-        T.causal_self_attention(x, *ws, n_heads=2, n_positions=1)
+    with pytest.raises(ShapeError, match="pad_mask"):
+        T.causal_self_attention(x, *ws, n_heads=2, pad_mask=np.ones((1, 3)))
 
 
 # ------------------------------------------------------------ dropout

@@ -418,10 +418,12 @@ def free_port():
         return s.getsockname()[1]
 
 
-def test_connect_with_retry_exhausts_attempts():
+def test_connect_with_retry_exhausts_attempts(monkeypatch):
+    monkeypatch.setattr(W, "CONNECT_ATTEMPTS", 2)
+    monkeypatch.setattr(W, "CONNECT_BASE_DELAY", 0.01)
     port = free_port()  # nothing listens there
     with pytest.raises(ProtocolError, match="after 2 attempts"):
-        W.connect_with_retry("127.0.0.1", port, attempts=2, base_delay=0.01)
+        W.connect_with_retry("127.0.0.1", port)
 
 
 def synthetic_clients(n_subjects, seed=1):
@@ -894,7 +896,7 @@ def test_nan_fit_result_aborts_the_fold_naming_client_and_parameter():
     cfg = FedConfig(rounds=1, min_available_clients=1, local_epochs=1,
                     batch_size=8, local_lr=1e-2, seed=0)
     port, server, box = serve_one_client(cfg)
-    name = parameter_shapes(MC)[-1][0]
+    name = list(parameter_shapes(MC))[-1][0]
     with rogue_peer(port) as (rogue, rfile):
         weights = W.decode_weights(answer_base_eval(rogue, rfile, "rogue", 1), MC)
         assert W.read_frame(rfile)[0] == W.MSG_ROUND_CONFIG
@@ -954,7 +956,7 @@ def tensor_head(name, shape):
     return W._pack_text(name) + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
 
 
-FIRST_NAME, FIRST_SHAPE = parameter_shapes(MC)[0]
+FIRST_NAME, FIRST_SHAPE = next(parameter_shapes(MC))
 
 
 @pytest.mark.parametrize("name, shape, reason", [
